@@ -55,7 +55,6 @@ from .states import (
     NotUnitTraceError,
     StateValidationError,
     compose_state,
-    decompose_pair,
     decompose_state,
     partial_trace,
     pure_to_density,

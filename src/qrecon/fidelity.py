@@ -25,6 +25,22 @@ QSS_NORM_SLACK = 1e-12
 
 CLASSICAL_FIDELITY = 2.0 / 3.0
 
+#: Signs (t1, t2, t3) such that the l-th Bell projector is
+#: (1/4)(I + sum_i t_i sigma_i (x) sigma_i); l = 0 is the singlet.
+BELL_DIAGONALS = (
+    (-1.0, -1.0, -1.0),
+    (-1.0, 1.0, 1.0),
+    (1.0, -1.0, 1.0),
+    (1.0, 1.0, -1.0),
+)
+
+#: Branch order used everywhere: l major, x = +1 before -1.
+BRANCHES = tuple((l, x) for l in range(4) for x in (+1, -1))
+
+# per-branch Bell sign rows t_l, shape (8, 3), and x outcomes, shape (8,)
+_BRANCH_SIGNS = np.array([BELL_DIAGONALS[l] for l, _ in BRANCHES])
+_BRANCH_X = np.array([float(x) for _, x in BRANCHES])
+
 
 @dataclass(frozen=True)
 class Setting:
@@ -94,6 +110,19 @@ def pair_correlation_for_setting(d: BlochDecomposition, setting: Setting) -> np.
     return _pair_matrix(d, setting.dealer, setting.reconstructor)
 
 
+def branch_matrices(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> np.ndarray:
+    """The (8, 3, 3) stack M_{l,x} = t_l (P + x T), in :data:`BRANCHES` order.
+
+    t_l = diag(BELL_DIAGONALS[l]).  Branch (l, x) contributes
+    Tr(M_{l,x} Omega) / 48 to the sphere-averaged fidelity under the
+    correction rotation Omega, so the SO(3) optimum, the trace-norm
+    bound and any fixed-rotation fidelity are all read off this stack.
+    """
+    P = pair_correlation_for_setting(d, setting)
+    T = t_matrix_for_setting(d, setting)
+    return _BRANCH_SIGNS[:, :, None] * (P + _BRANCH_X[:, None, None] * T)
+
+
 def theta(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> float:
     """Correlation strength (||P + T||_1 + ||P - T||_1) / 2, in [0, 3].
 
@@ -140,8 +169,8 @@ def _is_zero(matrix: np.ndarray, eps: float) -> bool:
 
 def classify_case(P: np.ndarray, T: np.ndarray, eps: float = ZERO_MATRIX_EPS) -> CaseLabel:
     """Classify the advantage source by which of P, T vanish (max-abs < eps)."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     p_zero = _is_zero(P, eps)
     t_zero = _is_zero(T, eps)
     label = {(False, False): "case1", (True, False): "case2",
@@ -169,7 +198,10 @@ def qss_check(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> QS
     """
     q_norm = trace_norm(_pair_matrix(d, setting.dealer, setting.assistant))
     r_norm = trace_norm(_pair_matrix(d, setting.dealer, setting.reconstructor))
-    th = theta(d, setting)
+    return _qss_from_norms(q_norm, r_norm, theta(d, setting))
+
+
+def _qss_from_norms(q_norm: float, r_norm: float, th: float) -> QSSCheck:
     ok = (q_norm <= 1.0 + QSS_NORM_SLACK) and (r_norm <= 1.0 + QSS_NORM_SLACK) and (th > 1.0)
     return QSSCheck(ok=ok, assistant_channel_norm=q_norm, reconstructor_channel_norm=r_norm, theta=th)
 
@@ -206,17 +238,19 @@ def report_from_decomposition(d: BlochDecomposition, setting: Setting = CANONICA
     P = pair_correlation_for_setting(d, setting)
     T = t_matrix_for_setting(d, setting)
     th = (trace_norm(P + T) + trace_norm(P - T)) / 2.0
-    # f_max > 2/3 iff theta > 1; test theta to keep the boundary exact
-    advantage = th > 1.0
+    r_norm = trace_norm(P)
+    q_norm = trace_norm(_pair_matrix(d, setting.dealer, setting.assistant))
     return FidelityReport(
         setting=setting,
         theta=th,
         f_max=f_max_from_theta(th),
-        f_tele_dealer_reconstructor=teleportation_fidelity(P),
-        f_tele_dealer_assistant=teleportation_fidelity(_pair_matrix(d, setting.dealer, setting.assistant)),
+        # teleportation fidelity is the same map applied to a pair's trace norm
+        f_tele_dealer_reconstructor=f_max_from_theta(r_norm),
+        f_tele_dealer_assistant=f_max_from_theta(q_norm),
         case_label=classify_case(P, T, eps),
-        qss=qss_check(d, setting),
-        quantum_advantage=advantage,
+        qss=_qss_from_norms(q_norm, r_norm, th),
+        # f_max > 2/3 iff theta > 1; test theta to keep the boundary exact
+        quantum_advantage=th > 1.0,
         epsilon=eps,
     )
 

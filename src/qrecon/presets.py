@@ -50,13 +50,6 @@ def gamma_mix_density() -> np.ndarray:
     return 0.5 * pure_to_density(plus) + 0.5 * pure_to_density(minus)
 
 
-def delta_mix_density() -> np.ndarray:
-    """Same mixture as :func:`gamma_mix_density` (the two defining ket
-    pairs coincide); kept as a distinct preset name so both named
-    exemplars remain addressable.  Reports the case-2 pattern."""
-    return gamma_mix_density()
-
-
 def beta_mix_density() -> np.ndarray:
     """Equal mixture of (|000> + |011> + |100> +- |111>)/2.
 
@@ -80,7 +73,8 @@ PRESETS = {
     "w": w_density,
     "wexample3": wexample3_density,
     "gamma-mix": gamma_mix_density,
-    "delta-mix": delta_mix_density,
+    # the two named exemplars share their defining kets: one mixture, two names
+    "delta-mix": gamma_mix_density,
     "beta-mix": beta_mix_density,
     "mixed": maximally_mixed_density,
 }

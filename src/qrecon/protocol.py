@@ -26,30 +26,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
-from .fidelity import (
-    CANONICAL_SETTING,
-    Setting,
-    f_max_from_theta,
-    pair_correlation_for_setting,
-    t_matrix_for_setting,
-    trace_norm,
-)
+from .fidelity import BELL_DIAGONALS, BRANCHES, CANONICAL_SETTING, Setting, branch_matrices
 from .paulis import identity2, pauli_x, paulis, pauli_vector
 from .states import BlochDecomposition, decompose_state, validate_state
 
 ROTATION_TOL = 1e-10
 ZERO_PROBABILITY = 1e-15
-
-#: Signs (t1, t2, t3) such that the l-th Bell projector is
-#: (1/4)(I + sum_i t_i sigma_i (x) sigma_i); l = 0 is the singlet.
-BELL_DIAGONALS = (
-    (-1.0, -1.0, -1.0),
-    (-1.0, 1.0, 1.0),
-    (1.0, -1.0, 1.0),
-    (1.0, 1.0, -1.0),
-)
 
 
 def _bell_projector(diag: tuple[float, float, float]) -> np.ndarray:
@@ -69,9 +52,6 @@ hadamard_projectors = {
     +1: (identity2 + pauli_x) / 2.0,
     -1: (identity2 - pauli_x) / 2.0,
 }
-
-#: Branch order used everywhere: l major, x = +1 before -1.
-BRANCHES = tuple((l, x) for l in range(4) for x in (+1, -1))
 
 
 def _branch_kernels() -> np.ndarray:
@@ -98,12 +78,21 @@ def rotation_to_unitary(omega: np.ndarray) -> np.ndarray:
     defect = np.abs(omega @ omega.T - np.eye(3)).max()
     if defect > ROTATION_TOL or abs(np.linalg.det(omega) - 1.0) > ROTATION_TOL:
         raise ValueError(f"not special orthogonal: orthogonality defect {defect:.3e}, det {np.linalg.det(omega):.12f}")
-    rotvec = Rotation.from_matrix(omega.T).as_rotvec()
-    angle = np.linalg.norm(rotvec)
-    if angle < 1e-300:
-        return identity2.copy()
-    axis = rotvec / angle
-    return np.cos(angle / 2.0) * identity2 - 1j * np.sin(angle / 2.0) * pauli_vector(axis)
+    # Unit quaternion q = (w, x, y, z) of the active rotation r = Omega^T,
+    # U = w I - i (x, y, z).sigma.  k = 4 q q^T has trace 4, so its largest
+    # diagonal entry is >= 1 and that row gives q stably, also near pi.
+    r = omega.T
+    a = r - omega
+    tr = np.trace(r)
+    k = np.empty((4, 4))
+    k[0, 0] = 1.0 + tr
+    k[0, 1:] = k[1:, 0] = a[2, 1], a[0, 2], a[1, 0]
+    k[1:, 1:] = r + omega + (1.0 - tr) * np.eye(3)
+    i = int(np.argmax(np.diag(k)))
+    q = k[i] / (2.0 * np.sqrt(k[i, i]))
+    if q[0] < 0:  # q and -q give the same rotation; w >= 0 maps the identity to +I
+        q = -q
+    return q[0] * identity2 - 1j * pauli_vector(q[1:])
 
 
 @dataclass(frozen=True)
@@ -127,39 +116,30 @@ class CorrectionRotation:
 IDENTITY_ROTATION = CorrectionRotation.from_matrix(np.eye(3))
 
 
-def optimal_rotation(m: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Best SO(3) rotation for one branch matrix.
+def optimal_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best SO(3) rotation for a branch matrix or a ``(..., 3, 3)`` stack.
 
     Maximizes Tr(M Omega) over rotations: with SVD M = U S V^T the
     optimum is Omega = V diag(1, 1, det(UV^T)) U^T, attaining
     s1 + s2 + sign(det M) s3 (the trace norm when det M >= 0).  Returns
-    (omega, so3_value, trace_norm_value).  Degenerate singular values
-    are resolved by whatever valid SVD the backend picks; any maximizer
-    gives the same value.
+    (omega, so3_value, trace_norm_value) with the stack's leading shape
+    (scalars for one matrix).  Degenerate singular values are resolved
+    by whatever valid SVD the backend picks; any maximizer gives the
+    same value.
     """
     m = np.asarray(m, dtype=float)
     u, s, vt = np.linalg.svd(m)
     d = np.linalg.det(u @ vt)
-    omega = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return omega, float(s[0] + s[1] + d * s[2]), float(s.sum())
-
-
-def branch_matrix(d: BlochDecomposition, setting: Setting, l: int, x: int) -> np.ndarray:
-    """M_{l,x} = T_l^T (P + x T): the per-branch payoff matrix whose
-    rotation overlap sets that branch's fidelity contribution."""
-    P = pair_correlation_for_setting(d, setting)
-    T = t_matrix_for_setting(d, setting)
-    t_l = np.diag(BELL_DIAGONALS[l])
-    return t_l.T @ (P + x * T)
+    flip = np.ones_like(s)
+    flip[..., 2] = d
+    omega = (vt.swapaxes(-1, -2) * flip[..., None, :]) @ u.swapaxes(-1, -2)
+    return omega, s[..., 0] + s[..., 1] + d * s[..., 2], s.sum(axis=-1)
 
 
 def optimal_rotations(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> tuple[CorrectionRotation, ...]:
     """Per-branch optimal corrections, in :data:`BRANCHES` order."""
-    out = []
-    for l, x in BRANCHES:
-        omega, _, _ = optimal_rotation(branch_matrix(d, setting, l, x))
-        out.append(CorrectionRotation.from_matrix(omega))
-    return tuple(out)
+    omegas, _, _ = optimal_rotation(branch_matrices(d, setting))
+    return tuple(CorrectionRotation.from_matrix(omega) for omega in omegas)
 
 
 @dataclass(frozen=True)
@@ -187,23 +167,23 @@ class ClosedFormBounds:
 
 
 def closed_form_bounds(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> ClosedFormBounds:
-    bounds = []
-    for l, x in BRANCHES:
-        _, so3_val, tn_val = optimal_rotation(branch_matrix(d, setting, l, x))
-        bounds.append(BranchBound(l=l, x=x, so3_value=so3_val, trace_norm_value=tn_val))
-    f_so3 = 0.5 + sum(b.so3_value for b in bounds) / 48.0
-    f_tn = 0.5 + sum(b.trace_norm_value for b in bounds) / 48.0
-    return ClosedFormBounds(f_so3=f_so3, f_trace_norm=f_tn, so3_gap=f_tn - f_so3, per_branch=tuple(bounds))
+    _, so3, tn = optimal_rotation(branch_matrices(d, setting))
+    so3, tn = so3.tolist(), tn.tolist()
+    f_so3 = 0.5 + sum(so3) / 48.0
+    f_tn = 0.5 + sum(tn) / 48.0
+    per_branch = tuple(BranchBound(l=l, x=x, so3_value=s, trace_norm_value=t)
+                       for (l, x), s, t in zip(BRANCHES, so3, tn))
+    return ClosedFormBounds(f_so3=f_so3, f_trace_norm=f_tn, so3_gap=f_tn - f_so3, per_branch=per_branch)
 
 
 def fixed_rotation_fidelity(d: BlochDecomposition, setting: Setting,
                             rotations: Sequence[CorrectionRotation]) -> float:
     """Closed-form sphere-averaged fidelity for a fixed rotation set:
-    1/2 + (1/48) sum_branches Tr[T_l^T (P + x T) Omega]."""
-    total = 0.0
-    for (l, x), rot in zip(BRANCHES, rotations, strict=True):
-        total += float(np.trace(branch_matrix(d, setting, l, x) @ rot.omega))
-    return 0.5 + total / 48.0
+    1/2 + (1/48) sum_branches Tr[t_l (P + x T) Omega]."""
+    if len(rotations) != 8:
+        raise ValueError(f"need 8 rotations, got {len(rotations)}")
+    omegas = np.stack([r.omega for r in rotations])
+    return 0.5 + float(np.einsum("bij,bji->", branch_matrices(d, setting), omegas)) / 48.0
 
 
 _QUBIT_INDEX = {"A": 0, "B": 1, "C": 2}
@@ -266,13 +246,13 @@ def simulate_branches(rho: np.ndarray, phi: np.ndarray,
     return outcomes
 
 
-def _sample_directions(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform points on the unit sphere via normalized Gaussians."""
-    v = rng.normal(size=(n, 3))
+def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
+    """Uniform points on the unit sphere in R^dim via normalized Gaussians."""
+    v = rng.normal(size=(n, dim))
     norms = np.linalg.norm(v, axis=1)
     while np.any(norms < 1e-12):  # pragma: no cover - probability zero
         bad = norms < 1e-12
-        v[bad] = rng.normal(size=(int(bad.sum()), 3))
+        v[bad] = rng.normal(size=(int(bad.sum()), dim))
         norms = np.linalg.norm(v, axis=1)
     return v / norms[:, None]
 

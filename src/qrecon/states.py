@@ -182,27 +182,6 @@ def partial_trace(rho: np.ndarray, discard: str) -> np.ndarray:
     return np.trace(t, axis1=k, axis2=k + 3).reshape(4, 4)
 
 
-def decompose_pair(rho4: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bloch data (u, v, corr) of a two-qubit state.
-
-    ``u`` and ``v`` are the local Bloch vectors and
-    ``corr[i, k] = Tr(rho4 sigma_i (x) sigma_k)`` with rows on the first
-    qubit, matching the Q/R/S slices of the three-qubit decomposition.
-    """
-    from .paulis import sigma  # identity-first tuple
-
-    rho4 = np.asarray(rho4, dtype=complex)
-    u = np.empty(3)
-    v = np.empty(3)
-    corr = np.empty((3, 3))
-    for i in range(3):
-        u[i] = np.trace(rho4 @ np.kron(sigma[i + 1], sigma[0])).real
-        v[i] = np.trace(rho4 @ np.kron(sigma[0], sigma[i + 1])).real
-        for k in range(3):
-            corr[i, k] = np.trace(rho4 @ np.kron(sigma[i + 1], sigma[k + 1])).real
-    return u, v, corr
-
-
 def purity(rho: np.ndarray) -> float:
     """Tr(rho^2); 1 for pure states, 1/8 for the maximally mixed state."""
     rho = np.asarray(rho)

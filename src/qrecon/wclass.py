@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fidelity import CLASSICAL_FIDELITY
+from .protocol import _sample_directions
 
 NORMALIZATION_TOL = 1e-12
 
@@ -97,14 +98,7 @@ def sample_wclass(n: int, seed: int = 42) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    v = np.abs(rng.normal(size=(n, 4)))
-    norms = np.linalg.norm(v, axis=1)
-    while np.any(norms < 1e-12):  # pragma: no cover - probability zero
-        bad = norms < 1e-12
-        v[bad] = np.abs(rng.normal(size=(int(bad.sum()), 4)))
-        norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None]
+    return np.abs(_sample_directions(np.random.default_rng(seed), n, 4))
 
 
 def _batched_trace_norm(stack: np.ndarray) -> np.ndarray:

@@ -93,7 +93,7 @@ def test_criterion_3_exemplar_mixtures(capfd):
             assert report.case_label.label == "case2"
         info["detail"] = ("f_max=3/4 for both; computed pattern P=O, T!=O (case2) "
                           f"max|P|={patterns['gamma-mix'][0]:.1e}, max|T|={patterns['gamma-mix'][1]:.2f}; "
-                          "identical defining kets, see decisions ledger")
+                          "identical defining kets, delta-mix is an alias of gamma-mix")
 
 
 def test_criterion_4_secret_sharing_states(capfd):

@@ -80,6 +80,11 @@ class TestAnalyze:
     def test_requires_a_source(self, capsys):
         assert run_cli(capsys, "analyze")[0] == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+    def test_non_finite_or_non_positive_epsilon_exits_2(self, capsys, eps):
+        code, out, err = run_cli(capsys, "analyze", "--preset", "mixed", "--epsilon", eps)
+        assert code == 2 and out == "" and "eps" in err
+
 
 class TestOracle:
     def test_ghz_mc_agrees_with_closed_form(self, capsys):
@@ -151,6 +156,12 @@ class TestClassical:
 
 def test_no_arguments_exits_2(capsys):
     assert run_cli(capsys)[0] == 2
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run([sys.executable, "-c", "import sys, qrecon; print('scipy' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_installed_entry_point():

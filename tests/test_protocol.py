@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_pure, random_rotation
-from qrecon.fidelity import ALL_SETTINGS, CANONICAL_SETTING, Setting, f_max, theta, trace_norm
+from qrecon.fidelity import ALL_SETTINGS, CANONICAL_SETTING, Setting, branch_matrices, f_max, theta, trace_norm
 from qrecon.paulis import identity2, kron3, pauli_x, pauli_z
 from qrecon.presets import preset_density
 from qrecon.protocol import (
@@ -14,7 +14,6 @@ from qrecon.protocol import (
     _guess_fidelity_samples,
     _source_states,
     bell_projectors,
-    branch_matrix,
     classical_baseline,
     closed_form_bounds,
     dishonest_guess_fidelity,
@@ -80,8 +79,12 @@ class TestRotations:
         # U sigma_i U^dag must equal sum_j Omega_ij sigma_j
         from qrecon.paulis import paulis
         rng = np.random.default_rng(31)
-        for _ in range(50):
-            omega = random_rotation(rng)
+        angle = np.deg2rad(179.99)
+        near_pi = np.array([[1.0, 0.0, 0.0],
+                            [0.0, np.cos(angle), -np.sin(angle)],
+                            [0.0, np.sin(angle), np.cos(angle)]])
+        pi_rotations = [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]
+        for omega in [*(random_rotation(rng) for _ in range(50)), *pi_rotations, near_pi]:
             u = rotation_to_unitary(omega)
             np.testing.assert_allclose(u @ u.conj().T, identity2, atol=1e-12)
             for i in range(3):
@@ -198,6 +201,8 @@ class TestClosedFormAgreement:
             sim = expected_fidelity_exact(rho, CANONICAL_SETTING, rotations=rots)
             closed = fixed_rotation_fidelity(d, CANONICAL_SETTING, rots)
             assert sim == pytest.approx(closed, abs=1e-10)
+        with pytest.raises(ValueError):  # one rotation must not broadcast over the 8 branches
+            fixed_rotation_fidelity(d, CANONICAL_SETTING, rots[:1])
 
     def test_optimal_rotations_match_so3_bound(self):
         rng = np.random.default_rng(38)
@@ -230,7 +235,7 @@ class TestClosedFormAgreement:
 
     def test_branch_matrix_composition(self):
         d = decompose_state(preset_density("ghz"))
-        m = branch_matrix(d, CANONICAL_SETTING, 2, +1)
+        m = branch_matrices(d, CANONICAL_SETTING)[BRANCHES.index((2, +1))]
         t2 = np.diag(BELL_DIAGONALS[2])
         np.testing.assert_allclose(m, t2 @ (np.diag([0.0, 0, 1]) + np.diag([1.0, -1.0, 0.0])), atol=1e-12)
 

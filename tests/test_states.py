@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_density, random_pure
-from qrecon.paulis import identity2, kron3, pauli_x, pauli_y, pauli_z, paulis, product_basis
+from qrecon.paulis import identity2, kron3, pauli_x, pauli_y, pauli_z, paulis, product_basis, sigma
 from qrecon.states import (
     BlochDecomposition,
     NonHermitianInputError,
@@ -15,7 +15,6 @@ from qrecon.states import (
     NotUnitTraceError,
     StateValidationError,
     compose_state,
-    decompose_pair,
     decompose_state,
     partial_trace,
     pure_to_density,
@@ -191,18 +190,20 @@ class TestPartialTrace:
         np.testing.assert_allclose(partial_trace(rho, "A"), np.kron(singles[1], singles[2]), atol=1e-12)
 
     def test_pair_decomposition_matches_slices(self):
+        def pair_state(u, v, corr):
+            # (1/4) sum_mn t_mn sigma_m (x) sigma_n with t_00 = 1
+            t = np.zeros((4, 4))
+            t[0, 0] = 1.0
+            t[1:, 0], t[0, 1:], t[1:, 1:] = u, v, corr
+            return sum(t[m, n] * np.kron(sigma[m], sigma[n]) for m in range(4) for n in range(4)) / 4.0
+
         rng = np.random.default_rng(14)
         for _ in range(20):
             rho = random_density(rng)
             d = decompose_state(rho)
-            u, v, corr = decompose_pair(partial_trace(rho, "B"))
-            np.testing.assert_allclose(corr, d.R, atol=1e-10)
-            np.testing.assert_allclose(u, d.a, atol=1e-10)
-            np.testing.assert_allclose(v, d.c, atol=1e-10)
-            _, _, corr_q = decompose_pair(partial_trace(rho, "C"))
-            np.testing.assert_allclose(corr_q, d.Q, atol=1e-10)
-            _, _, corr_s = decompose_pair(partial_trace(rho, "A"))
-            np.testing.assert_allclose(corr_s, d.S, atol=1e-10)
+            np.testing.assert_allclose(partial_trace(rho, "B"), pair_state(d.a, d.c, d.R), atol=1e-10)
+            np.testing.assert_allclose(partial_trace(rho, "C"), pair_state(d.a, d.b, d.Q), atol=1e-10)
+            np.testing.assert_allclose(partial_trace(rho, "A"), pair_state(d.b, d.c, d.S), atol=1e-10)
 
     def test_rejects_unknown_label(self):
         with pytest.raises(ValueError):

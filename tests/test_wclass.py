@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from qrecon.fidelity import CANONICAL_SETTING, full_report, pair_correlation_for_setting, t_matrix_for_setting
 from qrecon.presets import preset_density
+from qrecon.protocol import _sample_directions
 from qrecon.states import decompose_state, pure_to_density
 from qrecon.wclass import (
     CSV_HEADER,
@@ -100,6 +102,14 @@ class TestSampling:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             sample_wclass(0)
+
+    def test_streams_are_frozen(self):
+        # digests of the W scatter CSV and of the sphere sampler's directions, fixed by seed
+        csv_digest = hashlib.sha256(scatter_csv_text(2000, 42).encode()).hexdigest()
+        assert csv_digest == "83f39996878223e87f72def68bc03ae11cde67948ed2c461ae37a4ed03e6acde"
+        phis = _sample_directions(np.random.default_rng(42), 1000)
+        assert hashlib.sha256(phis.tobytes()).hexdigest() == (
+            "c9ee1a136b5e1385aba654199626253f4c06bab49c73895bbc5f90f61bdb4f5d")
 
 
 class TestScatter:
