@@ -47,7 +47,7 @@ def _load_input_state(args):
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"  # bare NaN / Infinity is not JSON
     if out:
         with open(out, "w") as fh:
             fh.write(text)

@@ -11,7 +11,11 @@ the branch-weighted fidelity over a uniformly random input direction
 
 Wire order in the simulation is (S, dealer, assistant, reconstructor)
 on a 16-dimensional space; :func:`permute_to_canonical` maps any role
-assignment onto that layout first.
+assignment onto that layout first.  :func:`simulate_branches` applies
+the 16-dim projectors literally to one ``phi``; it is the test reference
+for :func:`branch_maps`, which uses that every branch is affine in
+``rho_S`` and runs the Pauli units {1, sigma}/2 through the same
+kernels, trace and corrections once per state.
 
 Two closed-form routes are computed side by side and never merged: the
 SO(3)-restricted optimum (attainable with unitary corrections, what the
@@ -28,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fidelity import BELL_DIAGONALS, BRANCHES, CANONICAL_SETTING, Setting, branch_matrices
-from .paulis import identity2, pauli_x, paulis, pauli_vector
+from .paulis import identity2, pauli_x, paulis, pauli_vector, sigma
 from .states import BlochDecomposition, decompose_state, validate_state
 
 ROTATION_TOL = 1e-10
@@ -52,18 +56,6 @@ hadamard_projectors = {
     +1: (identity2 + pauli_x) / 2.0,
     -1: (identity2 - pauli_x) / 2.0,
 }
-
-
-def _branch_kernels() -> np.ndarray:
-    kernels = np.empty((8, 8, 8), dtype=complex)
-    for i, (l, x) in enumerate(BRANCHES):
-        kernels[i] = np.kron(bell_projectors[l], hadamard_projectors[x])
-    kernels.setflags(write=False)
-    return kernels
-
-
-# measurement kernel per branch acting on (S, dealer, assistant)
-_KERNELS = _branch_kernels()
 
 
 def rotation_to_unitary(omega: np.ndarray) -> np.ndarray:
@@ -111,9 +103,6 @@ class CorrectionRotation:
     @classmethod
     def from_matrix(cls, omega: np.ndarray) -> "CorrectionRotation":
         return cls(omega=np.asarray(omega, dtype=float), u=rotation_to_unitary(omega))
-
-
-IDENTITY_ROTATION = CorrectionRotation.from_matrix(np.eye(3))
 
 
 def optimal_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,6 +237,8 @@ def simulate_branches(rho: np.ndarray, phi: np.ndarray,
 
 def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
     """Uniform points on the unit sphere in R^dim via normalized Gaussians."""
+    if n < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n}")
     v = rng.normal(size=(n, dim))
     norms = np.linalg.norm(v, axis=1)
     while np.any(norms < 1e-12):  # pragma: no cover - probability zero
@@ -257,29 +248,49 @@ def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.nda
     return v / norms[:, None]
 
 
-def _source_states(phis: np.ndarray) -> np.ndarray:
-    return (np.eye(2, dtype=complex) + np.einsum("ni,iab->nab", phis, np.stack(paulis))) / 2.0
+def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
+                rotations: Optional[Sequence[CorrectionRotation]] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The simulated protocol on the Pauli units E = {1, sigma}/2 of rho_S.
 
-
-def _batched_branch_weights(rho: np.ndarray, rho_s: np.ndarray,
-                            unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities p[branch, n] and weighted fidelities w[branch, n].
-
-    Same arithmetic as :func:`simulate_branches` vectorized over input
-    directions; w = p * fidelity, so zero-probability branches weigh
-    nothing without any conditioning step.
+    The state is validated and permuted to the canonical layout;
+    ``rotations`` defaults to the per-branch optimum.  For rho_S =
+    sum_mu f_mu E_mu, f = (1, phi), branch b has probability
+    ``f . p_map[:, b]`` and weighted fidelity ``f . q_map[:, b, :] . f``.
     """
-    m = rho_s.shape[0]
-    rho_tot = np.einsum("nij,kl->nikjl", rho_s, rho).reshape(m, 8, 2, 8, 2)
-    p = np.empty((8, m))
-    w = np.empty((8, m))
-    for bi in range(8):
-        n = np.einsum("ba,nacbd->ncd", _KERNELS[bi], rho_tot)
-        p[bi] = np.einsum("ncc->n", n).real
-        u = unitaries[bi]
-        corrected = np.matmul(np.matmul(u, n), u.conj().T)
-        w[bi] = np.einsum("nab,nba->n", corrected, rho_s).real
-    return p, w
+    rho = permute_to_canonical(validate_state(rho), setting)
+    if rotations is None:
+        rotations = optimal_rotations(decompose_state(rho), CANONICAL_SETTING)
+    if len(rotations) != 8:
+        raise ValueError(f"need 8 rotations, got {len(rotations)}")
+    unitaries = np.stack([r.u for r in rotations])
+    ls, xs = zip(*BRANCHES)
+    bell = np.stack(bell_projectors)[list(ls)].reshape(8, 2, 2, 2, 2)  # rows and columns (S, dealer)
+    had = np.stack([hadamard_projectors[x] for x in xs])
+    units = np.stack(sigma) / 2.0
+    # Tr_S[(bell_l (x) had_x)(E_mu (x) 1)] on the (dealer, assistant) pair: k[b, mu, Q, q]
+    k = np.einsum("zmgh,zab->zmgahb", np.einsum("ztgsh,mst->zmgh", bell, units), had).reshape(32, 16)
+    # N[b, mu] = Tr_pair[k[b, mu] rho]: rho's rows (q, c) and columns (Q, d) regrouped as (Q, q) x (c, d)
+    n = (k @ rho.reshape(4, 2, 4, 2).transpose(2, 0, 1, 3).reshape(16, 4)).reshape(8, 4, 2, 2)
+    p_map = np.einsum("zmcc->mz", n).real
+    # Tr[U N U^dag E_nu] = Tr[N (U^dag E_nu U)]
+    pulled_back = np.einsum("zba,nbc,zcd->znad", unitaries.conj(), units, unitaries)
+    q_map = np.einsum("zmcd,zndc->mzn", n, pulled_back).real
+    return p_map, q_map
+
+
+def _affine(table: Sequence[np.ndarray], phis_t: np.ndarray) -> np.ndarray:
+    # table[0] + sum_i phis_t[i] table[1 + i], elementwise so a direction rounds the same in any chunk
+    out = table[0] + phis_t[0] * table[1]
+    out += phis_t[1] * table[2]
+    out += phis_t[2] * table[3]
+    return out
+
+
+def _branch_weights(p_map: np.ndarray, q_map: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p[branch, n] and w = p * fidelity for unit ``phis``: a null branch weighs nothing."""
+    phis_t = np.ascontiguousarray(phis.T)
+    q_f = [_affine(q_map[:, :, nu, None], phis_t) for nu in range(4)]  # (Q_b^T f)_nu
+    return _affine(p_map[:, :, None], phis_t), _affine(q_f, phis_t)
 
 
 @dataclass(frozen=True)
@@ -319,37 +330,32 @@ def expected_fidelity_mc(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
                          chunk: int = 8192) -> MCResult:
     """Average protocol fidelity over uniformly random input directions.
 
-    The state is validated, permuted so the setting's roles land on the
-    canonical layout, and simulated in chunks.  ``rotations`` defaults
-    to the per-branch optimum for this state and setting; pass any
-    other set to probe sub-optimal corrections.  Per-branch statistics
-    report the mean branch probability and the conditional fidelity
-    E[p f] / E[p].
+    The state, setting and ``rotations`` (default: the per-branch
+    optimum; pass any other set to probe sub-optimal corrections) go to
+    :func:`branch_maps`; directions are drawn and simulated in chunks.
+    Per-branch statistics report the mean branch probability and the
+    conditional fidelity E[p f] / E[p].
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rho = validate_state(rho)
-    rho = permute_to_canonical(rho, setting)
-    if rotations is None:
-        rotations = optimal_rotations(decompose_state(rho), CANONICAL_SETTING)
-    if len(rotations) != 8:
-        raise ValueError(f"need 8 rotations, got {len(rotations)}")
-    unitaries = np.stack([r.u for r in rotations])
+    if n_samples < 1 or chunk < 1:
+        raise ValueError(f"n_samples and chunk must be >= 1, got {n_samples} and {chunk}")
+    p_map, q_map = branch_maps(rho, setting, rotations)
 
     rng = np.random.default_rng(seed)
-    phis = _sample_directions(rng, n_samples)
     totals = np.empty(n_samples)
     p_sums = np.zeros(8)
     w_sums = np.zeros(8)
     for start in range(0, n_samples, chunk):
-        block = phis[start:start + chunk]
-        p, w = _batched_branch_weights(rho, _source_states(block), unitaries)
-        totals[start:start + len(block)] = w.sum(axis=0)
+        # drawn chunk by chunk: the stream is the same as one draw of n_samples rows
+        p, w = _branch_weights(p_map, q_map, _sample_directions(rng, min(chunk, n_samples - start)))
+        # branch by branch, so each sample's total rounds the same in any chunk
+        totals[start:start + w.shape[1]] = sum(w)
         p_sums += p.sum(axis=1)
         w_sums += w.sum(axis=1)
 
     mean = float(totals.mean())
-    std_error = float(totals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
+    totals -= mean  # and square in place: totals.std(ddof=1) without its n-float temporary
+    totals *= totals
+    std_error = float(np.sqrt(totals.sum() / (n_samples - 1)) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     per_branch = tuple(
         BranchStats(l=l, x=x, probability=float(p_sums[i] / n_samples),
                     fidelity=float(w_sums[i] / p_sums[i]) if p_sums[i] > ZERO_PROBABILITY else 0.0)
@@ -367,14 +373,8 @@ def expected_fidelity_exact(rho: np.ndarray, setting: Setting = CANONICAL_SETTIN
     the mean over the six axis directions.  Deterministic; used to
     cross-check both the Monte Carlo and the closed forms.
     """
-    rho = validate_state(rho)
-    rho = permute_to_canonical(rho, setting)
-    if rotations is None:
-        rotations = optimal_rotations(decompose_state(rho), CANONICAL_SETTING)
-    unitaries = np.stack([r.u for r in rotations])
-    axes = np.vstack([np.eye(3), -np.eye(3)])
-    _, w = _batched_branch_weights(rho, _source_states(axes), unitaries)
-    return float(w.sum(axis=0).mean())
+    _, w = _branch_weights(*branch_maps(rho, setting, rotations), np.vstack([np.eye(3), -np.eye(3)]))
+    return float(sum(w).mean())
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ the three-body correlation tensor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +56,18 @@ class NonHermitianInputError(StateValidationError):
 def validate_state(matrix: np.ndarray) -> np.ndarray:
     """Check the density-matrix contract and return a read-only copy.
 
-    Raises :class:`NotHermitianError`, :class:`NotUnitTraceError` or
-    :class:`NotPSDError` with the measured violation in the message.
-    Hermiticity is required to 1e-10 (max abs deviation), the trace to
-    1e-10, and eigenvalues may not fall below -1e-9.
+    Raises :class:`StateValidationError` for a wrong shape or a NaN or
+    infinite entry, then :class:`NotHermitianError`,
+    :class:`NotUnitTraceError` or :class:`NotPSDError` with the measured
+    violation in the message.  Hermiticity is required to 1e-10 (max
+    abs deviation), the trace to 1e-10, and eigenvalues may not fall
+    below -1e-9.
     """
     rho = np.asarray(matrix, dtype=complex)
     if rho.shape != (8, 8):
         raise StateValidationError(f"expected shape (8, 8), got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise StateValidationError("density matrix has a non-finite entry")
 
     herm = np.abs(rho - rho.conj().T).max()
     if herm > HERMITICITY_TOL:
@@ -87,6 +92,8 @@ def pure_to_density(amplitudes: np.ndarray) -> np.ndarray:
     if psi.shape != (8,):
         raise NotNormalizedError(f"expected 8 amplitudes, got shape {psi.shape}")
     norm = np.linalg.norm(psi)
+    if not math.isfinite(norm):
+        raise StateValidationError("amplitude vector has a non-finite entry")
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise NotNormalizedError(f"|norm - 1| = {abs(norm - 1.0):.3e} > {NORMALIZATION_TOL:.0e}")
     return np.outer(psi, psi.conj())
@@ -99,7 +106,7 @@ class BlochDecomposition:
     ``a``, ``b``, ``c`` are the local Bloch vectors of A, B, C;
     ``Q``, ``R``, ``S`` the (A,B), (A,C), (B,C) correlation matrices
     (3x3, row index on the first-named qubit); ``tau`` the (3,3,3)
-    three-body tensor.  Every entry lies in [-1, 1].
+    three-body tensor.  Every entry is finite and lies in [-1, 1].
     """
 
     a: np.ndarray
@@ -116,9 +123,12 @@ class BlochDecomposition:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            peak = float(np.abs(arr).max())
+            if not math.isfinite(peak):
+                raise StateValidationError(f"{name} has a non-finite entry")
             # Pauli expectations of a valid state cannot leave [-1, 1].
-            if np.abs(arr).max() > 1.0 + 1e-9:
-                raise ValueError(f"{name} has entry of magnitude {np.abs(arr).max():.6f} outside [-1, 1]")
+            if peak > 1.0 + 1e-9:
+                raise ValueError(f"{name} has entry of magnitude {peak:.6f} outside [-1, 1]")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

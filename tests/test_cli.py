@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from qrecon.cli import main
+from qrecon.cli import _emit_json, main
 from qrecon.presets import preset_density
-from qrecon.stateio import density_to_json, pure_to_json
+from qrecon.states import decompose_state
+from qrecon.stateio import bloch_to_json, density_to_json, pure_to_json
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +74,19 @@ class TestAnalyze:
         path.write_text(json.dumps(pure_to_json(psi)))
         code, _, _ = run_cli(capsys, "analyze", "--state", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["pure", "bloch"])
+    def test_non_finite_state_file_exits_2(self, capsys, tmp_path, kind):
+        if kind == "pure":
+            obj = pure_to_json(np.eye(8)[0])
+            obj["pure"][0][1] = float("nan")
+        else:
+            obj = bloch_to_json(decompose_state(preset_density("ghz")))
+            obj["bloch"]["tau"][0][0][0] = float("inf")
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "analyze", "--state", str(path))
+        assert code == 2 and out == "" and "non-finite" in err
 
     def test_unknown_preset_exits_2(self, capsys):
         assert run_cli(capsys, "analyze", "--preset", "bogus")[0] == 2
@@ -152,6 +166,18 @@ class TestClassical:
 
     def test_invalid_strategy_exits_2(self, capsys):
         assert run_cli(capsys, "classical", "--strategy", "flip")[0] == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_non_positive_samples_exits_2(self, capsys, samples):
+        # a mean over no samples is NaN, which JSON cannot hold
+        code, out, err = run_cli(capsys, "classical", "--samples", samples)
+        assert code == 2 and out == "" and "n_samples" in err
+
+
+def test_json_output_refuses_non_finite_values(capsys):
+    with pytest.raises(ValueError):
+        _emit_json({"mc_mean": float("nan")}, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_no_arguments_exits_2(capsys):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import random_density, random_pure, random_rotation
 from qrecon.fidelity import ALL_SETTINGS, CANONICAL_SETTING, Setting, branch_matrices, f_max, theta, trace_norm
@@ -10,10 +14,10 @@ from qrecon.protocol import (
     BRANCHES,
     CorrectionRotation,
     _axis_overlap_fidelity,
-    _batched_branch_weights,
+    _branch_weights,
     _guess_fidelity_samples,
-    _source_states,
     bell_projectors,
+    branch_maps,
     classical_baseline,
     closed_form_bounds,
     dishonest_guess_fidelity,
@@ -180,14 +184,30 @@ class TestSimulation:
         for _ in range(3):
             rho = random_density(rng)
             rots = tuple(CorrectionRotation.from_matrix(random_rotation(rng)) for _ in range(8))
-            units = np.stack([r.u for r in rots])
             phis = rng.normal(size=(5, 3))
             phis /= np.linalg.norm(phis, axis=1)[:, None]
-            p, w = _batched_branch_weights(rho, _source_states(phis), units)
+            p, w = _branch_weights(*branch_maps(rho, rotations=rots), phis)
             for n, phi in enumerate(phis):
                 outcomes = simulate_branches(rho, phi, rots)
                 np.testing.assert_allclose(p[:, n], [o.p_alpha for o in outcomes], atol=1e-10)
                 np.testing.assert_allclose(w[:, n], [o.p_alpha * o.branch_fidelity for o in outcomes], atol=1e-10)
+
+    @seed(36)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["mixed", "pure", "ghz", "product"]), st.booleans())
+    def test_branch_maps_match_reference_property(self, draw, kind, on_axis):
+        rng = np.random.default_rng(draw)
+        rho = {"mixed": lambda: random_density(rng), "pure": lambda: pure_to_density(random_pure(rng)),
+               "ghz": lambda: preset_density("ghz"),
+               # |000>: the odd-parity Bell branches vanish for phi = +-z
+               "product": lambda: pure_to_density(np.eye(8)[0])}[kind]()
+        rots = tuple(CorrectionRotation.from_matrix(random_rotation(rng)) for _ in range(8))
+        phi = np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0]) if on_axis else rng.normal(size=3)
+        phi /= np.linalg.norm(phi)
+        p, w = _branch_weights(*branch_maps(rho, rotations=rots), phi[None, :])
+        outcomes = simulate_branches(rho, phi, rots)
+        np.testing.assert_allclose(p[:, 0], [o.p_alpha for o in outcomes], atol=1e-10)
+        np.testing.assert_allclose(w[:, 0], [o.p_alpha * o.branch_fidelity for o in outcomes], atol=1e-10)
 
 
 class TestClosedFormAgreement:
@@ -203,6 +223,31 @@ class TestClosedFormAgreement:
             assert sim == pytest.approx(closed, abs=1e-10)
         with pytest.raises(ValueError):  # one rotation must not broadcast over the 8 branches
             fixed_rotation_fidelity(d, CANONICAL_SETTING, rots[:1])
+
+    @seed(37)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(ALL_SETTINGS))
+    def test_six_axis_average_matches_closed_form_property(self, draw, setting):
+        rng = np.random.default_rng(draw)
+        rho = random_density(rng)
+        rots = tuple(CorrectionRotation.from_matrix(random_rotation(rng)) for _ in range(8))
+        sim = expected_fidelity_exact(rho, setting, rotations=rots)
+        assert sim == pytest.approx(fixed_rotation_fidelity(decompose_state(rho), setting, rots), abs=1e-10)
+
+    def test_simulator_evaluates_no_closed_form(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        rho = random_density(rng)
+        rots = tuple(CorrectionRotation.from_matrix(random_rotation(rng)) for _ in range(8))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the simulator evaluated a closed form")
+
+        monkeypatch.setattr("qrecon.protocol.branch_matrices", refuse)
+        mc = expected_fidelity_mc(rho, n_samples=2000, seed=5, rotations=rots)
+        exact = expected_fidelity_exact(rho, rotations=rots)
+        assert abs(mc.mean - exact) <= 4 * mc.std_error
+        with pytest.raises(AssertionError):  # the patch is live: default rotations need the closed form
+            expected_fidelity_exact(rho)
 
     def test_optimal_rotations_match_so3_bound(self):
         rng = np.random.default_rng(38)
@@ -277,9 +322,25 @@ class TestMonteCarlo:
     def test_reproducible_and_chunk_independent(self):
         rho = preset_density("beta-mix")
         a = expected_fidelity_mc(rho, n_samples=3000, seed=7)
-        b = expected_fidelity_mc(rho, n_samples=3000, seed=7, chunk=64)
-        assert a.mean == b.mean and a.std_error == b.std_error
+        for chunk in (1, 64, 8191):
+            b = expected_fidelity_mc(rho, n_samples=3000, seed=7, chunk=chunk)
+            assert a.mean == b.mean and a.std_error == b.std_error
         assert sum(s.probability for s in a.per_branch) == pytest.approx(1.0, abs=1e-12)
+
+    def test_memory_grows_by_one_float_per_sample(self):
+        # directions are drawn per chunk, so only the per-sample totals grow with n
+        rho = preset_density("w")
+        rots = optimal_rotations(decompose_state(rho))
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                expected_fidelity_mc(rho, n_samples=n, seed=3, rotations=rots)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(200_000) - peak(20_000)) / 180_000 <= 16
 
     def test_suboptimal_rotations_stay_below_f_max(self):
         rng = np.random.default_rng(43)
@@ -300,9 +361,13 @@ class TestMonteCarlo:
             expected_fidelity_mc((np.eye(8) + 1.5 * kron3(pauli_x, pauli_x, pauli_x)) / 8, n_samples=10)
         with pytest.raises(ValueError):
             expected_fidelity_mc(preset_density("ghz"), n_samples=0)
+        with pytest.raises(ValueError):  # a negative chunk would skip the loop and average an unfilled array
+            expected_fidelity_mc(preset_density("ghz"), n_samples=10, chunk=-1)
         with pytest.raises(ValueError):
             expected_fidelity_mc(preset_density("ghz"), n_samples=10,
                                  rotations=(CorrectionRotation.from_matrix(np.eye(3)),))
+        with pytest.raises(ValueError):
+            expected_fidelity_exact(preset_density("ghz"), rotations=(CorrectionRotation.from_matrix(np.eye(3)),))
 
     def test_to_dict_shape(self):
         mc = expected_fidelity_mc(preset_density("mixed"), n_samples=500, seed=2)
@@ -358,6 +423,11 @@ class TestClassicalBaselines:
         assert negate == pytest.approx(0.5, abs=0.01)
 
     def test_input_validation(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n_samples"):
+                classical_baseline(n, seed=1)
+            with pytest.raises(ValueError, match="n_samples"):
+                dishonest_guess_fidelity(0.5, "same", n, 1)
         with pytest.raises(ValueError):
             dishonest_guess_fidelity(-0.1, "same", 10, 1)
         with pytest.raises(ValueError):

@@ -86,6 +86,18 @@ class TestFiles:
         with pytest.raises(OSError):
             load_state(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("kind", ["pure", "bloch"])
+    def test_non_finite_entry(self, tmp_path, kind):
+        obj = pure_to_json(w_amplitudes()) if kind == "pure" else bloch_to_json(decompose_state(preset_density("w")))
+        if kind == "pure":
+            obj["pure"][1][0] = float("nan")
+        else:
+            obj["bloch"]["a"][0] = float("nan")
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(obj))  # written as a bare NaN, which json.load accepts
+        with pytest.raises(StateValidationError, match="non-finite"):
+            load_state(path)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -97,6 +97,20 @@ class TestValidation:
         with pytest.raises(NotNormalizedError):
             pure_to_density(np.ones(8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        # an all-NaN matrix must not reach eigvalsh, which raises a bare LinAlgError
+        with pytest.raises(StateValidationError, match="non-finite"):
+            validate_state(np.full((8, 8), bad))
+        rho = np.eye(8, dtype=complex) / 8
+        rho[3, 3] = bad
+        with pytest.raises(StateValidationError, match="non-finite"):
+            validate_state(rho)
+        psi = np.zeros(8, dtype=complex)
+        psi[0] = bad
+        with pytest.raises(StateValidationError, match="non-finite"):
+            pure_to_density(psi)
+
 
 class TestDecomposition:
     def test_ghz_coefficients(self):
@@ -172,6 +186,16 @@ class TestDecomposition:
             BlochDecomposition(a=np.array([1.5, 0, 0]), b=np.zeros(3), c=np.zeros(3),
                                Q=np.zeros((3, 3)), R=np.zeros((3, 3)), S=np.zeros((3, 3)),
                                tau=np.zeros((3, 3, 3)))
+
+    @pytest.mark.parametrize("field", ["a", "Q", "tau"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, field, bad):
+        # abs(nan) > 1 is False: the range check alone cannot catch NaN
+        fields = dict(a=np.zeros(3), b=np.zeros(3), c=np.zeros(3), Q=np.zeros((3, 3)),
+                      R=np.zeros((3, 3)), S=np.zeros((3, 3)), tau=np.zeros((3, 3, 3)))
+        fields[field].flat[0] = bad
+        with pytest.raises(StateValidationError, match="non-finite"):
+            BlochDecomposition(**fields)
 
 
 class TestPartialTrace:
