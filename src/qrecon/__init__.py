@@ -30,7 +30,6 @@ from .presets import PRESETS, preset_density
 from .protocol import (
     BRANCHES,
     ClosedFormBounds,
-    CorrectionRotation,
     MCResult,
     ProtocolOutcome,
     classical_baseline,

@@ -146,7 +146,7 @@ def f_max(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> float:
 
 def teleportation_fidelity(pair_matrix: np.ndarray) -> float:
     """(1 + ||P||_1 / 3) / 2: what the pair alone achieves, no assistant."""
-    return (1.0 + trace_norm(pair_matrix) / 3.0) / 2.0
+    return f_max_from_theta(trace_norm(pair_matrix))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,14 @@ the branch-weighted fidelity over a uniformly random input direction
 
 Wire order in the simulation is (S, dealer, assistant, reconstructor)
 on a 16-dimensional space; :func:`permute_to_canonical` maps any role
-assignment onto that layout first.  :func:`simulate_branches` applies
-the 16-dim projectors literally to one ``phi``; it is the test reference
+assignment onto that layout first.  Corrections are SO(3) matrices
+Omega, an (8, 3, 3) stack in :data:`BRANCHES` order.
+:func:`simulate_branches` applies the 16-dim projectors and each
+Omega's SU(2) unitary literally to one ``phi``; it is the test reference
 for :func:`branch_maps`, which uses that every branch is affine in
-``rho_S`` and runs the Pauli units {1, sigma}/2 through the same
-kernels, trace and corrections once per state.
+``rho_S``: it runs the Pauli units {1, sigma}/2 through the same kernels
+and trace once per state and rotates the reconstructor's Bloch vector,
+n -> Omega^T n, with no unitary.
 
 Two closed-form routes are computed side by side and never merged: the
 SO(3)-restricted optimum (attainable with unitary corrections, what the
@@ -58,18 +61,29 @@ hadamard_projectors = {
 }
 
 
+def _so3(omega, shape: tuple[int, ...] = (8, 3, 3)) -> np.ndarray:
+    """``omega`` as a float array of ``shape`` whose 3x3 blocks are special
+    orthogonal to :data:`ROTATION_TOL`; ValueError otherwise."""
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != shape:
+        raise ValueError(f"rotations must have shape {shape}, got {omega.shape}")
+    if not np.isfinite(omega).all():
+        raise ValueError("rotations must be finite")
+    defect = np.abs(omega @ omega.swapaxes(-1, -2) - np.eye(3)).max()
+    det_error = np.abs(np.linalg.det(omega) - 1.0).max()
+    if defect > ROTATION_TOL or det_error > ROTATION_TOL:
+        raise ValueError(f"not special orthogonal: orthogonality defect {defect:.3e}, |det - 1| {det_error:.3e}")
+    return omega
+
+
 def rotation_to_unitary(omega: np.ndarray) -> np.ndarray:
     """SU(2) element implementing a rotation: U (n.sigma) U^dag = (Omega^T n).sigma.
 
     Equivalently U sigma_i U^dag = sum_j Omega_ij sigma_j.  Raises
-    ValueError if ``omega`` is not special orthogonal to 1e-10.
+    ValueError if ``omega`` is not a finite 3x3 special orthogonal
+    matrix to 1e-10.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (3, 3):
-        raise ValueError(f"rotation must be 3x3, got {omega.shape}")
-    defect = np.abs(omega @ omega.T - np.eye(3)).max()
-    if defect > ROTATION_TOL or abs(np.linalg.det(omega) - 1.0) > ROTATION_TOL:
-        raise ValueError(f"not special orthogonal: orthogonality defect {defect:.3e}, det {np.linalg.det(omega):.12f}")
+    omega = _so3(omega, (3, 3))
     # Unit quaternion q = (w, x, y, z) of the active rotation r = Omega^T,
     # U = w I - i (x, y, z).sigma.  k = 4 q q^T has trace 4, so its largest
     # diagonal entry is >= 1 and that row gives q stably, also near pi.
@@ -85,24 +99,6 @@ def rotation_to_unitary(omega: np.ndarray) -> np.ndarray:
     if q[0] < 0:  # q and -q give the same rotation; w >= 0 maps the identity to +I
         q = -q
     return q[0] * identity2 - 1j * pauli_vector(q[1:])
-
-
-@dataclass(frozen=True)
-class CorrectionRotation:
-    """A per-branch correction: SO(3) matrix and its SU(2) unitary."""
-
-    omega: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self):
-        for name in ("omega", "u"):
-            arr = np.array(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_matrix(cls, omega: np.ndarray) -> "CorrectionRotation":
-        return cls(omega=np.asarray(omega, dtype=float), u=rotation_to_unitary(omega))
 
 
 def optimal_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,10 +121,12 @@ def optimal_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return omega, s[..., 0] + s[..., 1] + d * s[..., 2], s.sum(axis=-1)
 
 
-def optimal_rotations(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> tuple[CorrectionRotation, ...]:
-    """Per-branch optimal corrections, in :data:`BRANCHES` order."""
-    omegas, _, _ = optimal_rotation(branch_matrices(d, setting))
-    return tuple(CorrectionRotation.from_matrix(omega) for omega in omegas)
+def optimal_rotations(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> np.ndarray:
+    """Per-branch optimal corrections: a read-only (8, 3, 3) SO(3) stack
+    in :data:`BRANCHES` order."""
+    omegas = optimal_rotation(branch_matrices(d, setting))[0]
+    omegas.setflags(write=False)
+    return omegas
 
 
 @dataclass(frozen=True)
@@ -165,14 +163,10 @@ def closed_form_bounds(d: BlochDecomposition, setting: Setting = CANONICAL_SETTI
     return ClosedFormBounds(f_so3=f_so3, f_trace_norm=f_tn, so3_gap=f_tn - f_so3, per_branch=per_branch)
 
 
-def fixed_rotation_fidelity(d: BlochDecomposition, setting: Setting,
-                            rotations: Sequence[CorrectionRotation]) -> float:
-    """Closed-form sphere-averaged fidelity for a fixed rotation set:
-    1/2 + (1/48) sum_branches Tr[t_l (P + x T) Omega]."""
-    if len(rotations) != 8:
-        raise ValueError(f"need 8 rotations, got {len(rotations)}")
-    omegas = np.stack([r.omega for r in rotations])
-    return 0.5 + float(np.einsum("bij,bji->", branch_matrices(d, setting), omegas)) / 48.0
+def fixed_rotation_fidelity(d: BlochDecomposition, setting: Setting, rotations: np.ndarray) -> float:
+    """Closed-form sphere-averaged fidelity for a fixed (8, 3, 3) rotation
+    stack: 1/2 + (1/48) sum_branches Tr[t_l (P + x T) Omega]."""
+    return 0.5 + float(np.einsum("bij,bji->", branch_matrices(d, setting), _so3(rotations))) / 48.0
 
 
 _QUBIT_INDEX = {"A": 0, "B": 1, "C": 2}
@@ -206,21 +200,20 @@ def _source_state(phi: np.ndarray) -> np.ndarray:
     return (identity2 + pauli_vector(phi)) / 2.0
 
 
-def simulate_branches(rho: np.ndarray, phi: np.ndarray,
-                      rotations: Sequence[CorrectionRotation]) -> list[ProtocolOutcome]:
+def simulate_branches(rho: np.ndarray, phi: np.ndarray, rotations: np.ndarray) -> list[ProtocolOutcome]:
     """Run every measurement branch for one input direction.
 
     ``rho`` must already be in canonical wire order (dealer, assistant,
     reconstructor) = (A, B, C); see :func:`permute_to_canonical`.
-    Probabilities sum to 1; zero-probability branches carry fidelity 0
-    and no conditional state.
+    ``rotations`` is an (8, 3, 3) SO(3) stack in :data:`BRANCHES` order;
+    each is applied as its SU(2) unitary.  Probabilities sum to 1;
+    zero-probability branches carry fidelity 0 and no conditional state.
     """
-    if len(rotations) != 8:
-        raise ValueError(f"need 8 rotations, got {len(rotations)}")
+    omegas = _so3(rotations)
     rho_s = _source_state(phi)
     rho_tot = np.kron(rho_s, np.asarray(rho, dtype=complex))
     outcomes = []
-    for (l, x), rot in zip(BRANCHES, rotations):
+    for (l, x), omega in zip(BRANCHES, omegas):
         proj = np.kron(np.kron(bell_projectors[l], hadamard_projectors[x]), identity2)
         conditioned = proj @ rho_tot @ proj
         p = float(conditioned.trace().real)
@@ -229,7 +222,8 @@ def simulate_branches(rho: np.ndarray, phi: np.ndarray,
         if p < ZERO_PROBABILITY:
             outcomes.append(ProtocolOutcome(l=l, x=x, p_alpha=p, charlie_state=None, branch_fidelity=0.0))
             continue
-        charlie = rot.u @ (n / p) @ rot.u.conj().T
+        u = rotation_to_unitary(omega)
+        charlie = u @ (n / p) @ u.conj().T
         fid = float(np.trace(charlie @ rho_s).real)
         outcomes.append(ProtocolOutcome(l=l, x=x, p_alpha=p, charlie_state=charlie, branch_fidelity=fid))
     return outcomes
@@ -249,33 +243,32 @@ def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.nda
 
 
 def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
-                rotations: Optional[Sequence[CorrectionRotation]] = None) -> tuple[np.ndarray, np.ndarray]:
+                rotations: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """The simulated protocol on the Pauli units E = {1, sigma}/2 of rho_S.
 
     The state is validated and permuted to the canonical layout;
-    ``rotations`` defaults to the per-branch optimum.  For rho_S =
-    sum_mu f_mu E_mu, f = (1, phi), branch b has probability
-    ``f . p_map[:, b]`` and weighted fidelity ``f . q_map[:, b, :] . f``.
+    ``rotations`` (an (8, 3, 3) SO(3) stack) defaults to the per-branch
+    optimum.  For rho_S = sum_mu f_mu E_mu, f = (1, phi), branch b has
+    probability ``f . p_map[:, b]`` and weighted fidelity
+    ``f . q_map[:, b, :] . f``.  A correction acts on the Pauli components
+    (Tr N, Tr[N sigma]) of the reconstructor's state N as
+    U N U^dag <-> (Tr N, Omega^T Tr[N sigma]) (see :func:`rotation_to_unitary`).
     """
     rho = permute_to_canonical(validate_state(rho), setting)
-    if rotations is None:
-        rotations = optimal_rotations(decompose_state(rho), CANONICAL_SETTING)
-    if len(rotations) != 8:
-        raise ValueError(f"need 8 rotations, got {len(rotations)}")
-    unitaries = np.stack([r.u for r in rotations])
+    omegas = optimal_rotations(decompose_state(rho), CANONICAL_SETTING) if rotations is None else _so3(rotations)
     ls, xs = zip(*BRANCHES)
     bell = np.stack(bell_projectors)[list(ls)].reshape(8, 2, 2, 2, 2)  # rows and columns (S, dealer)
     had = np.stack([hadamard_projectors[x] for x in xs])
-    units = np.stack(sigma) / 2.0
+    paulis4 = np.stack(sigma)  # 1, sigma_x, sigma_y, sigma_z
+    units = paulis4 / 2.0
     # Tr_S[(bell_l (x) had_x)(E_mu (x) 1)] on the (dealer, assistant) pair: k[b, mu, Q, q]
     k = np.einsum("zmgh,zab->zmgahb", np.einsum("ztgsh,mst->zmgh", bell, units), had).reshape(32, 16)
     # N[b, mu] = Tr_pair[k[b, mu] rho]: rho's rows (q, c) and columns (Q, d) regrouped as (Q, q) x (c, d)
     n = (k @ rho.reshape(4, 2, 4, 2).transpose(2, 0, 1, 3).reshape(16, 4)).reshape(8, 4, 2, 2)
-    p_map = np.einsum("zmcc->mz", n).real
-    # Tr[U N U^dag E_nu] = Tr[N (U^dag E_nu U)]
-    pulled_back = np.einsum("zba,nbc,zcd->znad", unitaries.conj(), units, unitaries)
-    q_map = np.einsum("zmcd,zndc->mzn", n, pulled_back).real
-    return p_map, q_map
+    comps = np.einsum("zmcd,ndc->zmn", n, paulis4).real  # Tr[N sigma_nu]
+    comps[..., 1:] = comps[..., 1:] @ omegas  # (Omega^T v)_i = sum_j v_j Omega_ji
+    # p = Tr N; Tr[(U N U^dag) E_nu] = comps_nu / 2
+    return comps[..., 0].T, comps.transpose(1, 0, 2) / 2.0
 
 
 def _affine(table: Sequence[np.ndarray], phis_t: np.ndarray) -> np.ndarray:
@@ -303,7 +296,8 @@ class BranchStats:
 
 @dataclass(frozen=True)
 class MCResult:
-    """Monte Carlo estimate of the sphere-averaged fidelity."""
+    """Monte Carlo estimate of the sphere-averaged fidelity; ``mean`` and
+    ``std_error`` do not depend on ``chunk``, ``per_branch`` only to ~1e-15."""
 
     mean: float
     std_error: float
@@ -326,15 +320,17 @@ class MCResult:
 
 def expected_fidelity_mc(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
                          n_samples: int = 10_000, seed: int = 42,
-                         rotations: Optional[Sequence[CorrectionRotation]] = None,
+                         rotations: Optional[np.ndarray] = None,
                          chunk: int = 8192) -> MCResult:
     """Average protocol fidelity over uniformly random input directions.
 
     The state, setting and ``rotations`` (default: the per-branch
-    optimum; pass any other set to probe sub-optimal corrections) go to
-    :func:`branch_maps`; directions are drawn and simulated in chunks.
+    optimum; pass any other (8, 3, 3) stack to probe sub-optimal
+    corrections) go to :func:`branch_maps`; directions are drawn and
+    simulated in chunks.
     Per-branch statistics report the mean branch probability and the
-    conditional fidelity E[p f] / E[p].
+    conditional fidelity E[p f] / E[p].  Only ``mean`` and ``std_error``
+    are chunk-exact: the per-branch sums are taken chunk by chunk.
     """
     if n_samples < 1 or chunk < 1:
         raise ValueError(f"n_samples and chunk must be >= 1, got {n_samples} and {chunk}")
@@ -365,7 +361,7 @@ def expected_fidelity_mc(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
 
 
 def expected_fidelity_exact(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
-                            rotations: Optional[Sequence[CorrectionRotation]] = None) -> float:
+                            rotations: Optional[np.ndarray] = None) -> float:
     """Exact sphere average of the simulated fidelity.
 
     Every branch map is affine in rho_S, so the averaged fidelity is a

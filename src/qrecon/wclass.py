@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import CLASSICAL_FIDELITY
+from .fidelity import CLASSICAL_FIDELITY, f_max_from_theta
 from .protocol import _sample_directions
 
 NORMALIZATION_TOL = 1e-12
@@ -25,12 +25,12 @@ BASIS_INDICES = (0, 4, 5, 6)
 
 
 class InvalidParamsError(ValueError):
-    """Parameter tuple is negative somewhere or not unit norm."""
+    """Parameter tuple is non-finite, negative somewhere or not unit norm."""
 
 
 @dataclass(frozen=True)
 class WClassParams:
-    """Amplitudes (lambda0..lambda3), each >= 0, squares summing to 1."""
+    """Amplitudes (lambda0..lambda3), each finite and >= 0, squares summing to 1."""
 
     lambda0: float
     lambda1: float
@@ -39,8 +39,8 @@ class WClassParams:
 
     def __post_init__(self):
         lam = self.as_array()
-        if np.any(lam < 0):
-            raise InvalidParamsError(f"amplitudes must be nonnegative, got {tuple(lam)}")
+        if not np.all(lam >= 0):  # also false for NaN; an infinity fails the norm check
+            raise InvalidParamsError(f"amplitudes must be nonnegative numbers, got {tuple(lam)}")
         total = float(np.sum(lam ** 2))
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise InvalidParamsError(f"|sum of squares - 1| = {abs(total - 1.0):.3e} > {NORMALIZATION_TOL:.0e}")
@@ -49,6 +49,8 @@ class WClassParams:
     def normalized(cls, lambda0: float, lambda1: float, lambda2: float, lambda3: float) -> "WClassParams":
         """Rescale a nonnegative tuple to unit norm and build the params."""
         lam = np.array([lambda0, lambda1, lambda2, lambda3], dtype=float)
+        if not np.isfinite(lam).all():
+            raise InvalidParamsError(f"amplitudes must be finite, got {tuple(lam)}")
         norm = float(np.linalg.norm(lam))
         if norm <= 0:
             raise InvalidParamsError("cannot normalize the zero tuple")
@@ -124,9 +126,8 @@ def _scatter_arrays(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r, t = _rt_closed_form_batch(lam)
     r_norm = _batched_trace_norm(r)
     th = (_batched_trace_norm(r + t) + _batched_trace_norm(r - t)) / 2.0
-    f_tele = (1.0 + r_norm / 3.0) / 2.0
-    f_recon = (1.0 + th / 3.0) / 2.0
-    return f_tele, f_recon
+    # teleportation fidelity is the same map applied to the pair's trace norm
+    return f_max_from_theta(r_norm), f_max_from_theta(th)
 
 
 def record_for(params: WClassParams) -> ScatterRecord:

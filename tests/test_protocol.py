@@ -6,13 +6,23 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_pure, random_rotation
-from qrecon.fidelity import ALL_SETTINGS, CANONICAL_SETTING, Setting, branch_matrices, f_max, theta, trace_norm
+from qrecon.fidelity import (
+    ALL_SETTINGS,
+    CANONICAL_SETTING,
+    Setting,
+    branch_matrices,
+    f_max,
+    full_report,
+    pair_correlation_for_setting,
+    t_matrix_for_setting,
+    theta,
+    trace_norm,
+)
 from qrecon.paulis import identity2, kron3, pauli_x, pauli_z
 from qrecon.presets import preset_density
 from qrecon.protocol import (
     BELL_DIAGONALS,
     BRANCHES,
-    CorrectionRotation,
     _axis_overlap_fidelity,
     _branch_weights,
     _guess_fidelity_samples,
@@ -75,6 +85,22 @@ class TestProjectors:
         assert BRANCHES[0] == (0, 1) and BRANCHES[1] == (0, -1) and len(BRANCHES) == 8
 
 
+NOT_ROTATIONS = {
+    "nan": np.full((3, 3), np.nan),
+    "inf": np.diag([np.inf, 1.0, 1.0]),
+    "reflection": np.diag([1.0, 1.0, -1.0]),
+    "scaled": 2 * np.eye(3),
+}
+
+ROTATION_ENTRY_POINTS = {
+    "branch_maps": lambda rho, rots: branch_maps(rho, rotations=rots),
+    "expected_fidelity_mc": lambda rho, rots: expected_fidelity_mc(rho, n_samples=10, rotations=rots),
+    "expected_fidelity_exact": lambda rho, rots: expected_fidelity_exact(rho, rotations=rots),
+    "fixed_rotation_fidelity": lambda rho, rots: fixed_rotation_fidelity(decompose_state(rho), CANONICAL_SETTING, rots),
+    "simulate_branches": lambda rho, rots: simulate_branches(rho, np.array([0.0, 0.0, 1.0]), rots),
+}
+
+
 class TestRotations:
     def test_identity_rotation(self):
         np.testing.assert_allclose(rotation_to_unitary(np.eye(3)), identity2, atol=1e-15)
@@ -97,15 +123,24 @@ class TestRotations:
                 np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_rejects_non_rotations(self):
-        with pytest.raises(ValueError):
-            rotation_to_unitary(2 * np.eye(3))
-        with pytest.raises(ValueError):
-            rotation_to_unitary(np.diag([1.0, 1.0, -1.0]))  # reflection
+        # a NaN must raise, not warn (RuntimeWarning is an error here) and return a NaN unitary
+        for bad in (*NOT_ROTATIONS.values(), np.eye(3)[None]):
+            with pytest.raises(ValueError):
+                rotation_to_unitary(bad)
 
-    def test_correction_rotation_factory(self):
-        rot = CorrectionRotation.from_matrix(np.eye(3))
-        np.testing.assert_allclose(rot.u, identity2, atol=1e-15)
-        assert not rot.omega.flags.writeable
+    @pytest.mark.parametrize("entry", sorted(ROTATION_ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [*NOT_ROTATIONS, "shape"])
+    def test_entry_points_reject_non_rotations(self, entry, bad):
+        # one bad matrix in an otherwise valid stack, or a stack of the wrong shape
+        rots = np.eye(3)[None] if bad == "shape" else np.stack([np.eye(3)] * 7 + [NOT_ROTATIONS[bad]])
+        with pytest.raises(ValueError):
+            ROTATION_ENTRY_POINTS[entry](preset_density("w"), rots)
+
+    def test_optimal_rotations_are_a_read_only_stack(self):
+        rots = optimal_rotations(decompose_state(preset_density("w")))
+        assert rots.shape == (8, 3, 3) and not rots.flags.writeable
+        np.testing.assert_allclose(rots @ rots.swapaxes(1, 2), np.stack([np.eye(3)] * 8), atol=1e-12)
+        np.testing.assert_allclose(np.linalg.det(rots), 1.0, atol=1e-12)
 
 
 class TestOptimalRotation:
@@ -163,7 +198,7 @@ class TestSimulation:
         psi = np.zeros(8, dtype=complex)
         psi[0] = 1.0
         rho = pure_to_density(psi)
-        rots = tuple(CorrectionRotation.from_matrix(np.eye(3)) for _ in range(8))
+        rots = np.stack([np.eye(3)] * 8)
         outcomes = simulate_branches(rho, np.array([0.0, 0.0, 1.0]), rots)
         zero_branches = [o for o in outcomes if o.p_alpha < 1e-15]
         assert zero_branches, "expected at least one vanishing branch"
@@ -183,7 +218,7 @@ class TestSimulation:
         rng = np.random.default_rng(36)
         for _ in range(3):
             rho = random_density(rng)
-            rots = tuple(CorrectionRotation.from_matrix(random_rotation(rng)) for _ in range(8))
+            rots = np.stack([random_rotation(rng) for _ in range(8)])
             phis = rng.normal(size=(5, 3))
             phis /= np.linalg.norm(phis, axis=1)[:, None]
             p, w = _branch_weights(*branch_maps(rho, rotations=rots), phis)
@@ -201,7 +236,7 @@ class TestSimulation:
                "ghz": lambda: preset_density("ghz"),
                # |000>: the odd-parity Bell branches vanish for phi = +-z
                "product": lambda: pure_to_density(np.eye(8)[0])}[kind]()
-        rots = tuple(CorrectionRotation.from_matrix(random_rotation(rng)) for _ in range(8))
+        rots = np.stack([random_rotation(rng) for _ in range(8)])
         phi = np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0]) if on_axis else rng.normal(size=3)
         phi /= np.linalg.norm(phi)
         p, w = _branch_weights(*branch_maps(rho, rotations=rots), phi[None, :])
@@ -217,7 +252,7 @@ class TestClosedFormAgreement:
         for _ in range(5):
             rho = random_density(rng)
             d = decompose_state(rho)
-            rots = tuple(CorrectionRotation.from_matrix(random_rotation(rng)) for _ in range(8))
+            rots = np.stack([random_rotation(rng) for _ in range(8)])
             sim = expected_fidelity_exact(rho, CANONICAL_SETTING, rotations=rots)
             closed = fixed_rotation_fidelity(d, CANONICAL_SETTING, rots)
             assert sim == pytest.approx(closed, abs=1e-10)
@@ -230,14 +265,14 @@ class TestClosedFormAgreement:
     def test_six_axis_average_matches_closed_form_property(self, draw, setting):
         rng = np.random.default_rng(draw)
         rho = random_density(rng)
-        rots = tuple(CorrectionRotation.from_matrix(random_rotation(rng)) for _ in range(8))
+        rots = np.stack([random_rotation(rng) for _ in range(8)])
         sim = expected_fidelity_exact(rho, setting, rotations=rots)
         assert sim == pytest.approx(fixed_rotation_fidelity(decompose_state(rho), setting, rots), abs=1e-10)
 
     def test_simulator_evaluates_no_closed_form(self, monkeypatch):
         rng = np.random.default_rng(44)
         rho = random_density(rng)
-        rots = tuple(CorrectionRotation.from_matrix(random_rotation(rng)) for _ in range(8))
+        rots = np.stack([random_rotation(rng) for _ in range(8)])
 
         def refuse(*args, **kwargs):
             raise AssertionError("the simulator evaluated a closed form")
@@ -285,6 +320,50 @@ class TestClosedFormAgreement:
         np.testing.assert_allclose(m, t2 @ (np.diag([0.0, 0, 1]) + np.diag([1.0, -1.0, 0.0])), atol=1e-12)
 
 
+class TestResearchBoundary:
+    @seed(45)
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_so3_gap_is_the_negative_determinant_branches(self, draw, pure):
+        # f_trace_norm - f_so3 = (2/48) sum of s3(M_b) over the branches with det M_b < 0
+        rng = np.random.default_rng(draw)
+        rho = pure_to_density(random_pure(rng)) if pure else random_density(rng)
+        d = decompose_state(rho)
+        for setting in ALL_SETTINGS:
+            m = branch_matrices(d, setting)
+            dets = np.linalg.det(m)
+            P, T = pair_correlation_for_setting(d, setting), t_matrix_for_setting(d, setting)
+            # every t_l has det -1
+            np.testing.assert_allclose(dets, [-np.linalg.det(P + x * T) for _, x in BRANCHES], atol=1e-12)
+            gap = closed_form_bounds(d, setting).so3_gap
+            # a zero gap is the difference of two rounded fidelities and can read -2 ulp
+            assert gap >= -1e-15
+            s3 = np.linalg.svd(m, compute_uv=False)[:, 2]
+            assert gap == pytest.approx(2 / 48 * s3[dets < 0].sum(), abs=1e-12)
+
+    def test_theta_one_with_singular_branches(self):
+        rho = np.zeros((8, 8))
+        rho[0, 0] = rho[5, 5] = 0.5  # (|000><000| + |101><101|) / 2
+        d = decompose_state(rho)
+        assert np.all(np.linalg.det(branch_matrices(d)) == 0)
+        report = full_report(rho)
+        assert report.theta == 1.0 and report.f_max == 2 / 3
+        assert not report.quantum_advantage and report.case_label.label == "case3"
+        bounds = closed_form_bounds(d)
+        assert expected_fidelity_exact(rho) == pytest.approx(bounds.f_so3, abs=1e-12)
+        assert bounds.f_so3 == pytest.approx(bounds.f_trace_norm, abs=1e-12)
+
+    def test_ghz_with_repeated_singular_values(self):
+        rho = preset_density("ghz")
+        d = decompose_state(rho)
+        P, T = pair_correlation_for_setting(d, CANONICAL_SETTING), t_matrix_for_setting(d, CANONICAL_SETTING)
+        for x in (+1, -1):
+            np.testing.assert_allclose(np.linalg.svd(P + x * T, compute_uv=False), 1.0, atol=1e-12)
+        bounds = closed_form_bounds(d)
+        assert expected_fidelity_exact(rho) == pytest.approx(bounds.f_so3, abs=1e-12)
+        assert bounds.f_so3 == pytest.approx(bounds.f_trace_norm, abs=1e-12)
+
+
 class TestSettingsPermutation:
     def test_permuted_state_reproduces_theta(self):
         rng = np.random.default_rng(40)
@@ -325,6 +404,10 @@ class TestMonteCarlo:
         for chunk in (1, 64, 8191):
             b = expected_fidelity_mc(rho, n_samples=3000, seed=7, chunk=chunk)
             assert a.mean == b.mean and a.std_error == b.std_error
+            # per-branch sums are taken per chunk: only close, and chunk 1 sums sample by sample
+            for x, y in zip(a.per_branch, b.per_branch):
+                assert x.probability == pytest.approx(y.probability, rel=0, abs=1e-15)
+                assert x.fidelity == pytest.approx(y.fidelity, rel=0, abs=1e-14)
         assert sum(s.probability for s in a.per_branch) == pytest.approx(1.0, abs=1e-12)
 
     def test_memory_grows_by_one_float_per_sample(self):
@@ -345,7 +428,7 @@ class TestMonteCarlo:
     def test_suboptimal_rotations_stay_below_f_max(self):
         rng = np.random.default_rng(43)
         rho = random_density(rng)
-        rots = tuple(CorrectionRotation.from_matrix(random_rotation(rng)) for _ in range(8))
+        rots = np.stack([random_rotation(rng) for _ in range(8)])
         mc = expected_fidelity_mc(rho, n_samples=5000, seed=11, rotations=rots)
         bound = f_max(decompose_state(rho))
         assert mc.mean <= bound + max(3 * mc.std_error, 1e-9)
@@ -365,9 +448,9 @@ class TestMonteCarlo:
             expected_fidelity_mc(preset_density("ghz"), n_samples=10, chunk=-1)
         with pytest.raises(ValueError):
             expected_fidelity_mc(preset_density("ghz"), n_samples=10,
-                                 rotations=(CorrectionRotation.from_matrix(np.eye(3)),))
+                                 rotations=np.eye(3)[None])
         with pytest.raises(ValueError):
-            expected_fidelity_exact(preset_density("ghz"), rotations=(CorrectionRotation.from_matrix(np.eye(3)),))
+            expected_fidelity_exact(preset_density("ghz"), rotations=np.eye(3)[None])
 
     def test_to_dict_shape(self):
         mc = expected_fidelity_mc(preset_density("mixed"), n_samples=500, seed=2)

@@ -42,6 +42,14 @@ class TestParams:
         with pytest.raises(InvalidParamsError):
             WClassParams.normalized(0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN amplitude used to build and then fail inside record_for's SVD
+        with pytest.raises(InvalidParamsError):
+            WClassParams(bad, 0.0, 0.0, 0.0)
+        with pytest.raises(InvalidParamsError):
+            WClassParams.normalized(bad, 1.0, 0.0, 0.0)
+
 
 class TestState:
     def test_amplitude_slots(self):
