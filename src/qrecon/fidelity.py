@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BlochDecomposition, decompose_state, validate_state
-
-QUBITS = ("A", "B", "C")
+from .states import QUBITS, BlochDecomposition, decompose_state, validate_state
 
 #: Default threshold below which a correlation matrix counts as zero.
 ZERO_MATRIX_EPS = 1e-9
@@ -76,9 +74,14 @@ ALL_SETTINGS = tuple(
 )
 
 
+def trace_norms(stack: np.ndarray) -> np.ndarray:
+    """Sum of singular values of each matrix in a ``(..., m, n)`` stack."""
+    return np.linalg.svd(np.asarray(stack, dtype=float), compute_uv=False).sum(axis=-1)
+
+
 def trace_norm(matrix: np.ndarray) -> float:
     """Sum of singular values."""
-    return float(np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False).sum())
+    return float(trace_norms(matrix))
 
 
 def _pair_matrix(d: BlochDecomposition, first: str, second: str) -> np.ndarray:
@@ -123,6 +126,11 @@ def branch_matrices(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING)
     return _BRANCH_SIGNS[:, :, None] * (P + _BRANCH_X[:, None, None] * T)
 
 
+def theta_from_pair(P: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(||P + T||_1 + ||P - T||_1) / 2 for matching ``(..., 3, 3)`` stacks."""
+    return (trace_norms(P + T) + trace_norms(P - T)) / 2.0
+
+
 def theta(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> float:
     """Correlation strength (||P + T||_1 + ||P - T||_1) / 2, in [0, 3].
 
@@ -132,7 +140,7 @@ def theta(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> float:
     """
     P = pair_correlation_for_setting(d, setting)
     T = t_matrix_for_setting(d, setting)
-    return (trace_norm(P + T) + trace_norm(P - T)) / 2.0
+    return float(theta_from_pair(P, T))
 
 
 def f_max_from_theta(th: float) -> float:
@@ -196,14 +204,7 @@ def qss_check(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> QS
     The norm bounds use <= 1 with 1e-12 slack (exact boundary states
     qualify); the advantage condition theta > 1 is strict.
     """
-    q_norm = trace_norm(_pair_matrix(d, setting.dealer, setting.assistant))
-    r_norm = trace_norm(_pair_matrix(d, setting.dealer, setting.reconstructor))
-    return _qss_from_norms(q_norm, r_norm, theta(d, setting))
-
-
-def _qss_from_norms(q_norm: float, r_norm: float, th: float) -> QSSCheck:
-    ok = (q_norm <= 1.0 + QSS_NORM_SLACK) and (r_norm <= 1.0 + QSS_NORM_SLACK) and (th > 1.0)
-    return QSSCheck(ok=ok, assistant_channel_norm=q_norm, reconstructor_channel_norm=r_norm, theta=th)
+    return report_from_decomposition(d, setting).qss
 
 
 @dataclass(frozen=True)
@@ -237,9 +238,10 @@ def report_from_decomposition(d: BlochDecomposition, setting: Setting = CANONICA
                               eps: float = ZERO_MATRIX_EPS) -> FidelityReport:
     P = pair_correlation_for_setting(d, setting)
     T = t_matrix_for_setting(d, setting)
-    th = (trace_norm(P + T) + trace_norm(P - T)) / 2.0
+    th = float(theta_from_pair(P, T))
     r_norm = trace_norm(P)
     q_norm = trace_norm(_pair_matrix(d, setting.dealer, setting.assistant))
+    qss_ok = q_norm <= 1.0 + QSS_NORM_SLACK and r_norm <= 1.0 + QSS_NORM_SLACK and th > 1.0
     return FidelityReport(
         setting=setting,
         theta=th,
@@ -248,7 +250,7 @@ def report_from_decomposition(d: BlochDecomposition, setting: Setting = CANONICA
         f_tele_dealer_reconstructor=f_max_from_theta(r_norm),
         f_tele_dealer_assistant=f_max_from_theta(q_norm),
         case_label=classify_case(P, T, eps),
-        qss=_qss_from_norms(q_norm, r_norm, th),
+        qss=QSSCheck(ok=qss_ok, assistant_channel_norm=q_norm, reconstructor_channel_norm=r_norm, theta=th),
         # f_max > 2/3 iff theta > 1; test theta to keep the boundary exact
         quantum_advantage=th > 1.0,
         epsilon=eps,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .fidelity import BELL_DIAGONALS, BRANCHES, CANONICAL_SETTING, Setting, branch_matrices
 from .paulis import identity2, pauli_x, paulis, pauli_vector, sigma
-from .states import BlochDecomposition, decompose_state, validate_state
+from .states import QUBITS, BlochDecomposition, decompose_state, validate_state
 
 ROTATION_TOL = 1e-10
 ZERO_PROBABILITY = 1e-15
@@ -114,7 +114,7 @@ def optimal_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     m = np.asarray(m, dtype=float)
     u, s, vt = np.linalg.svd(m)
-    d = np.linalg.det(u @ vt)
+    d = np.sign(np.linalg.det(u @ vt))  # exactly +-1: a float det would leave a few ulp in the value
     flip = np.ones_like(s)
     flip[..., 2] = d
     omega = (vt.swapaxes(-1, -2) * flip[..., None, :]) @ u.swapaxes(-1, -2)
@@ -169,13 +169,10 @@ def fixed_rotation_fidelity(d: BlochDecomposition, setting: Setting, rotations: 
     return 0.5 + float(np.einsum("bij,bji->", branch_matrices(d, setting), _so3(rotations))) / 48.0
 
 
-_QUBIT_INDEX = {"A": 0, "B": 1, "C": 2}
-
-
 def permute_to_canonical(rho: np.ndarray, setting: Setting) -> np.ndarray:
     """Reorder qubit wires so (dealer, assistant, reconstructor) sit on
     the canonical (A, B, C) slots."""
-    order = [_QUBIT_INDEX[q] for q in (setting.dealer, setting.assistant, setting.reconstructor)]
+    order = [QUBITS.index(q) for q in (setting.dealer, setting.assistant, setting.reconstructor)]
     axes = order + [k + 3 for k in order]
     return np.asarray(rho).reshape((2,) * 6).transpose(axes).reshape(8, 8)
 
@@ -195,7 +192,7 @@ class ProtocolOutcome:
 
 def _source_state(phi: np.ndarray) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (3,) or abs(np.linalg.norm(phi) - 1.0) > 1e-9:
+    if phi.shape != (3,) or not np.isfinite(phi).all() or abs(np.linalg.norm(phi) - 1.0) > 1e-9:
         raise ValueError("phi must be a unit 3-vector")
     return (identity2 + pauli_vector(phi)) / 2.0
 
@@ -389,8 +386,8 @@ def sphere_average_identity_check(y: np.ndarray, n_samples: int = 100_000, seed:
     """Estimate the sphere average of the quadratic form ``y`` and
     return it next to the analytic value Tr(y)/3."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (3, 3) or np.abs(y - y.T).max() > 1e-12:
-        raise ValueError("y must be a symmetric 3x3 matrix")
+    if y.shape != (3, 3) or not np.isfinite(y).all() or np.abs(y - y.T).max() > 1e-12:
+        raise ValueError("y must be a finite symmetric 3x3 matrix")
     rng = np.random.default_rng(seed)
     phis = _sample_directions(rng, n_samples)
     samples = np.einsum("ni,ij,nj->n", phis, y, phis)

@@ -22,6 +22,9 @@ import numpy as np
 
 from .paulis import product_basis
 
+#: Qubit labels in wire order: label k is tensor factor k.
+QUBITS = ("A", "B", "C")
+
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_FLOOR = -1e-9
@@ -179,15 +182,12 @@ def compose_state(decomposition: BlochDecomposition) -> np.ndarray:
     return np.einsum("mnx,mnxab->ab", decomposition.coefficient_tensor(), product_basis) / 8.0
 
 
-_AXIS = {"A": 0, "B": 1, "C": 2}
-
-
 def partial_trace(rho: np.ndarray, discard: str) -> np.ndarray:
     """Trace out one qubit ("A", "B" or "C"), returning the 4x4 state
     of the remaining pair in their original order."""
-    if discard not in _AXIS:
+    if discard not in QUBITS:
         raise ValueError(f"discard must be one of 'A', 'B', 'C', got {discard!r}")
-    k = _AXIS[discard]
+    k = QUBITS.index(discard)
     t = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2, 2, 2)
     return np.trace(t, axis1=k, axis2=k + 3).reshape(4, 4)
 

@@ -4,18 +4,17 @@ States |psi> = l0 |000> + l1 |100> + l2 |101> + l3 |110> with
 nonnegative, unit-norm amplitudes.  For this family the (A, C) pair
 matrix and the assisted slice have closed forms, so the whole scatter
 experiment (teleportation fidelity against reconstruction fidelity for
-random parameter tuples) runs on batched 3x3 SVDs.
+random parameter tuples) is :mod:`qrecon.fidelity`'s theta and
+trace norm applied to whole stacks at once.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import CLASSICAL_FIDELITY, f_max_from_theta
+from .fidelity import CLASSICAL_FIDELITY, f_max_from_theta, theta_from_pair, trace_norms
 from .protocol import _sample_directions
 
 NORMALIZATION_TOL = 1e-12
@@ -103,10 +102,6 @@ def sample_wclass(n: int, seed: int = 42) -> np.ndarray:
     return np.abs(_sample_directions(np.random.default_rng(seed), n, 4))
 
 
-def _batched_trace_norm(stack: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(stack, compute_uv=False).sum(axis=1)
-
-
 def region_for(f_tele: float) -> str:
     """"orange" when the pair alone stays classical (f_tele <= 2/3),
     "blue" when teleportation already beats the bound."""
@@ -121,50 +116,41 @@ class ScatterRecord:
     region: str
 
 
-def _scatter_arrays(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f_tele, f_recon) columns for rows of parameter tuples."""
+def _scatter_columns(lam: np.ndarray) -> tuple[list[float], list[float], list[str]]:
+    """(f_tele, f_recon, region) columns for rows of parameter tuples."""
     r, t = _rt_closed_form_batch(lam)
-    r_norm = _batched_trace_norm(r)
-    th = (_batched_trace_norm(r + t) + _batched_trace_norm(r - t)) / 2.0
     # teleportation fidelity is the same map applied to the pair's trace norm
-    return f_max_from_theta(r_norm), f_max_from_theta(th)
+    f_tele = f_max_from_theta(trace_norms(r)).tolist()
+    f_recon = f_max_from_theta(theta_from_pair(r, t)).tolist()
+    return f_tele, f_recon, [region_for(ft) for ft in f_tele]
 
 
 def record_for(params: WClassParams) -> ScatterRecord:
     """Closed-form scatter record for one parameter tuple."""
-    f_tele, f_recon = _scatter_arrays(params.as_array()[None, :])
-    return ScatterRecord(params=params, f_tele=float(f_tele[0]), f_recon=float(f_recon[0]),
-                         region=region_for(float(f_tele[0])))
+    (f_tele,), (f_recon,), (region,) = _scatter_columns(params.as_array()[None, :])
+    return ScatterRecord(params=params, f_tele=f_tele, f_recon=f_recon, region=region)
 
 
 def scatter_experiment(n: int, seed: int = 42) -> list[ScatterRecord]:
     """Sample n random family members and score each one."""
     lam = sample_wclass(n, seed)
-    f_tele, f_recon = _scatter_arrays(lam)
     return [
-        ScatterRecord(params=WClassParams(*row), f_tele=float(ft), f_recon=float(fr), region=region_for(float(ft)))
-        for row, ft, fr in zip(lam, f_tele, f_recon)
+        ScatterRecord(params=WClassParams(*row), f_tele=ft, f_recon=fr, region=region)
+        for row, ft, fr, region in zip(lam.tolist(), *_scatter_columns(lam))
     ]
 
 
 CSV_HEADER = ("lambda0", "lambda1", "lambda2", "lambda3", "f_tele", "f_recon", "region")
 
-
-def _format(value: float) -> str:
-    # 12 significant digits, enough to reproduce doubles across runs
-    return f"{value:.12g}"
+# 12 significant digits, enough to reproduce doubles across runs
+_CSV_ROW = ",".join(["%.12g"] * 6 + ["%s"]) + "\n"
 
 
 def scatter_csv_text(n: int, seed: int = 42) -> str:
     """The full CSV as a string; byte-identical for identical (n, seed)."""
     lam = sample_wclass(n, seed)
-    f_tele, f_recon = _scatter_arrays(lam)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row, ft, fr in zip(lam, f_tele, f_recon):
-        writer.writerow([_format(v) for v in row] + [_format(ft), _format(fr), region_for(float(ft))])
-    return buf.getvalue()
+    rows = zip(*lam.T.tolist(), *_scatter_columns(lam))
+    return ",".join(CSV_HEADER) + "\n" + "".join(_CSV_ROW % row for row in rows)
 
 
 def write_scatter_csv(path, n: int, seed: int = 42) -> None:

@@ -142,6 +142,12 @@ class TestScatter:
         code, _, err = run_cli(capsys, "scatter", "--samples", "5", "--out", str(tmp_path))
         assert code == 3 and "I/O" in err
 
+    def test_no_samples_exits_2_without_a_file(self, capsys, tmp_path):
+        # the whole text is built before the file is opened
+        out = tmp_path / "scatter.csv"
+        assert run_cli(capsys, "scatter", "--samples", "0", "--out", str(out))[0] == 2
+        assert not out.exists()
+
 
 class TestClassical:
     def test_default_run(self, capsys):

@@ -211,6 +211,8 @@ class TestSimulation:
         rots = optimal_rotations(decompose_state(rho))
         with pytest.raises(ValueError):
             simulate_branches(rho, np.array([0.0, 0.0, 2.0]), rots)
+        with pytest.raises(ValueError):  # abs(nan - 1) > tol is False, so NaN needs its own check
+            simulate_branches(rho, np.array([np.nan, 0.0, 0.0]), rots)
         with pytest.raises(ValueError):
             simulate_branches(rho, np.array([0.0, 0.0, 1.0]), rots[:3])
 
@@ -335,9 +337,11 @@ class TestResearchBoundary:
             P, T = pair_correlation_for_setting(d, setting), t_matrix_for_setting(d, setting)
             # every t_l has det -1
             np.testing.assert_allclose(dets, [-np.linalg.det(P + x * T) for _, x in BRANCHES], atol=1e-12)
-            gap = closed_form_bounds(d, setting).so3_gap
-            # a zero gap is the difference of two rounded fidelities and can read -2 ulp
-            assert gap >= -1e-15
+            bounds = closed_form_bounds(d, setting)
+            gap = bounds.so3_gap
+            # the det sign is exactly +-1, so no branch and no sum can round past the trace norm
+            assert gap >= 0.0
+            assert all(b.so3_value <= b.trace_norm_value for b in bounds.per_branch)
             s3 = np.linalg.svd(m, compute_uv=False)[:, 2]
             assert gap == pytest.approx(2 / 48 * s3[dets < 0].sum(), abs=1e-12)
 
@@ -476,6 +480,8 @@ class TestSphereAverage:
         y[0, 1] = 1.0
         with pytest.raises(ValueError):
             sphere_average_identity_check(y)
+        with pytest.raises(ValueError):  # NaN passes a max |y - y^T| <= tol test
+            sphere_average_identity_check(np.full((3, 3), np.nan))
 
 
 class TestClassicalBaselines:

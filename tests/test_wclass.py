@@ -113,8 +113,12 @@ class TestSampling:
 
     def test_streams_are_frozen(self):
         # digests of the W scatter CSV and of the sphere sampler's directions, fixed by seed
-        csv_digest = hashlib.sha256(scatter_csv_text(2000, 42).encode()).hexdigest()
-        assert csv_digest == "83f39996878223e87f72def68bc03ae11cde67948ed2c461ae37a4ed03e6acde"
+        for (n, seed), digest in {
+            (2000, 42): "83f39996878223e87f72def68bc03ae11cde67948ed2c461ae37a4ed03e6acde",
+            (1, 1): "ebbc88da81a46ab245498a7855cfb8620f41788adcea4f43a9c197131efa7e32",
+            (5000, 7): "d52f502f3ebcebb772da4ba3b6d9c91b78e2d544aa94c9ebb7799cc9871df8e3",
+        }.items():
+            assert hashlib.sha256(scatter_csv_text(n, seed).encode()).hexdigest() == digest
         phis = _sample_directions(np.random.default_rng(42), 1000)
         assert hashlib.sha256(phis.tobytes()).hexdigest() == (
             "c9ee1a136b5e1385aba654199626253f4c06bab49c73895bbc5f90f61bdb4f5d")
@@ -168,6 +172,16 @@ class TestCSV:
         write_scatter_csv(b, 200, seed=59)
         assert a.read_bytes() == b.read_bytes()
         assert scatter_csv_text(200, seed=59).encode() == a.read_bytes()
+
+    @pytest.mark.parametrize("n, seed", [(1, 1), (300, 62)])
+    def test_rows_are_the_records(self, n, seed):
+        # the CSV and the record list are two views of the same columns
+        lines = scatter_csv_text(n, seed).splitlines()[1:]
+        records = scatter_experiment(n, seed)
+        assert len(lines) == len(records) == n
+        for line, rec in zip(lines, records):
+            values = (*rec.params.as_array().tolist(), rec.f_tele, rec.f_recon)
+            assert line == ",".join([f"{v:.12g}" for v in values] + [rec.region])
 
     def test_seed_changes_content(self):
         assert scatter_csv_text(50, seed=60) != scatter_csv_text(50, seed=61)
