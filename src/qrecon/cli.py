@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .fidelity import Setting, full_report, report_to_dict
+from .fidelity import ALL_SETTINGS, Setting, full_report, report_to_dict
 from .presets import PRESETS, preset_density
 from .protocol import (
     classical_baseline,
@@ -25,7 +25,7 @@ from .states import StateValidationError, decompose_state
 from .stateio import load_state
 from .wclass import InvalidParamsError, scatter_csv_text, write_scatter_csv
 
-SETTING_CHOICES = ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")
+SETTING_CHOICES = tuple(str(s) for s in ALL_SETTINGS)
 
 
 def _add_state_source(parser: argparse.ArgumentParser) -> None:
@@ -147,6 +147,9 @@ def main(argv=None) -> int:
         return 3
     except (StateValidationError, InvalidParamsError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; use a smaller --samples", file=sys.stderr)
         return 2
 
 

@@ -10,6 +10,7 @@ with the output state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -64,14 +65,17 @@ class Setting:
     def __str__(self) -> str:
         return self.dealer + self.assistant + self.reconstructor
 
+    @property
+    def order(self) -> tuple[int, int, int]:
+        """Wire index of (dealer, assistant, reconstructor).  This axis
+        permutation is the whole role rule: :func:`role_tensor` applies it
+        to the coefficient tensor, ``protocol.permute_to_canonical`` to rho."""
+        return tuple(QUBITS.index(q) for q in (self.dealer, self.assistant, self.reconstructor))
+
 
 CANONICAL_SETTING = Setting("A", "B", "C")
 
-ALL_SETTINGS = tuple(
-    Setting(d, a, r)
-    for d in QUBITS for a in QUBITS for r in QUBITS
-    if len({d, a, r}) == 3
-)
+ALL_SETTINGS = tuple(Setting(*roles) for roles in permutations(QUBITS))
 
 
 def trace_norms(stack: np.ndarray) -> np.ndarray:
@@ -84,33 +88,21 @@ def trace_norm(matrix: np.ndarray) -> float:
     return float(trace_norms(matrix))
 
 
-def _pair_matrix(d: BlochDecomposition, first: str, second: str) -> np.ndarray:
-    """Correlation matrix of the (first, second) pair, rows on ``first``."""
-    pair = {first, second}
-    if pair == {"A", "B"}:
-        m = d.Q
-    elif pair == {"A", "C"}:
-        m = d.R
-    else:
-        m = d.S
-    # stored matrices have rows on the alphabetically earlier qubit
-    return m if first < second else m.T
+def role_tensor(d: BlochDecomposition, setting: Setting) -> np.ndarray:
+    """Read-only view of the (4, 4, 4) coefficient tensor with axes
+    (dealer, assistant, reconstructor).  P = ``[1:, 0, 1:]``, T =
+    ``[1:, 1, 1:]`` and the dealer-assistant pair ``[1:, 1:, 0]``."""
+    return d.coefficient_tensor().transpose(setting.order)
 
 
 def t_matrix_for_setting(d: BlochDecomposition, setting: Setting) -> np.ndarray:
-    """Slice of tau with sigma_x in the assistant slot.
-
-    Rows run over the dealer's Pauli index, columns over the
-    reconstructor's, so T for (C, B, A) is the transpose of T for
-    (A, B, C).
-    """
-    order = tuple(QUBITS.index(q) for q in (setting.dealer, setting.assistant, setting.reconstructor))
-    return np.transpose(d.tau, order)[:, 0, :]
+    """Slice of tau with sigma_x in the assistant slot, dealer on rows."""
+    return role_tensor(d, setting)[1:, 1, 1:]
 
 
 def pair_correlation_for_setting(d: BlochDecomposition, setting: Setting) -> np.ndarray:
     """Dealer-reconstructor correlation matrix, dealer on rows."""
-    return _pair_matrix(d, setting.dealer, setting.reconstructor)
+    return role_tensor(d, setting)[1:, 0, 1:]
 
 
 def branch_matrices(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> np.ndarray:
@@ -121,9 +113,8 @@ def branch_matrices(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING)
     correction rotation Omega, so the SO(3) optimum, the trace-norm
     bound and any fixed-rotation fidelity are all read off this stack.
     """
-    P = pair_correlation_for_setting(d, setting)
-    T = t_matrix_for_setting(d, setting)
-    return _BRANCH_SIGNS[:, :, None] * (P + _BRANCH_X[:, None, None] * T)
+    t = role_tensor(d, setting)
+    return _BRANCH_SIGNS[:, :, None] * (t[1:, 0, 1:] + _BRANCH_X[:, None, None] * t[1:, 1, 1:])
 
 
 def theta_from_pair(P: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -138,9 +129,8 @@ def theta(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> float:
     values above 1 mean the optimally corrected protocol beats the
     classical bound 2/3.
     """
-    P = pair_correlation_for_setting(d, setting)
-    T = t_matrix_for_setting(d, setting)
-    return float(theta_from_pair(P, T))
+    t = role_tensor(d, setting)
+    return float(theta_from_pair(t[1:, 0, 1:], t[1:, 1, 1:]))
 
 
 def f_max_from_theta(th: float) -> float:
@@ -236,11 +226,11 @@ def full_report(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
 
 def report_from_decomposition(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING,
                               eps: float = ZERO_MATRIX_EPS) -> FidelityReport:
-    P = pair_correlation_for_setting(d, setting)
-    T = t_matrix_for_setting(d, setting)
+    t = role_tensor(d, setting)
+    P, T = t[1:, 0, 1:], t[1:, 1, 1:]
     th = float(theta_from_pair(P, T))
     r_norm = trace_norm(P)
-    q_norm = trace_norm(_pair_matrix(d, setting.dealer, setting.assistant))
+    q_norm = trace_norm(t[1:, 1:, 0])
     qss_ok = q_norm <= 1.0 + QSS_NORM_SLACK and r_norm <= 1.0 + QSS_NORM_SLACK and th > 1.0
     return FidelityReport(
         setting=setting,

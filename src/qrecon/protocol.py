@@ -36,7 +36,7 @@ import numpy as np
 
 from .fidelity import BELL_DIAGONALS, BRANCHES, CANONICAL_SETTING, Setting, branch_matrices
 from .paulis import identity2, pauli_x, paulis, pauli_vector, sigma
-from .states import QUBITS, BlochDecomposition, decompose_state, validate_state
+from .states import BlochDecomposition, decompose_state, validate_state
 
 ROTATION_TOL = 1e-10
 ZERO_PROBABILITY = 1e-15
@@ -171,9 +171,10 @@ def fixed_rotation_fidelity(d: BlochDecomposition, setting: Setting, rotations: 
 
 def permute_to_canonical(rho: np.ndarray, setting: Setting) -> np.ndarray:
     """Reorder qubit wires so (dealer, assistant, reconstructor) sit on
-    the canonical (A, B, C) slots."""
-    order = [QUBITS.index(q) for q in (setting.dealer, setting.assistant, setting.reconstructor)]
-    axes = order + [k + 3 for k in order]
+    the canonical (A, B, C) slots: ``Setting.order`` on the row wires and
+    on the column wires, the axis map :func:`qrecon.fidelity.role_tensor`
+    applies to the coefficient tensor."""
+    axes = setting.order + tuple(k + 3 for k in setting.order)
     return np.asarray(rho).reshape((2,) * 6).transpose(axes).reshape(8, 8)
 
 

@@ -17,25 +17,26 @@ import json
 
 import numpy as np
 
-from .states import BlochDecomposition, compose_state, pure_to_density, validate_state
+from .states import _SHAPES, BlochDecomposition, compose_state, pure_to_density, validate_state
 
 
 class StateFormatError(ValueError):
     """Structurally malformed state object."""
 
 
-def _complex_array(data, shape) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != shape + (2,):
-        raise StateFormatError(f"expected nested [re, im] pairs of shape {shape}, got {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _real_array(data, shape, name) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+def _real_array(data, shape, what) -> np.ndarray:
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:  # e.g. an object or a string where a number belongs
+        raise StateFormatError(f"{what} must hold numbers only: {exc}") from exc
     if arr.shape != shape:
-        raise StateFormatError(f"bloch field {name!r} must have shape {shape}, got {arr.shape}")
+        raise StateFormatError(f"{what} must have shape {shape}, got {arr.shape}")
     return arr
+
+
+def _complex_array(data, shape) -> np.ndarray:
+    arr = _real_array(data, shape + (2,), "nested [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def parse_state(obj: dict) -> np.ndarray:
@@ -51,17 +52,10 @@ def parse_state(obj: dict) -> np.ndarray:
     if kind == "dense":
         return validate_state(_complex_array(obj["dense"], (8, 8)))
     block = obj["bloch"]
-    if not isinstance(block, dict) or set(block) != {"a", "b", "c", "Q", "R", "S", "tau"}:
-        raise StateFormatError("bloch block must have exactly the fields a, b, c, Q, R, S, tau")
-    d = BlochDecomposition(
-        a=_real_array(block["a"], (3,), "a"),
-        b=_real_array(block["b"], (3,), "b"),
-        c=_real_array(block["c"], (3,), "c"),
-        Q=_real_array(block["Q"], (3, 3), "Q"),
-        R=_real_array(block["R"], (3, 3), "R"),
-        S=_real_array(block["S"], (3, 3), "S"),
-        tau=_real_array(block["tau"], (3, 3, 3), "tau"),
-    )
+    if not isinstance(block, dict) or set(block) != set(_SHAPES):
+        raise StateFormatError(f"bloch block must have exactly the fields {', '.join(_SHAPES)}")
+    d = BlochDecomposition(**{name: _real_array(block[name], shape, f"bloch field {name!r}")
+                              for name, shape in _SHAPES.items()})
     return validate_state(compose_state(d))
 
 
@@ -90,8 +84,4 @@ def density_to_json(rho: np.ndarray) -> dict:
 
 
 def bloch_to_json(d: BlochDecomposition) -> dict:
-    return {"bloch": {
-        "a": d.a.tolist(), "b": d.b.tolist(), "c": d.c.tolist(),
-        "Q": d.Q.tolist(), "R": d.R.tolist(), "S": d.S.tolist(),
-        "tau": d.tau.tolist(),
-    }}
+    return {"bloch": {name: getattr(d, name).tolist() for name in _SHAPES}}

@@ -16,7 +16,7 @@ the three-body correlation tensor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,6 +102,16 @@ def pure_to_density(amplitudes: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+#: Where each decomposition field sits in the (4, 4, 4) coefficient tensor
+#: (index 0 = identity slot).
+_SLOTS = {
+    "a": np.s_[1:, 0, 0], "b": np.s_[0, 1:, 0], "c": np.s_[0, 0, 1:],
+    "Q": np.s_[1:, 1:, 0], "R": np.s_[1:, 0, 1:], "S": np.s_[0, 1:, 1:],
+    "tau": np.s_[1:, 1:, 1:],
+}
+_SHAPES = {name: np.empty((4, 4, 4))[slot].shape for name, slot in _SLOTS.items()}
+
+
 @dataclass(frozen=True)
 class BlochDecomposition:
     """Real Pauli-basis coefficients of a three-qubit state.
@@ -110,6 +120,8 @@ class BlochDecomposition:
     ``Q``, ``R``, ``S`` the (A,B), (A,C), (B,C) correlation matrices
     (3x3, row index on the first-named qubit); ``tau`` the (3,3,3)
     three-body tensor.  Every entry is finite and lies in [-1, 1].
+    The fields are read-only views of one stored (4, 4, 4) tensor,
+    :meth:`coefficient_tensor`.
     """
 
     a: np.ndarray
@@ -119,43 +131,44 @@ class BlochDecomposition:
     R: np.ndarray
     S: np.ndarray
     tau: np.ndarray
+    _tensor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        shapes = {"a": (3,), "b": (3,), "c": (3,), "Q": (3, 3), "R": (3, 3), "S": (3, 3), "tau": (3, 3, 3)}
-        for name, shape in shapes.items():
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            peak = float(np.abs(arr).max())
-            if not math.isfinite(peak):
-                raise StateValidationError(f"{name} has a non-finite entry")
-            # Pauli expectations of a valid state cannot leave [-1, 1].
-            if peak > 1.0 + 1e-9:
-                raise ValueError(f"{name} has entry of magnitude {peak:.6f} outside [-1, 1]")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        fields = {name: np.asarray(getattr(self, name), dtype=float) for name in _SLOTS}
+        t = np.empty((4, 4, 4))
+        t[0, 0, 0] = 1.0
+        ok = all(arr.shape == _SHAPES[name] for name, arr in fields.items())
+        if ok:
+            for name, arr in fields.items():
+                t[_SLOTS[name]] = arr
+            # Pauli expectations of a valid state cannot leave [-1, 1]; NaN fails this test too.
+            ok = np.abs(t).max() <= 1.0 + 1e-9
+        if not ok:  # name the first bad field, in declaration order
+            for name, arr in fields.items():
+                if arr.shape != _SHAPES[name]:
+                    raise ValueError(f"{name} must have shape {_SHAPES[name]}, got {arr.shape}")
+                peak = float(np.abs(arr).max())
+                if not math.isfinite(peak):
+                    raise StateValidationError(f"{name} has a non-finite entry")
+                if peak > 1.0 + 1e-9:
+                    raise ValueError(f"{name} has entry of magnitude {peak:.6f} outside [-1, 1]")
+        t.setflags(write=False)
+        object.__setattr__(self, "_tensor", t)
+        for name, slot in _SLOTS.items():
+            object.__setattr__(self, name, t[slot])
 
     def coefficient_tensor(self) -> np.ndarray:
-        """Full (4, 4, 4) coefficient tensor, index 0 = identity slot."""
-        t = np.zeros((4, 4, 4))
-        t[0, 0, 0] = 1.0
-        t[1:, 0, 0] = self.a
-        t[0, 1:, 0] = self.b
-        t[0, 0, 1:] = self.c
-        t[1:, 1:, 0] = self.Q
-        t[1:, 0, 1:] = self.R
-        t[0, 1:, 1:] = self.S
-        t[1:, 1:, 1:] = self.tau
-        return t
+        """Full (4, 4, 4) coefficient tensor, index 0 = identity slot (read-only)."""
+        return self._tensor
 
 
 def decompose_state(rho: np.ndarray) -> BlochDecomposition:
     """Project a state onto the Pauli product basis.
 
-    The coefficients of a Hermitian matrix are real; any imaginary
-    residue beyond 1e-10 therefore signals a non-Hermitian input and
-    raises :class:`NonHermitianInputError` (tripping at 1e-8 measured
-    residue).  The input is not otherwise re-validated.
+    The coefficients of a Hermitian matrix are real; an imaginary
+    residue above ``COEFFICIENT_IMAG_TOL`` (1e-8) therefore signals a
+    non-Hermitian input and raises :class:`NonHermitianInputError`.
+    The input is not otherwise re-validated.
     """
     rho = np.asarray(rho, dtype=complex)
     coeff = np.einsum("mnxab,ba->mnx", product_basis, rho)
@@ -163,11 +176,7 @@ def decompose_state(rho: np.ndarray) -> BlochDecomposition:
     if residue > COEFFICIENT_IMAG_TOL:
         raise NonHermitianInputError(f"coefficient imaginary residue {residue:.3e} > {COEFFICIENT_IMAG_TOL:.0e}")
     t = coeff.real
-    return BlochDecomposition(
-        a=t[1:, 0, 0], b=t[0, 1:, 0], c=t[0, 0, 1:],
-        Q=t[1:, 1:, 0], R=t[1:, 0, 1:], S=t[0, 1:, 1:],
-        tau=t[1:, 1:, 1:],
-    )
+    return BlochDecomposition(**{name: t[slot] for name, slot in _SLOTS.items()})
 
 
 def compose_state(decomposition: BlochDecomposition) -> np.ndarray:

@@ -37,10 +37,10 @@ class WClassParams:
     lambda3: float
 
     def __post_init__(self):
-        lam = self.as_array()
-        if not np.all(lam >= 0):  # also false for NaN; an infinity fails the norm check
-            raise InvalidParamsError(f"amplitudes must be nonnegative numbers, got {tuple(lam)}")
-        total = float(np.sum(lam ** 2))
+        lam = (self.lambda0, self.lambda1, self.lambda2, self.lambda3)
+        if not all(v >= 0 for v in lam):  # also false for NaN; an infinity fails the norm check
+            raise InvalidParamsError(f"amplitudes must be nonnegative numbers, got {lam}")
+        total = sum(v * v for v in lam)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise InvalidParamsError(f"|sum of squares - 1| = {abs(total - 1.0):.3e} > {NORMALIZATION_TOL:.0e}")
 

@@ -88,6 +88,22 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", "--state", str(path))
         assert code == 2 and out == "" and "non-finite" in err
 
+    @pytest.mark.parametrize("kind", ["pure", "dense", "bloch"])
+    def test_non_numeric_state_file_exits_2(self, capsys, tmp_path, kind):
+        if kind == "pure":
+            obj = pure_to_json(np.eye(8)[0])
+            obj["pure"][1] = [1, {}]
+        elif kind == "dense":
+            obj = density_to_json(preset_density("mixed"))
+            obj["dense"][2][5] = [{}, 0]
+        else:
+            obj = bloch_to_json(decompose_state(preset_density("ghz")))
+            obj["bloch"]["a"][1] = {}
+        path = tmp_path / "object.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "analyze", "--state", str(path))
+        assert code == 2 and out == "" and "numbers" in err
+
     def test_unknown_preset_exits_2(self, capsys):
         assert run_cli(capsys, "analyze", "--preset", "bogus")[0] == 2
 
@@ -184,6 +200,21 @@ def test_json_output_refuses_non_finite_values(capsys):
     with pytest.raises(ValueError):
         _emit_json({"mc_mean": float("nan")}, None)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, kernel", [
+    ("oracle", "expected_fidelity_mc"),
+    ("scatter", "scatter_csv_text"),
+    ("classical", "classical_baseline"),
+])
+def test_memory_error_exits_2(capsys, monkeypatch, command, kernel):
+    # a backstop only: the kernel is replaced, nothing large is allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(f"qrecon.cli.{kernel}", out_of_memory)
+    argv = [command, "--samples", "1000"] + (["--preset", "w"] if command == "oracle" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "--samples" in err
 
 
 def test_no_arguments_exits_2(capsys):

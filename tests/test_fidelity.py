@@ -17,6 +17,7 @@ from qrecon.fidelity import (
     qss_check,
     report_from_decomposition,
     report_to_dict,
+    role_tensor,
     t_matrix_for_setting,
     teleportation_fidelity,
     theta,
@@ -98,6 +99,29 @@ class TestSlices:
                                        t_matrix_for_setting(d, CANONICAL_SETTING).T, atol=1e-12)
             np.testing.assert_allclose(pair_correlation_for_setting(d, reverse),
                                        pair_correlation_for_setting(d, CANONICAL_SETTING).T, atol=1e-12)
+
+    def test_role_rule_table(self):
+        # (P, T, dealer-assistant pair) per setting, written out from the stored
+        # fields: Q, R, S have rows on the earlier qubit, tau is indexed (A, B, C)
+        table = {
+            "ABC": lambda d: (d.R, d.tau[:, 0, :], d.Q),
+            "ACB": lambda d: (d.Q, d.tau[:, :, 0], d.R),
+            "BAC": lambda d: (d.S, d.tau[0, :, :], d.Q.T),
+            "BCA": lambda d: (d.Q.T, d.tau[:, :, 0].T, d.S),
+            "CAB": lambda d: (d.S.T, d.tau[0, :, :].T, d.R.T),
+            "CBA": lambda d: (d.R.T, d.tau[:, 0, :].T, d.S.T),
+        }
+        assert sorted(table) == sorted(str(s) for s in ALL_SETTINGS)
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            d = decompose_state(random_density(rng))
+            for s in ALL_SETTINGS:
+                P, T, pair = table[str(s)](d)
+                t = role_tensor(d, s)
+                for got, want in ((t[1:, 0, 1:], P), (t[1:, 1, 1:], T), (t[1:, 1:, 0], pair),
+                                  (pair_correlation_for_setting(d, s), P), (t_matrix_for_setting(d, s), T)):
+                    assert np.array_equal(got, want)
+                assert not t.flags.writeable
 
     def test_product_state_pair_matrices_factor(self):
         rng = np.random.default_rng(23)

@@ -14,6 +14,7 @@ from qrecon.fidelity import (
     f_max,
     full_report,
     pair_correlation_for_setting,
+    role_tensor,
     t_matrix_for_setting,
     theta,
     trace_norm,
@@ -385,6 +386,16 @@ class TestSettingsPermutation:
             direct = expected_fidelity_exact(rho, s)
             via_permutation = expected_fidelity_exact(permute_to_canonical(rho, s), CANONICAL_SETTING)
             assert direct == pytest.approx(via_permutation, abs=1e-12)
+
+    def test_state_permutation_is_the_role_tensor(self):
+        # the simulator's wire permutation and the closed forms' axis
+        # permutation are the same index map, Setting.order
+        rng = np.random.default_rng(42)
+        for rho in (random_density(rng), pure_to_density(random_pure(rng)), preset_density("w")):
+            d = decompose_state(rho)
+            for s in ALL_SETTINGS:
+                permuted = decompose_state(permute_to_canonical(rho, s)).coefficient_tensor()
+                np.testing.assert_allclose(permuted, role_tensor(d, s), rtol=0, atol=1e-15)
 
     def test_canonical_permutation_is_identity(self):
         rho = preset_density("w")

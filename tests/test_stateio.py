@@ -62,6 +62,21 @@ class TestParse:
         with pytest.raises(StateFormatError):
             parse_state({"bloch": {"a": [0, 0, 0]}})
 
+    @pytest.mark.parametrize("kind", ["pure", "dense", "bloch"])
+    @pytest.mark.parametrize("bad", [{}, "x"])
+    def test_rejects_non_numeric_entries(self, kind, bad):
+        # a bare TypeError from numpy used to escape here
+        obj = {"pure": pure_to_json(w_amplitudes()), "dense": density_to_json(preset_density("w")),
+               "bloch": bloch_to_json(decompose_state(preset_density("w")))}[kind]
+        if kind == "pure":
+            obj["pure"][0][1] = bad
+        elif kind == "dense":
+            obj["dense"][0][0][1] = bad
+        else:
+            obj["bloch"]["Q"][0][0] = bad
+        with pytest.raises(StateFormatError, match="numbers"):
+            parse_state(obj)
+
     def test_bloch_must_encode_a_physical_state(self):
         block = bloch_to_json(decompose_state(np.eye(8) / 8))
         block["bloch"]["a"] = [0.0, 0.0, 1.0]

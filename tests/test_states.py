@@ -170,6 +170,27 @@ class TestDecomposition:
             t = decompose_state(random_density(rng)).coefficient_tensor()
             assert np.abs(t).max() <= 1 + 1e-12
 
+    def test_one_read_only_tensor(self):
+        rng = np.random.default_rng(16)
+        d = decompose_state(random_density(rng))
+        t = d.coefficient_tensor()
+        assert t is d.coefficient_tensor() and t.shape == (4, 4, 4) and t[0, 0, 0] == 1.0
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0, 1] = 0.5
+        for name in ("a", "b", "c", "Q", "R", "S", "tau"):
+            field = getattr(d, name)
+            assert not field.flags.writeable and np.shares_memory(field, t)
+        np.testing.assert_array_equal(t[1:, 0, 1:], d.R)
+        np.testing.assert_array_equal(t[1:, 1:, 1:], d.tau)
+
+    def test_fields_are_copied_from_the_input(self):
+        fields = dict(a=np.zeros(3), b=np.zeros(3), c=np.zeros(3), Q=np.zeros((3, 3)),
+                      R=np.zeros((3, 3)), S=np.zeros((3, 3)), tau=np.zeros((3, 3, 3)))
+        d = BlochDecomposition(**fields)
+        fields["a"][0] = 0.5
+        assert d.a[0] == 0.0 and d.coefficient_tensor()[1, 0, 0] == 0.0
+
     def test_rejects_imaginary_residue(self):
         rho = np.eye(8, dtype=complex) / 8 + 1e-5j * kron3(pauli_x, identity2, identity2) / 8
         with pytest.raises(NonHermitianInputError):

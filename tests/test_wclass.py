@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from qrecon.protocol import _sample_directions
 from qrecon.states import decompose_state, pure_to_density
 from qrecon.wclass import (
     CSV_HEADER,
+    NORMALIZATION_TOL,
     InvalidParamsError,
     WClassParams,
     record_for,
@@ -49,6 +51,39 @@ class TestParams:
             WClassParams(bad, 0.0, 0.0, 0.0)
         with pytest.raises(InvalidParamsError):
             WClassParams.normalized(bad, 1.0, 0.0, 0.0)
+
+
+    @staticmethod
+    def numpy_rule(row):
+        """The earlier per-record check, on a numpy array."""
+        lam = np.array(row, dtype=float)
+        return bool(np.all(lam >= 0)) and abs(float(np.sum(lam ** 2)) - 1.0) <= NORMALIZATION_TOL
+
+    @staticmethod
+    def accepts(row):
+        try:
+            WClassParams(*row)
+        except InvalidParamsError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("first", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300, 1.0])
+    def test_plain_float_rule_matches_numpy_rule_on_special_values(self, first):
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300, 1.0]
+        for rest in itertools.product(special, repeat=3):
+            row = (first, *rest)
+            assert self.accepts(row) == self.numpy_rule(row), row
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_plain_float_rule_matches_numpy_rule_near_the_tolerance(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.abs(rng.normal(size=(2000, 4)))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        # sum of squares moved by up to +-2e-12, twice the tolerance
+        rows *= np.sqrt(1.0 + rng.uniform(-2e-12, 2e-12, size=(2000, 1)))
+        decisions = [self.accepts(row) for row in rows.tolist()]
+        assert decisions == [self.numpy_rule(row) for row in rows.tolist()]
+        assert 0 < sum(decisions) < len(decisions)
 
 
 class TestState:
