@@ -277,11 +277,31 @@ def _affine(table: Sequence[np.ndarray], phis_t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _branch_weights(p_map: np.ndarray, q_map: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p[branch, n] and w = p * fidelity for unit ``phis``: a null branch weighs nothing."""
+def _quadratic(y: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """f^T y f for each row phi of ``phis``, f = (1, phi), as one (n,) array."""
     phis_t = np.ascontiguousarray(phis.T)
-    q_f = [_affine(q_map[:, :, nu, None], phis_t) for nu in range(4)]  # (Q_b^T f)_nu
-    return _affine(p_map[:, :, None], phis_t), _affine(q_f, phis_t)
+    return _affine([_affine(y[:, nu], phis_t) for nu in range(4)], phis_t)
+
+
+def _sphere_mean(y: np.ndarray, n_samples: int, seed: int, chunk: int = 8192) -> tuple[float, float, np.ndarray]:
+    """Monte Carlo sphere average of f^T y f, f = (1, phi), for a (4, 4) ``y``:
+    (mean, std_error, moments = sum f f^T); mean and std_error do not depend on ``chunk``."""
+    if n_samples < 1 or chunk < 1:
+        raise ValueError(f"n_samples and chunk must be >= 1, got {n_samples} and {chunk}")
+    rng = np.random.default_rng(seed)
+    totals = np.empty(n_samples)
+    moments = np.zeros((4, 4))
+    for start in range(0, n_samples, chunk):
+        # drawn chunk by chunk: the stream is the same as one draw of n_samples rows
+        phis = _sample_directions(rng, min(chunk, n_samples - start))
+        totals[start:start + len(phis)] = _quadratic(y, phis)
+        f = np.hstack([np.ones((len(phis), 1)), phis])
+        moments += f.T @ f
+    mean = float(totals.mean())
+    totals -= mean  # and square in place: totals.std(ddof=1) without its n-float temporary
+    totals *= totals
+    std_error = float(np.sqrt(totals.sum() / (n_samples - 1)) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
+    return mean, std_error, moments
 
 
 @dataclass(frozen=True)
@@ -295,7 +315,7 @@ class BranchStats:
 @dataclass(frozen=True)
 class MCResult:
     """Monte Carlo estimate of the sphere-averaged fidelity; ``mean`` and
-    ``std_error`` do not depend on ``chunk``, ``per_branch`` only to ~1e-15."""
+    ``std_error`` do not depend on ``chunk``."""
 
     mean: float
     std_error: float
@@ -325,31 +345,17 @@ def expected_fidelity_mc(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
     The state, setting and ``rotations`` (default: the per-branch
     optimum; pass any other (8, 3, 3) stack to probe sub-optimal
     corrections) go to :func:`branch_maps`; directions are drawn and
-    simulated in chunks.
+    simulated in chunks, each sample's fidelity f^T Y f with Y = q_map
+    summed over the branches.
     Per-branch statistics report the mean branch probability and the
-    conditional fidelity E[p f] / E[p].  Only ``mean`` and ``std_error``
-    are chunk-exact: the per-branch sums are taken chunk by chunk.
+    conditional fidelity E[p f] / E[p], from the sample moments sum f f^T.
     """
-    if n_samples < 1 or chunk < 1:
+    if n_samples < 1 or chunk < 1:  # before branch_maps: a bad count costs no state work
         raise ValueError(f"n_samples and chunk must be >= 1, got {n_samples} and {chunk}")
     p_map, q_map = branch_maps(rho, setting, rotations)
-
-    rng = np.random.default_rng(seed)
-    totals = np.empty(n_samples)
-    p_sums = np.zeros(8)
-    w_sums = np.zeros(8)
-    for start in range(0, n_samples, chunk):
-        # drawn chunk by chunk: the stream is the same as one draw of n_samples rows
-        p, w = _branch_weights(p_map, q_map, _sample_directions(rng, min(chunk, n_samples - start)))
-        # branch by branch, so each sample's total rounds the same in any chunk
-        totals[start:start + w.shape[1]] = sum(w)
-        p_sums += p.sum(axis=1)
-        w_sums += w.sum(axis=1)
-
-    mean = float(totals.mean())
-    totals -= mean  # and square in place: totals.std(ddof=1) without its n-float temporary
-    totals *= totals
-    std_error = float(np.sqrt(totals.sum() / (n_samples - 1)) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
+    mean, std_error, moments = _sphere_mean(q_map.sum(axis=1), n_samples, seed, chunk)
+    p_sums = moments[0] @ p_map
+    w_sums = np.einsum("mbn,mn->b", q_map, moments)
     per_branch = tuple(
         BranchStats(l=l, x=x, probability=float(p_sums[i] / n_samples),
                     fidelity=float(w_sums[i] / p_sums[i]) if p_sums[i] > ZERO_PROBABILITY else 0.0)
@@ -367,8 +373,8 @@ def expected_fidelity_exact(rho: np.ndarray, setting: Setting = CANONICAL_SETTIN
     the mean over the six axis directions.  Deterministic; used to
     cross-check both the Monte Carlo and the closed forms.
     """
-    _, w = _branch_weights(*branch_maps(rho, setting, rotations), np.vstack([np.eye(3), -np.eye(3)]))
-    return float(sum(w).mean())
+    q_map = branch_maps(rho, setting, rotations)[1]
+    return float(_quadratic(q_map.sum(axis=1), np.vstack([np.eye(3), -np.eye(3)])).mean())
 
 
 @dataclass(frozen=True)
@@ -389,28 +395,16 @@ def sphere_average_identity_check(y: np.ndarray, n_samples: int = 100_000, seed:
     y = np.asarray(y, dtype=float)
     if y.shape != (3, 3) or not np.isfinite(y).all() or np.abs(y - y.T).max() > 1e-12:
         raise ValueError("y must be a finite symmetric 3x3 matrix")
-    rng = np.random.default_rng(seed)
-    phis = _sample_directions(rng, n_samples)
-    samples = np.einsum("ni,ij,nj->n", phis, y, phis)
-    lhs = float(samples.mean())
-    se = float(samples.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
+    lhs, se, _ = _sphere_mean(np.pad(y, ((1, 0), (1, 0))), n_samples, seed)
     return SphereAverageCheck(lhs=lhs, rhs=float(np.trace(y) / 3.0), std_error=se,
                               n_samples=n_samples, seed=seed)
 
 
-def _axis_overlap_fidelity(z: np.ndarray) -> np.ndarray:
-    """Fidelity of the classical measure-along-z strategy for inputs
-    with z-component ``z``: (1 + z^2) / 2."""
-    return (1.0 + np.asarray(z) ** 2) / 2.0
-
-
 def classical_baseline(n_samples: int = 1_000_000, seed: int = 42) -> float:
     """Monte Carlo mean fidelity of the best classical strategy
-    (measure along a fixed axis, resend the outcome state); averages to
-    2/3 over uniform inputs."""
-    rng = np.random.default_rng(seed)
-    phis = _sample_directions(rng, n_samples)
-    return float(_axis_overlap_fidelity(phis[:, 2]).mean())
+    (measure along z, resend the outcome state: fidelity (1 + z^2) / 2);
+    averages to 2/3 over uniform inputs."""
+    return _sphere_mean(np.diag([0.5, 0.0, 0.0, 0.5]), n_samples, seed)[0]
 
 
 def _guess_fidelity_samples(p: float, strategy: str, n_samples: int, seed: int) -> np.ndarray:

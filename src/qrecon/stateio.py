@@ -26,9 +26,14 @@ class StateFormatError(ValueError):
 
 def _real_array(data, shape, what) -> np.ndarray:
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:  # e.g. an object or a string where a number belongs
+        entries = np.array(data, dtype=object)
+        arr = entries.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. an object, a word or 10**400
         raise StateFormatError(f"{what} must hold numbers only: {exc}") from exc
+    # the cast reads a JSON null as NaN and true or "1" as 1.0
+    bad = {t.__name__ for t in set(map(type, entries.flat)) if t is bool or not issubclass(t, (int, float, np.number))}
+    if bad:
+        raise StateFormatError(f"{what} must hold numbers only, got {', '.join(sorted(bad))}")
     if arr.shape != shape:
         raise StateFormatError(f"{what} must have shape {shape}, got {arr.shape}")
     return arr

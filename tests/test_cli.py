@@ -88,17 +88,19 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", "--state", str(path))
         assert code == 2 and out == "" and "non-finite" in err
 
-    @pytest.mark.parametrize("kind", ["pure", "dense", "bloch"])
-    def test_non_numeric_state_file_exits_2(self, capsys, tmp_path, kind):
+    @pytest.mark.parametrize("kind, bad", [("pure", {}), ("dense", {}), ("bloch", {}),
+                                           ("pure", None), ("dense", True), ("bloch", "1"), ("pure", 10**400)],
+                             ids=["pure", "dense", "bloch", "pure-null", "dense-true", "bloch-string", "pure-huge-int"])
+    def test_non_numeric_state_file_exits_2(self, capsys, tmp_path, kind, bad):
         if kind == "pure":
             obj = pure_to_json(np.eye(8)[0])
-            obj["pure"][1] = [1, {}]
+            obj["pure"][1] = [1, bad]
         elif kind == "dense":
             obj = density_to_json(preset_density("mixed"))
-            obj["dense"][2][5] = [{}, 0]
+            obj["dense"][2][5] = [bad, 0]
         else:
             obj = bloch_to_json(decompose_state(preset_density("ghz")))
-            obj["bloch"]["a"][1] = {}
+            obj["bloch"]["a"][1] = bad
         path = tmp_path / "object.json"
         path.write_text(json.dumps(obj))
         code, out, err = run_cli(capsys, "analyze", "--state", str(path))

@@ -24,9 +24,9 @@ from qrecon.presets import preset_density
 from qrecon.protocol import (
     BELL_DIAGONALS,
     BRANCHES,
-    _axis_overlap_fidelity,
-    _branch_weights,
     _guess_fidelity_samples,
+    _quadratic,
+    _sample_directions,
     bell_projectors,
     branch_maps,
     classical_baseline,
@@ -44,6 +44,26 @@ from qrecon.protocol import (
     sphere_average_identity_check,
 )
 from qrecon.states import NotPSDError, decompose_state, pure_to_density
+
+
+def branch_weights(rho, rots, phis):
+    """p[branch, n] and w = p * fidelity from the branch_maps tables: f . p_map and f^T Q_b f."""
+    p_map, q_map = branch_maps(rho, rotations=rots)
+    f = np.hstack([np.ones((len(phis), 1)), phis])
+    return p_map.T @ f.T, np.einsum("nm,mbk,nk->bn", f, q_map, f)
+
+
+def bytes_per_sample(average):
+    """Growth of the tracemalloc peak of ``average(n)`` per sample between 2e4 and 2e5 samples."""
+    def peak(n):
+        tracemalloc.start()
+        try:
+            average(n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return (peak(200_000) - peak(20_000)) / 180_000
 
 
 def bell_kets():
@@ -224,7 +244,7 @@ class TestSimulation:
             rots = np.stack([random_rotation(rng) for _ in range(8)])
             phis = rng.normal(size=(5, 3))
             phis /= np.linalg.norm(phis, axis=1)[:, None]
-            p, w = _branch_weights(*branch_maps(rho, rotations=rots), phis)
+            p, w = branch_weights(rho, rots, phis)
             for n, phi in enumerate(phis):
                 outcomes = simulate_branches(rho, phi, rots)
                 np.testing.assert_allclose(p[:, n], [o.p_alpha for o in outcomes], atol=1e-10)
@@ -242,7 +262,7 @@ class TestSimulation:
         rots = np.stack([random_rotation(rng) for _ in range(8)])
         phi = np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0]) if on_axis else rng.normal(size=3)
         phi /= np.linalg.norm(phi)
-        p, w = _branch_weights(*branch_maps(rho, rotations=rots), phi[None, :])
+        p, w = branch_weights(rho, rots, phi[None, :])
         outcomes = simulate_branches(rho, phi, rots)
         np.testing.assert_allclose(p[:, 0], [o.p_alpha for o in outcomes], atol=1e-10)
         np.testing.assert_allclose(w[:, 0], [o.p_alpha * o.branch_fidelity for o in outcomes], atol=1e-10)
@@ -419,26 +439,37 @@ class TestMonteCarlo:
         for chunk in (1, 64, 8191):
             b = expected_fidelity_mc(rho, n_samples=3000, seed=7, chunk=chunk)
             assert a.mean == b.mean and a.std_error == b.std_error
-            # per-branch sums are taken per chunk: only close, and chunk 1 sums sample by sample
+            # per-branch sums come from moments summed per chunk: only close
             for x, y in zip(a.per_branch, b.per_branch):
                 assert x.probability == pytest.approx(y.probability, rel=0, abs=1e-15)
-                assert x.fidelity == pytest.approx(y.fidelity, rel=0, abs=1e-14)
+                assert x.fidelity == pytest.approx(y.fidelity, rel=0, abs=1e-15)
         assert sum(s.probability for s in a.per_branch) == pytest.approx(1.0, abs=1e-12)
+
+    def test_per_branch_statistics_are_sample_means(self):
+        # the moment sums must give the sample means of the per-branch tables over the same
+        # directions, also past one chunk
+        rng = np.random.default_rng(45)
+        rho = random_density(rng)
+        rots = np.stack([random_rotation(rng) for _ in range(8)])
+        n = 20_000
+        mc = expected_fidelity_mc(rho, n_samples=n, seed=9, rotations=rots)
+        p, w = branch_weights(rho, rots, _sample_directions(np.random.default_rng(9), n))
+        np.testing.assert_allclose([b.probability for b in mc.per_branch], p.mean(axis=1), rtol=0, atol=1e-14)
+        np.testing.assert_allclose([b.fidelity for b in mc.per_branch], w.sum(axis=1) / p.sum(axis=1), rtol=0, atol=1e-13)
+        assert mc.mean == pytest.approx(w.sum(axis=0).mean(), rel=0, abs=1e-14)
 
     def test_memory_grows_by_one_float_per_sample(self):
         # directions are drawn per chunk, so only the per-sample totals grow with n
         rho = preset_density("w")
         rots = optimal_rotations(decompose_state(rho))
+        assert bytes_per_sample(lambda n: expected_fidelity_mc(rho, n_samples=n, seed=3, rotations=rots)) <= 16
 
-        def peak(n):
-            tracemalloc.start()
-            try:
-                expected_fidelity_mc(rho, n_samples=n, seed=3, rotations=rots)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert (peak(200_000) - peak(20_000)) / 180_000 <= 16
+    def test_values_are_frozen(self):
+        # a change to the estimator's rounding must re-pin these and declare the drift
+        mc = expected_fidelity_mc(preset_density("beta-mix"), n_samples=3000, seed=7)
+        assert mc.mean == float.fromhex("0x1.8a0a2b453ae59p-1")
+        assert mc.std_error == float.fromhex("0x1.20d441d04505ap-11")
+        assert classical_baseline(20_000, seed=5) == float.fromhex("0x1.54d209e87f814p-1")
 
     def test_suboptimal_rotations_stay_below_f_max(self):
         rng = np.random.default_rng(43)
@@ -475,6 +506,14 @@ class TestMonteCarlo:
         assert payload["n_samples"] == 500 and payload["seed"] == 2
 
 
+@pytest.mark.parametrize("average", [lambda n: classical_baseline(n, seed=3),
+                                     lambda n: sphere_average_identity_check(np.eye(3), n_samples=n, seed=3)],
+                         ids=["classical_baseline", "sphere_average_identity_check"])
+def test_sphere_averages_grow_by_one_float_per_sample(average):
+    # directions are drawn per chunk, so only the per-sample totals grow with n
+    assert bytes_per_sample(average) <= 16
+
+
 class TestSphereAverage:
     def test_unit_quadratic_form(self):
         check = sphere_average_identity_check(np.eye(3), n_samples=1000, seed=42)
@@ -498,8 +537,9 @@ class TestSphereAverage:
 class TestClassicalBaselines:
     def test_axis_fidelity_formula(self):
         # aligned input is reproduced perfectly, equatorial input half the time
-        assert _axis_overlap_fidelity(np.array(1.0)) == pytest.approx(1.0)
-        assert _axis_overlap_fidelity(np.array(0.0)) == pytest.approx(0.5)
+        # (1 + z^2) / 2 is the quadratic form diag(1/2, 0, 0, 1/2) in f = (1, phi)
+        z_axis_and_equator = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(_quadratic(np.diag([0.5, 0, 0, 0.5]), z_axis_and_equator), [1.0, 0.5])
 
     def test_baseline_two_thirds(self):
         n = 200_000

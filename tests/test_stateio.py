@@ -63,9 +63,10 @@ class TestParse:
             parse_state({"bloch": {"a": [0, 0, 0]}})
 
     @pytest.mark.parametrize("kind", ["pure", "dense", "bloch"])
-    @pytest.mark.parametrize("bad", [{}, "x"])
+    @pytest.mark.parametrize("bad", [{}, "x", None, True, False, "1", pytest.param(10**400, id="huge-int")])
     def test_rejects_non_numeric_entries(self, kind, bad):
-        # a bare TypeError from numpy used to escape here
+        # a bare TypeError or OverflowError from numpy used to escape here, and float() read
+        # null as NaN and true or "1" as 1.0
         obj = {"pure": pure_to_json(w_amplitudes()), "dense": density_to_json(preset_density("w")),
                "bloch": bloch_to_json(decompose_state(preset_density("w")))}[kind]
         if kind == "pure":
