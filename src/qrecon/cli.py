@@ -23,7 +23,7 @@ from .protocol import (
 )
 from .states import StateValidationError, decompose_state
 from .stateio import load_state
-from .wclass import InvalidParamsError, scatter_csv_text, write_scatter_csv
+from .wclass import InvalidParamsError, scatter_csv_chunks, write_scatter_csv
 
 SETTING_CHOICES = tuple(str(s) for s in ALL_SETTINGS)
 
@@ -85,7 +85,7 @@ def cmd_scatter(args) -> int:
     if args.out:
         write_scatter_csv(args.out, args.samples, args.seed)
     else:
-        sys.stdout.write(scatter_csv_text(args.samples, args.seed))
+        sys.stdout.writelines(scatter_csv_chunks(args.samples, args.seed))
     return 0
 
 

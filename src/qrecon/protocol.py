@@ -30,7 +30,7 @@ matrix has negative determinant).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .states import BlochDecomposition, decompose_state, validate_state
 
 ROTATION_TOL = 1e-10
 ZERO_PROBABILITY = 1e-15
+_BLOCK = 8192  # rows per block of every Monte Carlo direction stream
 
 
 def _bell_projector(diag: tuple[float, float, float]) -> np.ndarray:
@@ -240,6 +241,14 @@ def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.nda
     return v / norms[:, None]
 
 
+def _direction_blocks(n: int, seed: int, dim: int = 3) -> Iterator[np.ndarray]:
+    """The n directions of one ``default_rng(seed)`` draw, :data:`_BLOCK` rows at a time; n is checked here."""
+    if n < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n}")
+    rng = np.random.default_rng(seed)
+    return (_sample_directions(rng, min(_BLOCK, n - start), dim) for start in range(0, n, _BLOCK))
+
+
 def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
                 rotations: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """The simulated protocol on the Pauli units E = {1, sigma}/2 of rho_S.
@@ -270,7 +279,7 @@ def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
 
 
 def _affine(table: Sequence[np.ndarray], phis_t: np.ndarray) -> np.ndarray:
-    # table[0] + sum_i phis_t[i] table[1 + i], elementwise so a direction rounds the same in any chunk
+    # table[0] + sum_i phis_t[i] table[1 + i], elementwise: a row's value does not depend on the rows beside it
     out = table[0] + phis_t[0] * table[1]
     out += phis_t[1] * table[2]
     out += phis_t[2] * table[3]
@@ -283,24 +292,24 @@ def _quadratic(y: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return _affine([_affine(y[:, nu], phis_t) for nu in range(4)], phis_t)
 
 
-def _sphere_mean(y: np.ndarray, n_samples: int, seed: int, chunk: int = 8192) -> tuple[float, float, np.ndarray]:
+def _sphere_mean(y: np.ndarray, n_samples: int, seed: int) -> tuple[float, float, np.ndarray]:
     """Monte Carlo sphere average of f^T y f, f = (1, phi), for a (4, 4) ``y``:
-    (mean, std_error, moments = sum f f^T); mean and std_error do not depend on ``chunk``."""
-    if n_samples < 1 or chunk < 1:
-        raise ValueError(f"n_samples and chunk must be >= 1, got {n_samples} and {chunk}")
-    rng = np.random.default_rng(seed)
-    totals = np.empty(n_samples)
+    (mean, std_error, moments = sum f f^T).  Each block's two-pass mean and squared deviations
+    merge into a running (count, mean, M2) (Chan et al.): one block gives the two-pass values."""
+    count, mean, m2 = 0, 0.0, 0.0
     moments = np.zeros((4, 4))
-    for start in range(0, n_samples, chunk):
-        # drawn chunk by chunk: the stream is the same as one draw of n_samples rows
-        phis = _sample_directions(rng, min(chunk, n_samples - start))
-        totals[start:start + len(phis)] = _quadratic(y, phis)
-        f = np.hstack([np.ones((len(phis), 1)), phis])
+    for phis in _direction_blocks(n_samples, seed):
+        totals = _quadratic(y, phis)
+        b, block_mean = len(totals), float(totals.mean())
+        totals -= block_mean
+        totals *= totals
+        count += b
+        delta = block_mean - mean
+        mean += delta * (b / count)
+        m2 += float(totals.sum()) + delta * delta * ((count - b) * b / count)
+        f = np.hstack([np.ones((b, 1)), phis])
         moments += f.T @ f
-    mean = float(totals.mean())
-    totals -= mean  # and square in place: totals.std(ddof=1) without its n-float temporary
-    totals *= totals
-    std_error = float(np.sqrt(totals.sum() / (n_samples - 1)) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
+    std_error = float(np.sqrt(m2 / (n_samples - 1)) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return mean, std_error, moments
 
 
@@ -314,8 +323,8 @@ class BranchStats:
 
 @dataclass(frozen=True)
 class MCResult:
-    """Monte Carlo estimate of the sphere-averaged fidelity; ``mean`` and
-    ``std_error`` do not depend on ``chunk``."""
+    """Monte Carlo estimate of the sphere-averaged fidelity, a function of
+    the input, ``n_samples`` and ``seed`` alone."""
 
     mean: float
     std_error: float
@@ -338,22 +347,21 @@ class MCResult:
 
 def expected_fidelity_mc(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
                          n_samples: int = 10_000, seed: int = 42,
-                         rotations: Optional[np.ndarray] = None,
-                         chunk: int = 8192) -> MCResult:
+                         rotations: Optional[np.ndarray] = None) -> MCResult:
     """Average protocol fidelity over uniformly random input directions.
 
     The state, setting and ``rotations`` (default: the per-branch
     optimum; pass any other (8, 3, 3) stack to probe sub-optimal
     corrections) go to :func:`branch_maps`; directions are drawn and
-    simulated in chunks, each sample's fidelity f^T Y f with Y = q_map
+    simulated in blocks, each sample's fidelity f^T Y f with Y = q_map
     summed over the branches.
     Per-branch statistics report the mean branch probability and the
     conditional fidelity E[p f] / E[p], from the sample moments sum f f^T.
     """
-    if n_samples < 1 or chunk < 1:  # before branch_maps: a bad count costs no state work
-        raise ValueError(f"n_samples and chunk must be >= 1, got {n_samples} and {chunk}")
+    if n_samples < 1:  # before branch_maps: a bad count costs no state work
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     p_map, q_map = branch_maps(rho, setting, rotations)
-    mean, std_error, moments = _sphere_mean(q_map.sum(axis=1), n_samples, seed, chunk)
+    mean, std_error, moments = _sphere_mean(q_map.sum(axis=1), n_samples, seed)
     p_sums = moments[0] @ p_map
     w_sums = np.einsum("mbn,mn->b", q_map, moments)
     per_branch = tuple(
@@ -430,5 +438,9 @@ def _guess_fidelity_samples(p: float, strategy: str, n_samples: int, seed: int) 
 
 
 def dishonest_guess_fidelity(p: float, strategy: str, n_samples: int = 1_000_000, seed: int = 42) -> float:
-    """Mean fidelity when the reconstructor guesses from its share alone."""
-    return float(_guess_fidelity_samples(p, strategy, n_samples, seed).mean())
+    """Mean fidelity when the reconstructor guesses from its share alone: with the hidden bits
+    of :func:`_guess_fidelity_samples` averaged out, "same" scores 1/2 - (1 - 2p) z^2 / 2."""
+    if not 0.0 <= p <= 1.0 or strategy not in ("same", "negate"):  # the reference's checks
+        raise ValueError(f"p must lie in [0, 1] and strategy be 'same' or 'negate', got {p}, {strategy!r}")
+    c = (2.0 * p - 1.0) / 2.0 if strategy == "same" else (1.0 - 2.0 * p) / 2.0  # "negate": 1 - the "same" score
+    return _sphere_mean(np.diag([0.5, 0.0, 0.0, c]), n_samples, seed)[0]

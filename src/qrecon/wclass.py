@@ -10,12 +10,15 @@ trace norm applied to whole stacks at once.
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .fidelity import CLASSICAL_FIDELITY, f_max_from_theta, theta_from_pair, trace_norms
-from .protocol import _sample_directions
+from .protocol import _direction_blocks, _sample_directions
 
 NORMALIZATION_TOL = 1e-12
 
@@ -97,8 +100,6 @@ def sample_wclass(n: int, seed: int = 42) -> np.ndarray:
     Uniform on the nonnegative octant of the 3-sphere: absolute values
     of normalized 4-dim Gaussians.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return np.abs(_sample_directions(np.random.default_rng(seed), n, 4))
 
 
@@ -146,14 +147,29 @@ CSV_HEADER = ("lambda0", "lambda1", "lambda2", "lambda3", "f_tele", "f_recon", "
 _CSV_ROW = ",".join(["%.12g"] * 6 + ["%s"]) + "\n"
 
 
+def scatter_csv_chunks(n: int, seed: int = 42) -> Iterator[str]:
+    """The CSV in pieces: the header, then one piece per block of
+    :func:`sample_wclass`'s stream.  n is checked at the call."""
+    lams = map(np.abs, _direction_blocks(n, seed, 4))
+    pieces = ("".join(_CSV_ROW % row for row in zip(*lam.T.tolist(), *_scatter_columns(lam))) for lam in lams)
+    return itertools.chain([",".join(CSV_HEADER) + "\n"], pieces)
+
+
 def scatter_csv_text(n: int, seed: int = 42) -> str:
     """The full CSV as a string; byte-identical for identical (n, seed)."""
-    lam = sample_wclass(n, seed)
-    rows = zip(*lam.T.tolist(), *_scatter_columns(lam))
-    return ",".join(CSV_HEADER) + "\n" + "".join(_CSV_ROW % row for row in rows)
+    return "".join(scatter_csv_chunks(n, seed))
 
 
 def write_scatter_csv(path, n: int, seed: int = 42) -> None:
-    text = scatter_csv_text(n, seed)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    """Stream the CSV into a temporary file beside ``path`` and move it into place:
+    after any failure no file is left and an existing ``path`` keeps its bytes."""
+    chunks = scatter_csv_chunks(n, seed)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", newline="")  # a plain open: the mode follows the umask
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

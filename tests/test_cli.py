@@ -9,6 +9,7 @@ from qrecon.cli import _emit_json, main
 from qrecon.presets import preset_density
 from qrecon.states import decompose_state
 from qrecon.stateio import bloch_to_json, density_to_json, pure_to_json
+from qrecon.wclass import scatter_csv_text
 
 
 def run_cli(capsys, *argv):
@@ -161,10 +162,19 @@ class TestScatter:
         assert code == 3 and "I/O" in err
 
     def test_no_samples_exits_2_without_a_file(self, capsys, tmp_path):
-        # the whole text is built before the file is opened
+        # the count is checked before the temporary file is opened
         out = tmp_path / "scatter.csv"
         assert run_cli(capsys, "scatter", "--samples", "0", "--out", str(out))[0] == 2
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_samples_writes_nothing_to_stdout(self, capsys):
+        code, out, err = run_cli(capsys, "scatter", "--samples", "0")
+        assert code == 2 and out == "" and "n_samples" in err
+
+    def test_stdout_streams_the_csv_text(self, capsys):
+        # past one 8192-row block
+        code, out, _ = run_cli(capsys, "scatter", "--samples", "8193", "--seed", "5")
+        assert code == 0 and out == scatter_csv_text(8193, seed=5)
 
 
 class TestClassical:
@@ -206,7 +216,7 @@ def test_json_output_refuses_non_finite_values(capsys):
 
 @pytest.mark.parametrize("command, kernel", [
     ("oracle", "expected_fidelity_mc"),
-    ("scatter", "scatter_csv_text"),
+    ("scatter", "scatter_csv_chunks"),
     ("classical", "classical_baseline"),
 ])
 def test_memory_error_exits_2(capsys, monkeypatch, command, kernel):

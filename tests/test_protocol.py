@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from qrecon.protocol import (
     _guess_fidelity_samples,
     _quadratic,
     _sample_directions,
+    _sphere_mean,
     bell_projectors,
     branch_maps,
     classical_baseline,
@@ -44,6 +46,7 @@ from qrecon.protocol import (
     sphere_average_identity_check,
 )
 from qrecon.states import NotPSDError, decompose_state, pure_to_density
+from qrecon.wclass import write_scatter_csv
 
 
 def branch_weights(rho, rots, phis):
@@ -53,8 +56,9 @@ def branch_weights(rho, rots, phis):
     return p_map.T @ f.T, np.einsum("nm,mbk,nk->bn", f, q_map, f)
 
 
-def bytes_per_sample(average):
-    """Growth of the tracemalloc peak of ``average(n)`` per sample between 2e4 and 2e5 samples."""
+def bytes_per_sample(average, small=20_000, large=200_000):
+    """Growth of the tracemalloc peak of ``average(n)`` per sample between ``small`` and ``large``
+    samples, after one untraced call (a first call's one-off allocations would count otherwise)."""
     def peak(n):
         tracemalloc.start()
         try:
@@ -63,7 +67,8 @@ def bytes_per_sample(average):
         finally:
             tracemalloc.stop()
 
-    return (peak(200_000) - peak(20_000)) / 180_000
+    average(small)
+    return (peak(large) - peak(small)) / (large - small)
 
 
 def bell_kets():
@@ -433,17 +438,24 @@ class TestMonteCarlo:
         mc = expected_fidelity_mc(preset_density("w"), n_samples=20000, seed=1)
         assert abs(mc.mean - 8 / 9) <= 3 * mc.std_error
 
-    def test_reproducible_and_chunk_independent(self):
+    def test_reproducible_and_blocks_equal_one_draw(self):
         rho = preset_density("beta-mix")
         a = expected_fidelity_mc(rho, n_samples=3000, seed=7)
-        for chunk in (1, 64, 8191):
-            b = expected_fidelity_mc(rho, n_samples=3000, seed=7, chunk=chunk)
-            assert a.mean == b.mean and a.std_error == b.std_error
-            # per-branch sums come from moments summed per chunk: only close
-            for x, y in zip(a.per_branch, b.per_branch):
-                assert x.probability == pytest.approx(y.probability, rel=0, abs=1e-15)
-                assert x.fidelity == pytest.approx(y.fidelity, rel=0, abs=1e-15)
+        assert a == expected_fidelity_mc(rho, n_samples=3000, seed=7)
         assert sum(s.probability for s in a.per_branch) == pytest.approx(1.0, abs=1e-12)
+        y = branch_maps(rho)[1].sum(axis=1)
+        for n in (8192, 2 * 8192 + 5):
+            # the reference draws all n directions at once and takes the two-pass mean and deviations
+            totals = _quadratic(y, _sample_directions(np.random.default_rng(7), n))
+            mean = float(totals.mean())
+            std_error = float(np.sqrt(((totals - mean) ** 2).sum() / (n - 1)) / np.sqrt(n))
+            got = _sphere_mean(y, n, 7)
+            assert got[:2] == _sphere_mean(y, n, 7)[:2]
+            if n == 8192:  # one block
+                assert got[:2] == (mean, std_error)
+            else:  # blocks merged by Chan et al.'s update
+                assert got[0] == pytest.approx(mean, rel=0, abs=4e-16)
+                assert got[1] == pytest.approx(std_error, rel=1e-15, abs=0)
 
     def test_per_branch_statistics_are_sample_means(self):
         # the moment sums must give the sample means of the per-branch tables over the same
@@ -459,10 +471,10 @@ class TestMonteCarlo:
         assert mc.mean == pytest.approx(w.sum(axis=0).mean(), rel=0, abs=1e-14)
 
     def test_memory_grows_by_one_float_per_sample(self):
-        # directions are drawn per chunk, so only the per-sample totals grow with n
+        # directions are drawn, scored and reduced per block: nothing grows with n
         rho = preset_density("w")
         rots = optimal_rotations(decompose_state(rho))
-        assert bytes_per_sample(lambda n: expected_fidelity_mc(rho, n_samples=n, seed=3, rotations=rots)) <= 16
+        assert bytes_per_sample(lambda n: expected_fidelity_mc(rho, n_samples=n, seed=3, rotations=rots)) <= 1
 
     def test_values_are_frozen(self):
         # a change to the estimator's rounding must re-pin these and declare the drift
@@ -470,6 +482,7 @@ class TestMonteCarlo:
         assert mc.mean == float.fromhex("0x1.8a0a2b453ae59p-1")
         assert mc.std_error == float.fromhex("0x1.20d441d04505ap-11")
         assert classical_baseline(20_000, seed=5) == float.fromhex("0x1.54d209e87f814p-1")
+        assert dishonest_guess_fidelity(0.25, "negate", 20_000, seed=5) == float.fromhex("0x1.2a6904f43fc0bp-1")
 
     def test_suboptimal_rotations_stay_below_f_max(self):
         rng = np.random.default_rng(43)
@@ -490,8 +503,6 @@ class TestMonteCarlo:
             expected_fidelity_mc((np.eye(8) + 1.5 * kron3(pauli_x, pauli_x, pauli_x)) / 8, n_samples=10)
         with pytest.raises(ValueError):
             expected_fidelity_mc(preset_density("ghz"), n_samples=0)
-        with pytest.raises(ValueError):  # a negative chunk would skip the loop and average an unfilled array
-            expected_fidelity_mc(preset_density("ghz"), n_samples=10, chunk=-1)
         with pytest.raises(ValueError):
             expected_fidelity_mc(preset_density("ghz"), n_samples=10,
                                  rotations=np.eye(3)[None])
@@ -506,12 +517,16 @@ class TestMonteCarlo:
         assert payload["n_samples"] == 500 and payload["seed"] == 2
 
 
-@pytest.mark.parametrize("average", [lambda n: classical_baseline(n, seed=3),
-                                     lambda n: sphere_average_identity_check(np.eye(3), n_samples=n, seed=3)],
-                         ids=["classical_baseline", "sphere_average_identity_check"])
-def test_sphere_averages_grow_by_one_float_per_sample(average):
-    # directions are drawn per chunk, so only the per-sample totals grow with n
-    assert bytes_per_sample(average) <= 16
+@pytest.mark.parametrize("average, sizes", [
+    (lambda n, path: classical_baseline(n, seed=3), ()),
+    (lambda n, path: sphere_average_identity_check(np.eye(3), n_samples=n, seed=3), ()),
+    (lambda n, path: dishonest_guess_fidelity(0.25, "same", n, seed=3), ()),
+    # bytes per row; fewer rows, since formatting them under tracemalloc is slow
+    (lambda n, path: write_scatter_csv(path, n, seed=3), (10_000, 40_000)),
+], ids=["classical_baseline", "sphere_average_identity_check", "dishonest_guess_fidelity", "write_scatter_csv"])
+def test_sphere_averages_grow_by_one_float_per_sample(average, sizes, tmp_path):
+    # directions are drawn, scored and reduced (or written) per block: nothing grows with n
+    assert bytes_per_sample(lambda n: average(n, tmp_path / "scatter.csv"), *sizes) <= 1
 
 
 class TestSphereAverage:
@@ -556,11 +571,26 @@ class TestClassicalBaselines:
                 assert abs(samples.mean() - formula) <= 3 * se
 
     def test_half_transparent_share_is_uninformative(self):
+        # the z^2 coefficient (1 - 2p) / 2 vanishes: every sample scores 1/2 exactly
         n = 100_000
-        same = dishonest_guess_fidelity(0.5, "same", n, seed=5)
-        negate = dishonest_guess_fidelity(0.5, "negate", n, seed=5)
-        assert same == pytest.approx(0.5, abs=0.01)
-        assert negate == pytest.approx(0.5, abs=0.01)
+        assert dishonest_guess_fidelity(0.5, "same", n, seed=5) == 0.5
+        assert dishonest_guess_fidelity(0.5, "negate", n, seed=5) == 0.5
+
+    def test_guess_rule_averages_to_a_quadratic_form(self):
+        # both hidden bits of the reference's rule enumerated exactly: P(s) = 1 - p_up, P(s2) = 1 - p
+        phis = _sample_directions(np.random.default_rng(12), 1000)
+        p_up = (1.0 + phis[:, 2]) / 2.0
+        for p in (0.0, 0.25, 0.5, 1.0):
+            for strategy, sign in (("same", -1.0), ("negate", 1.0)):
+                expected = np.zeros(len(phis))
+                for s, s2 in itertools.product((False, True), repeat=2):
+                    weight = (1.0 - p_up if s else p_up) * (1.0 - p if s2 else p)
+                    guess = (s ^ s2) if strategy == "same" else not (s ^ s2)
+                    expected += weight * (1.0 - p_up if guess else p_up)
+                y = np.diag([0.5, 0.0, 0.0, sign * (1.0 - 2.0 * p) / 2.0])
+                np.testing.assert_allclose(_quadratic(y, phis), expected, rtol=0, atol=1e-15)
+                # one block: the estimator's mean is the plain mean of that form over the same stream
+                assert dishonest_guess_fidelity(p, strategy, len(phis), seed=12) == float(_quadratic(y, phis).mean())
 
     def test_input_validation(self):
         for n in (0, -1):

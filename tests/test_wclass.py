@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from qrecon.fidelity import CANONICAL_SETTING, full_report, pair_correlation_for
 from qrecon.presets import preset_density
 from qrecon.protocol import _sample_directions
 from qrecon.states import decompose_state, pure_to_density
+from qrecon import wclass
 from qrecon.wclass import (
     CSV_HEADER,
     NORMALIZATION_TOL,
@@ -152,6 +154,7 @@ class TestSampling:
             (2000, 42): "83f39996878223e87f72def68bc03ae11cde67948ed2c461ae37a4ed03e6acde",
             (1, 1): "ebbc88da81a46ab245498a7855cfb8620f41788adcea4f43a9c197131efa7e32",
             (5000, 7): "d52f502f3ebcebb772da4ba3b6d9c91b78e2d544aa94c9ebb7799cc9871df8e3",
+            (2 * 8192 + 1, 3): "f0b7b9f5c6f373ce3b92723f9cbdae7145e40a400f744b4a6bcf164068c83be2",  # three blocks
         }.items():
             assert hashlib.sha256(scatter_csv_text(n, seed).encode()).hexdigest() == digest
         phis = _sample_directions(np.random.default_rng(42), 1000)
@@ -220,3 +223,32 @@ class TestCSV:
 
     def test_seed_changes_content(self):
         assert scatter_csv_text(50, seed=60) != scatter_csv_text(50, seed=61)
+
+    def test_write_leaves_no_temporary_file_and_keeps_the_umask_mode(self, tmp_path):
+        path, plain = tmp_path / "scatter.csv", tmp_path / "plain.csv"
+        write_scatter_csv(path, 300, seed=63)
+        with open(plain, "w"):
+            pass
+        assert path.read_bytes() == scatter_csv_text(300, seed=63).encode()
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+
+    @pytest.mark.parametrize("existing", [None, b"old bytes\n"])
+    def test_failure_after_the_first_block_leaves_the_target_alone(self, tmp_path, monkeypatch, existing):
+        path = tmp_path / "scatter.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+        real, calls = wclass._scatter_columns, []
+
+        def fail_on_second_block(lam):
+            calls.append(len(lam))
+            if len(calls) == 2:
+                raise RuntimeError("second block")
+            return real(lam)
+
+        monkeypatch.setattr(wclass, "_scatter_columns", fail_on_second_block)
+        with pytest.raises(RuntimeError, match="second block"):
+            write_scatter_csv(path, 2 * 8192, seed=64)
+        assert calls == [8192, 8192]
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert (path.read_bytes() if path.exists() else None) == existing
