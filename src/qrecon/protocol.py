@@ -415,6 +415,13 @@ def classical_baseline(n_samples: int = 1_000_000, seed: int = 42) -> float:
     return _sphere_mean(np.diag([0.5, 0.0, 0.0, 0.5]), n_samples, seed)[0]
 
 
+def _check_guess(p: float, strategy: str) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if strategy not in ("same", "negate"):
+        raise ValueError(f"strategy must be 'same' or 'negate', got {strategy!r}")
+
+
 def _guess_fidelity_samples(p: float, strategy: str, n_samples: int, seed: int) -> np.ndarray:
     """Per-sample fidelity of a reconstructor guessing the dealer's bit.
 
@@ -422,10 +429,7 @@ def _guess_fidelity_samples(p: float, strategy: str, n_samples: int, seed: int) 
     helper bit with P(s2 = 0) = p.  Strategy "same" guesses s1 itself,
     "negate" guesses its complement; means are (1 + p)/3 and (2 - p)/3.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if strategy not in ("same", "negate"):
-        raise ValueError(f"strategy must be 'same' or 'negate', got {strategy!r}")
+    _check_guess(p, strategy)
     rng = np.random.default_rng(seed)
     phis = _sample_directions(rng, n_samples)
     p_up = (1.0 + phis[:, 2]) / 2.0
@@ -440,7 +444,6 @@ def _guess_fidelity_samples(p: float, strategy: str, n_samples: int, seed: int) 
 def dishonest_guess_fidelity(p: float, strategy: str, n_samples: int = 1_000_000, seed: int = 42) -> float:
     """Mean fidelity when the reconstructor guesses from its share alone: with the hidden bits
     of :func:`_guess_fidelity_samples` averaged out, "same" scores 1/2 - (1 - 2p) z^2 / 2."""
-    if not 0.0 <= p <= 1.0 or strategy not in ("same", "negate"):  # the reference's checks
-        raise ValueError(f"p must lie in [0, 1] and strategy be 'same' or 'negate', got {p}, {strategy!r}")
+    _check_guess(p, strategy)
     c = (2.0 * p - 1.0) / 2.0 if strategy == "same" else (1.0 - 2.0 * p) / 2.0  # "negate": 1 - the "same" score
     return _sphere_mean(np.diag([0.5, 0.0, 0.0, c]), n_samples, seed)[0]

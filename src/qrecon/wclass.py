@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import stat
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -161,11 +162,22 @@ def scatter_csv_text(n: int, seed: int = 42) -> str:
 
 
 def write_scatter_csv(path, n: int, seed: int = 42) -> None:
-    """Stream the CSV into a temporary file beside ``path`` and move it into place:
-    after any failure no file is left and an existing ``path`` keeps its bytes."""
-    chunks = scatter_csv_chunks(n, seed)
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", newline="")  # a plain open: the mode follows the umask
+    """Write the CSV to ``path``.  An absent or regular ``path`` is written through a temporary
+    file beside it, renamed into place at the end: after any failure no file is left and an
+    existing ``path`` keeps its bytes.  Anything else (a symlink, a device, a FIFO) is
+    written in place, as a plain open would."""
+    chunks, path = scatter_csv_chunks(n, seed), os.fspath(path)
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        with open(path, "w", newline="") as fh:
+            fh.writelines(chunks)
+        return
+    for k in itertools.count():  # skip names a killed run left behind
+        tmp = f"{path}.{os.getpid()}.{k}.tmp"
+        try:
+            fh = open(tmp, "x", newline="")  # a plain open: the mode follows the umask
+            break
+        except FileExistsError:
+            continue
     try:
         with fh:
             fh.writelines(chunks)

@@ -9,6 +9,7 @@ from qrecon.cli import _emit_json, main
 from qrecon.presets import preset_density
 from qrecon.states import decompose_state
 from qrecon.stateio import bloch_to_json, density_to_json, pure_to_json
+from qrecon import wclass
 from qrecon.wclass import scatter_csv_text
 
 
@@ -175,6 +176,23 @@ class TestScatter:
         # past one 8192-row block
         code, out, _ = run_cli(capsys, "scatter", "--samples", "8193", "--seed", "5")
         assert code == 0 and out == scatter_csv_text(8193, seed=5)
+
+
+    def test_stdout_failure_after_the_first_block_leaves_a_truncated_csv(self, capsys, monkeypatch):
+        real, calls = wclass._scatter_columns, []
+
+        def fail_on_second_block(lam):
+            calls.append(len(lam))
+            if len(calls) == 2:
+                raise ValueError("second block")
+            return real(lam)
+
+        monkeypatch.setattr(wclass, "_scatter_columns", fail_on_second_block)
+        code, out, err = run_cli(capsys, "scatter", "--samples", str(2 * 8192), "--seed", "8")
+        monkeypatch.undo()
+        first_block = "".join(scatter_csv_text(2 * 8192, seed=8).splitlines(keepends=True)[:1 + 8192])
+        assert code == 2 and "second block" in err
+        assert out == first_block
 
 
 class TestClassical:

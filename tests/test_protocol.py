@@ -598,9 +598,10 @@ class TestClassicalBaselines:
                 classical_baseline(n, seed=1)
             with pytest.raises(ValueError, match="n_samples"):
                 dishonest_guess_fidelity(0.5, "same", n, 1)
-        with pytest.raises(ValueError):
-            dishonest_guess_fidelity(-0.1, "same", 10, 1)
-        with pytest.raises(ValueError):
-            dishonest_guess_fidelity(1.1, "negate", 10, 1)
-        with pytest.raises(ValueError):
-            dishonest_guess_fidelity(0.5, "flip", 10, 1)
+        for guess in (dishonest_guess_fidelity, _guess_fidelity_samples):
+            with pytest.raises(ValueError, match=r"p must lie in \[0, 1\], got -0.1"):
+                guess(-0.1, "same", 10, 1)
+            with pytest.raises(ValueError, match=r"p must lie in \[0, 1\], got 1.1"):
+                guess(1.1, "negate", 10, 1)
+            with pytest.raises(ValueError, match="strategy must be 'same' or 'negate', got 'flip'"):
+                guess(0.5, "flip", 10, 1)

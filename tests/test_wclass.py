@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import os
 import re
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -252,3 +254,34 @@ class TestCSV:
         assert calls == [8192, 8192]
         assert list(tmp_path.glob("*.tmp")) == []
         assert (path.read_bytes() if path.exists() else None) == existing
+
+    def test_stale_temporary_file_is_skipped_and_kept(self, tmp_path):
+        # a killed run with the same pid left its temporary file behind
+        path = tmp_path / "scatter.csv"
+        stale = tmp_path / f"scatter.csv.{os.getpid()}.0.tmp"
+        stale.write_bytes(b"stale\n")
+        write_scatter_csv(path, 40, seed=65)
+        assert path.read_bytes() == scatter_csv_text(40, seed=65).encode()
+        assert stale.read_bytes() == b"stale\n"
+        assert sorted(tmp_path.iterdir()) == sorted([path, stale])
+
+    def test_fifo_target_is_written_in_place(self, tmp_path):
+        fifo, received = tmp_path / "scatter.fifo", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_scatter_csv(fifo, 300, seed=66)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received == [scatter_csv_text(300, seed=66).encode()]
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_symlink_target_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old bytes\n")
+        link.symlink_to(target)
+        write_scatter_csv(link, 30, seed=67)
+        assert link.is_symlink()
+        assert target.read_bytes() == scatter_csv_text(30, seed=67).encode()
+        assert sorted(tmp_path.iterdir()) == sorted([link, target])
