@@ -3,8 +3,8 @@
 Four subcommands: ``analyze`` (closed-form report for one state),
 ``oracle`` (closed forms next to a Monte Carlo protocol run),
 ``scatter`` (W-family teleportation-vs-reconstruction CSV) and
-``classical`` (no-resource baselines).  JSON goes to stdout or --out;
-exit codes: 0 success, 2 invalid input, 3 I/O failure.
+``classical`` (no-resource baselines).  Each returns its text; :func:`main`
+writes it to stdout or --out.  Exit codes: 0 success, 2 invalid input, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from .fidelity import ALL_SETTINGS, Setting, full_report, report_to_dict
 from .presets import PRESETS, preset_density
@@ -22,10 +23,12 @@ from .protocol import (
     expected_fidelity_mc,
 )
 from .states import StateValidationError, decompose_state
-from .stateio import load_state
-from .wclass import InvalidParamsError, scatter_csv_chunks, write_scatter_csv
+from .stateio import load_state, write_text
+from .wclass import InvalidParamsError, scatter_csv_chunks
 
 SETTING_CHOICES = tuple(str(s) for s in ALL_SETTINGS)
+
+MAX_SAMPLES = 10**9  # largest --samples: a mistyped count above it would run for days
 
 
 def _add_state_source(parser: argparse.ArgumentParser) -> None:
@@ -34,8 +37,14 @@ def _add_state_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--preset", choices=sorted(PRESETS), help="named resource state")
 
 
+def sample_count(text: str) -> int:
+    if (n := int(text)) > MAX_SAMPLES:  # n < 1 is left to the kernels, which name n_samples
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {n}")
+    return n
+
+
 def _add_common(parser: argparse.ArgumentParser, samples_default: int) -> None:
-    parser.add_argument("--samples", type=int, default=samples_default, metavar="N")
+    parser.add_argument("--samples", type=sample_count, default=samples_default, metavar="N")
     parser.add_argument("--seed", type=int, default=42, metavar="N")
     parser.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
@@ -46,28 +55,22 @@ def _load_input_state(args):
     return load_state(args.state)
 
 
-def _emit_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"  # bare NaN / Infinity is not JSON
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json(obj: dict) -> list[str]:
+    return [json.dumps(obj, indent=2, allow_nan=False) + "\n"]  # bare NaN / Infinity is not JSON
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> list[str]:
     rho = _load_input_state(args)
     report = full_report(rho, Setting.from_string(args.setting), eps=args.epsilon)
-    _emit_json(report_to_dict(report), args.out)
-    return 0
+    return _json(report_to_dict(report))
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> list[str]:
     rho = _load_input_state(args)
     setting = Setting.from_string(args.setting)
     mc = expected_fidelity_mc(rho, setting, n_samples=args.samples, seed=args.seed)
     bounds = closed_form_bounds(decompose_state(rho), setting)
-    payload = {
+    return _json({
         "closed_form": bounds.f_so3,
         "f_max": bounds.f_trace_norm,
         "so3_gap": bounds.so3_gap,
@@ -76,28 +79,21 @@ def cmd_oracle(args) -> int:
         "n_samples": mc.n_samples,
         "seed": mc.seed,
         "per_branch": mc.to_dict()["per_branch"],
-    }
-    _emit_json(payload, args.out)
-    return 0
+    })
 
 
-def cmd_scatter(args) -> int:
-    if args.out:
-        write_scatter_csv(args.out, args.samples, args.seed)
-    else:
-        sys.stdout.writelines(scatter_csv_chunks(args.samples, args.seed))
-    return 0
+def cmd_scatter(args) -> Iterable[str]:
+    return scatter_csv_chunks(args.samples, args.seed)
 
 
-def cmd_classical(args) -> int:
+def cmd_classical(args) -> list[str]:
+    guess = dishonest_guess_fidelity(args.p, args.strategy, args.samples, args.seed)  # checks p first
     formula = (1.0 + args.p) / 3.0 if args.strategy == "same" else (2.0 - args.p) / 3.0
-    payload = {
+    return _json({
         "honest_baseline": classical_baseline(args.samples, args.seed),
-        "guess_fidelity": dishonest_guess_fidelity(args.p, args.strategy, args.samples, args.seed),
+        "guess_fidelity": guess,
         "formula_value": formula,
-    }
-    _emit_json(payload, args.out)
-    return 0
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +137,12 @@ def main(argv=None) -> int:
         code = exc.code if exc.code is not None else 0
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        pieces = args.func(args)
+        if args.out:
+            write_text(args.out, pieces)
+        else:
+            sys.stdout.writelines(pieces)
+        return 0
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3

@@ -29,7 +29,7 @@ matrix has negative determinant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -333,16 +333,7 @@ class MCResult:
     per_branch: tuple[BranchStats, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "per_branch": [
-                {"l": b.l, "x": b.x, "probability": b.probability, "fidelity": b.fidelity}
-                for b in self.per_branch
-            ],
-        }
+        return asdict(self)
 
 
 def expected_fidelity_mc(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,

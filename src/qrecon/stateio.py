@@ -1,4 +1,4 @@
-"""JSON serialization of input states.
+"""JSON serialization of input states, and the one writer of command output.
 
 A state file is a JSON object with exactly one of three keys:
 
@@ -13,7 +13,10 @@ encodes a non-positive matrix is rejected.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import stat
 
 import numpy as np
 
@@ -70,7 +73,7 @@ def load_state(path) -> np.ndarray:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise StateFormatError(f"not valid JSON: {exc}") from exc
     return parse_state(obj)
 
@@ -90,3 +93,29 @@ def density_to_json(rho: np.ndarray) -> dict:
 
 def bloch_to_json(d: BlochDecomposition) -> dict:
     return {"bloch": {name: getattr(d, name).tolist() for name in _SHAPES}}
+
+
+def write_text(path, pieces) -> None:
+    """Write the text ``pieces`` to ``path``.  An absent or regular ``path`` is written through a
+    temporary file beside it, renamed into place at the end: after any failure no file is left and
+    an existing ``path`` keeps its bytes.  Anything else (a symlink, a device, a FIFO) is
+    written in place, as a plain open would."""
+    path = os.fspath(path)
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        with open(path, "w", newline="") as fh:
+            fh.writelines(pieces)
+        return
+    for k in itertools.count():  # skip names a killed run left behind
+        tmp = f"{path}.{os.getpid()}.{k}.tmp"
+        try:
+            fh = open(tmp, "x", newline="")  # a plain open: the mode follows the umask
+            break
+        except FileExistsError:
+            continue
+    try:
+        with fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

@@ -11,8 +11,6 @@ trace norm applied to whole stacks at once.
 from __future__ import annotations
 
 import itertools
-import os
-import stat
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -20,6 +18,7 @@ import numpy as np
 
 from .fidelity import CLASSICAL_FIDELITY, f_max_from_theta, theta_from_pair, trace_norms
 from .protocol import _direction_blocks, _sample_directions
+from .stateio import write_text
 
 NORMALIZATION_TOL = 1e-12
 
@@ -162,26 +161,5 @@ def scatter_csv_text(n: int, seed: int = 42) -> str:
 
 
 def write_scatter_csv(path, n: int, seed: int = 42) -> None:
-    """Write the CSV to ``path``.  An absent or regular ``path`` is written through a temporary
-    file beside it, renamed into place at the end: after any failure no file is left and an
-    existing ``path`` keeps its bytes.  Anything else (a symlink, a device, a FIFO) is
-    written in place, as a plain open would."""
-    chunks, path = scatter_csv_chunks(n, seed), os.fspath(path)
-    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
-        with open(path, "w", newline="") as fh:
-            fh.writelines(chunks)
-        return
-    for k in itertools.count():  # skip names a killed run left behind
-        tmp = f"{path}.{os.getpid()}.{k}.tmp"
-        try:
-            fh = open(tmp, "x", newline="")  # a plain open: the mode follows the umask
-            break
-        except FileExistsError:
-            continue
-    try:
-        with fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    """Write the CSV to ``path`` through :func:`qrecon.stateio.write_text`; n is checked first."""
+    write_text(path, scatter_csv_chunks(n, seed))

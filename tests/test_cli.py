@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qrecon.cli import _emit_json, main
+from qrecon.cli import MAX_SAMPLES, _json, main
 from qrecon.presets import preset_density
 from qrecon.states import decompose_state
 from qrecon.stateio import bloch_to_json, density_to_json, pure_to_json
@@ -68,6 +68,14 @@ class TestAnalyze:
         path.write_text("{oops")
         code, _, err = run_cli(capsys, "analyze", "--state", str(path))
         assert code == 2 and err
+
+    @pytest.mark.parametrize("depth", [500, 100_000])
+    def test_deeply_nested_state_file_exits_2(self, capsys, tmp_path, depth):
+        # 500 levels decode and fail as a shape error; 100 000 overflow the decoder's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text('{"pure": ' + "[" * depth + "]" * depth + "}")
+        code, out, err = run_cli(capsys, "analyze", "--state", str(path))
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_invalid_state_exits_2(self, capsys, tmp_path):
         path = tmp_path / "unphysical.json"
@@ -216,6 +224,13 @@ class TestClassical:
     def test_invalid_p_exits_2(self, capsys):
         assert run_cli(capsys, "classical", "--p", "1.5")[0] == 2
 
+    def test_invalid_p_exits_2_before_sampling(self, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("sampled before checking --p")
+        monkeypatch.setattr("qrecon.cli.classical_baseline", must_not_run)
+        code, out, err = run_cli(capsys, "classical", "--p", "2", "--samples", "20000000")
+        assert code == 2 and out == "" and "p must lie" in err
+
     def test_invalid_strategy_exits_2(self, capsys):
         assert run_cli(capsys, "classical", "--strategy", "flip")[0] == 2
 
@@ -228,7 +243,7 @@ class TestClassical:
 
 def test_json_output_refuses_non_finite_values(capsys):
     with pytest.raises(ValueError):
-        _emit_json({"mc_mean": float("nan")}, None)
+        _json({"mc_mean": float("nan")})
     assert capsys.readouterr().out == ""
 
 
@@ -245,6 +260,38 @@ def test_memory_error_exits_2(capsys, monkeypatch, command, kernel):
     argv = [command, "--samples", "1000"] + (["--preset", "w"] if command == "oracle" else [])
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "--samples" in err
+
+
+@pytest.mark.parametrize("command, kernels", [
+    ("oracle", ["expected_fidelity_mc"]),
+    ("scatter", ["scatter_csv_chunks"]),
+    ("classical", ["classical_baseline", "dishonest_guess_fidelity"]),
+])
+def test_samples_above_the_limit_exits_2_before_sampling(capsys, monkeypatch, command, kernels):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("sampling started")
+    for kernel in kernels:
+        monkeypatch.setattr(f"qrecon.cli.{kernel}", must_not_run)
+    argv = [command, "--samples", str(MAX_SAMPLES + 1)] + (["--preset", "w"] if command == "oracle" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and str(MAX_SAMPLES) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--preset", "wexample3", "--setting", "BCA"],
+    ["oracle", "--preset", "beta-mix", "--samples", "2000", "--seed", "3"],
+    ["classical", "--p", "0.3", "--samples", "3000"],
+    ["scatter", "--samples", "8193", "--seed", "4"],
+], ids=lambda argv: argv[0])
+def test_out_goes_through_the_one_writer(capsys, monkeypatch, tmp_path, argv):
+    # with --out, stateio.write_text gets the very text stdout would get, in one call
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    calls = []
+    monkeypatch.setattr("qrecon.cli.write_text", lambda path, pieces: calls.append((path, "".join(pieces))))
+    out = str(tmp_path / "out")
+    assert run_cli(capsys, *argv, "--out", out) == (0, "", "")
+    assert calls == [(out, stdout)]
 
 
 def test_no_arguments_exits_2(capsys):

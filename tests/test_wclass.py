@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from qrecon.cli import main
 from qrecon.fidelity import CANONICAL_SETTING, full_report, pair_correlation_for_setting, t_matrix_for_setting
 from qrecon.presets import preset_density
 from qrecon.protocol import _sample_directions
@@ -189,6 +190,18 @@ class TestScatter:
         assert region_for(2 / 3 + 1e-9) == "blue"
 
 
+def _writers(capsys, n, seed):
+    """(write to a path, the bytes it must write) for the CSV writer and for ``analyze --out``."""
+    assert main(["analyze", "--preset", "w"]) == 0
+    report = capsys.readouterr().out
+
+    def analyze(path):
+        assert main(["analyze", "--preset", "w", "--out", str(path)]) == 0
+
+    return [(lambda path: write_scatter_csv(path, n, seed=seed), scatter_csv_text(n, seed=seed).encode()),
+            (analyze, report.encode())]
+
+
 class TestCSV:
     def test_header_and_shape(self, tmp_path):
         path = tmp_path / "scatter.csv"
@@ -265,23 +278,26 @@ class TestCSV:
         assert stale.read_bytes() == b"stale\n"
         assert sorted(tmp_path.iterdir()) == sorted([path, stale])
 
-    def test_fifo_target_is_written_in_place(self, tmp_path):
-        fifo, received = tmp_path / "scatter.fifo", []
+    def test_fifo_target_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "scatter.fifo"
         os.mkfifo(fifo)
-        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
-        reader.start()
-        write_scatter_csv(fifo, 300, seed=66)
-        reader.join(timeout=30)
-        assert not reader.is_alive()
-        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-        assert received == [scatter_csv_text(300, seed=66).encode()]
-        assert list(tmp_path.iterdir()) == [fifo]
+        for write, expected in _writers(capsys, 300, seed=66):
+            received = []
+            reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+            reader.start()
+            write(fifo)
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+            assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+            assert received == [expected]
+            assert list(tmp_path.iterdir()) == [fifo]
 
-    def test_symlink_target_is_written_through(self, tmp_path):
+    def test_symlink_target_is_written_through(self, tmp_path, capsys):
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"
-        target.write_bytes(b"old bytes\n")
         link.symlink_to(target)
-        write_scatter_csv(link, 30, seed=67)
-        assert link.is_symlink()
-        assert target.read_bytes() == scatter_csv_text(30, seed=67).encode()
-        assert sorted(tmp_path.iterdir()) == sorted([link, target])
+        for write, expected in _writers(capsys, 30, seed=67):
+            target.write_bytes(b"old bytes\n")
+            write(link)
+            assert link.is_symlink()
+            assert target.read_bytes() == expected
+            assert sorted(tmp_path.iterdir()) == sorted([link, target])
