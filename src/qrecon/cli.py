@@ -4,13 +4,15 @@ Four subcommands: ``analyze`` (closed-form report for one state),
 ``oracle`` (closed forms next to a Monte Carlo protocol run),
 ``scatter`` (W-family teleportation-vs-reconstruction CSV) and
 ``classical`` (no-resource baselines).  Each returns its text; :func:`main`
-writes it to stdout or --out.  Exit codes: 0 success, 2 invalid input, 3 I/O failure.
+writes it to stdout or --out.  Exit codes: 0 success (also when a stdout reader stops
+early), 2 invalid input, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable
 
@@ -43,10 +45,16 @@ def sample_count(text: str) -> int:
     return n
 
 
+def out_path(text: str) -> str:
+    if not text:  # what an unset $OUT gives; it must not fall back to stdout
+        raise argparse.ArgumentTypeError("the path is empty")
+    return text
+
+
 def _add_common(parser: argparse.ArgumentParser, samples_default: int) -> None:
     parser.add_argument("--samples", type=sample_count, default=samples_default, metavar="N")
     parser.add_argument("--seed", type=int, default=42, metavar="N")
-    parser.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
+    parser.add_argument("--out", type=out_path, metavar="FILE", help="write output here instead of stdout")
 
 
 def _load_input_state(args):
@@ -106,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--setting", choices=SETTING_CHOICES, default="ABC")
     p_analyze.add_argument("--epsilon", type=float, default=1e-9, metavar="X",
                            help="zero threshold for the case classification")
-    p_analyze.add_argument("--out", metavar="FILE")
+    p_analyze.add_argument("--out", type=out_path, metavar="FILE", help="write output here instead of stdout")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_oracle = sub.add_parser("oracle", help="Monte Carlo protocol run against the closed forms")
@@ -138,10 +146,16 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         pieces = args.func(args)
-        if args.out:
+        if args.out is not None:
             write_text(args.out, pieces)
-        else:
+            return 0
+        try:
             sys.stdout.writelines(pieces)
+            sys.stdout.flush()  # a closed reader shows here, not at exit
+        except BrokenPipeError:  # the reader stopped early, e.g. `| head`: not a failure of ours
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit writes nowhere
+            os.close(devnull)
         return 0
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -36,9 +36,8 @@ BELL_DIAGONALS = (
 #: Branch order used everywhere: l major, x = +1 before -1.
 BRANCHES = tuple((l, x) for l in range(4) for x in (+1, -1))
 
-# per-branch Bell sign rows t_l, shape (8, 3), and x outcomes, shape (8,)
-_BRANCH_SIGNS = np.array([BELL_DIAGONALS[l] for l, _ in BRANCHES])
-_BRANCH_X = np.array([float(x) for _, x in BRANCHES])
+#: Rows diag(F_l) = -t_l: rotations (each t_l has product -1), F_0 = I, F_1..F_3 the Pauli pi-rotations.
+FRAMES = -np.array(BELL_DIAGONALS)
 
 
 @dataclass(frozen=True)
@@ -105,21 +104,26 @@ def pair_correlation_for_setting(d: BlochDecomposition, setting: Setting) -> np.
     return role_tensor(d, setting)[1:, 0, 1:]
 
 
+def singlet_matrices(P: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """M_{0,x} = -(P + x T), x = +1 then -1, as a ``(..., 2, 3, 3)`` stack.  Branch (l, x) has
+    M_{l,x} = F_l M_{0,x} (:data:`FRAMES`): same singular values, same determinant."""
+    return -np.stack([P + T, P - T], axis=-3)
+
+
 def branch_matrices(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> np.ndarray:
-    """The (8, 3, 3) stack M_{l,x} = t_l (P + x T), in :data:`BRANCHES` order.
+    """The (8, 3, 3) stack M_{l,x} = t_l (P + x T) = F_l M_{0,x}, in :data:`BRANCHES` order.
 
     t_l = diag(BELL_DIAGONALS[l]).  Branch (l, x) contributes
     Tr(M_{l,x} Omega) / 48 to the sphere-averaged fidelity under the
-    correction rotation Omega, so the SO(3) optimum, the trace-norm
-    bound and any fixed-rotation fidelity are all read off this stack.
+    correction rotation Omega; any fixed-rotation fidelity is read off this stack.
     """
     t = role_tensor(d, setting)
-    return _BRANCH_SIGNS[:, :, None] * (t[1:, 0, 1:] + _BRANCH_X[:, None, None] * t[1:, 1, 1:])
+    return (FRAMES[:, None, :, None] * singlet_matrices(t[1:, 0, 1:], t[1:, 1, 1:])).reshape(8, 3, 3)
 
 
 def theta_from_pair(P: np.ndarray, T: np.ndarray) -> np.ndarray:
     """(||P + T||_1 + ||P - T||_1) / 2 for matching ``(..., 3, 3)`` stacks."""
-    return (trace_norms(P + T) + trace_norms(P - T)) / 2.0
+    return trace_norms(singlet_matrices(P, T)).sum(axis=-1) / 2.0
 
 
 def theta(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> float:

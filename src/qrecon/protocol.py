@@ -34,7 +34,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .fidelity import BELL_DIAGONALS, BRANCHES, CANONICAL_SETTING, Setting, branch_matrices
+from .fidelity import (BELL_DIAGONALS, BRANCHES, CANONICAL_SETTING, FRAMES, Setting, branch_matrices,
+                       f_max_from_theta, role_tensor, singlet_matrices)
 from .paulis import identity2, pauli_x, paulis, pauli_vector, sigma
 from .states import BlochDecomposition, decompose_state, validate_state
 
@@ -102,30 +103,26 @@ def rotation_to_unitary(omega: np.ndarray) -> np.ndarray:
     return q[0] * identity2 - 1j * pauli_vector(q[1:])
 
 
-def optimal_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best SO(3) rotation for a branch matrix or a ``(..., 3, 3)`` stack.
+def optimal_rotation(m: np.ndarray) -> np.ndarray:
+    """Best SO(3) rotation for a branch matrix, or a rotation per matrix of a ``(..., 3, 3)`` stack.
 
     Maximizes Tr(M Omega) over rotations: with SVD M = U S V^T the
     optimum is Omega = V diag(1, 1, det(UV^T)) U^T, attaining
-    s1 + s2 + sign(det M) s3 (the trace norm when det M >= 0).  Returns
-    (omega, so3_value, trace_norm_value) with the stack's leading shape
-    (scalars for one matrix).  Degenerate singular values are resolved
-    by whatever valid SVD the backend picks; any maximizer gives the
-    same value.
+    s1 + s2 + sign(det M) s3 (the trace norm when det M >= 0).
+    Degenerate singular values are resolved by whatever valid SVD the
+    backend picks; any maximizer gives the same value.
     """
-    m = np.asarray(m, dtype=float)
-    u, s, vt = np.linalg.svd(m)
-    d = np.sign(np.linalg.det(u @ vt))  # exactly +-1: a float det would leave a few ulp in the value
+    u, s, vt = np.linalg.svd(np.asarray(m, dtype=float))
     flip = np.ones_like(s)
-    flip[..., 2] = d
-    omega = (vt.swapaxes(-1, -2) * flip[..., None, :]) @ u.swapaxes(-1, -2)
-    return omega, s[..., 0] + s[..., 1] + d * s[..., 2], s.sum(axis=-1)
+    flip[..., 2] = np.sign(np.linalg.det(u @ vt))  # exactly +-1, not a float det
+    return (vt.swapaxes(-1, -2) * flip[..., None, :]) @ u.swapaxes(-1, -2)
 
 
 def optimal_rotations(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> np.ndarray:
-    """Per-branch optimal corrections: a read-only (8, 3, 3) SO(3) stack
-    in :data:`BRANCHES` order."""
-    omegas = optimal_rotation(branch_matrices(d, setting))[0]
+    """Per-branch optimal corrections: a read-only (8, 3, 3) SO(3) stack in
+    :data:`BRANCHES` order.  M_{l,x} = F_l M_{0,x}, so Omega_{l,x} = Omega_{0,x} F_l."""
+    t = role_tensor(d, setting)
+    omegas = (optimal_rotation(singlet_matrices(t[1:, 0, 1:], t[1:, 1, 1:])) * FRAMES[:, None, None]).reshape(8, 3, 3)
     omegas.setflags(write=False)
     return omegas
 
@@ -143,9 +140,9 @@ class ClosedFormBounds:
     """The two closed-form routes, reported separately.
 
     ``f_so3`` is attainable (sums the SO(3)-restricted branch optima);
-    ``f_trace_norm`` sums the trace norms and reproduces the analytic
-    ``f_max``.  ``so3_gap = f_trace_norm - f_so3 >= 0``, nonzero exactly
-    when some branch matrix has negative determinant.
+    ``f_trace_norm`` sums the trace norms and is the analytic ``f_max``
+    to the bit.  Both read the singlet matrices M_{0,x}, whose four branches each
+    lose 2 s3 to the SO(3) restriction where det M_{0,x} < 0: ``so3_gap >= 0``.
     """
 
     f_so3: float
@@ -155,12 +152,15 @@ class ClosedFormBounds:
 
 
 def closed_form_bounds(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> ClosedFormBounds:
-    _, so3, tn = optimal_rotation(branch_matrices(d, setting))
-    so3, tn = so3.tolist(), tn.tolist()
-    f_so3 = 0.5 + sum(so3) / 48.0
-    f_tn = 0.5 + sum(tn) / 48.0
-    per_branch = tuple(BranchBound(l=l, x=x, so3_value=s, trace_norm_value=t)
-                       for (l, x), s, t in zip(BRANCHES, so3, tn))
+    t = role_tensor(d, setting)
+    m0 = singlet_matrices(t[1:, 0, 1:], t[1:, 1, 1:])
+    s = np.linalg.svd(m0, compute_uv=False)
+    tn = s.sum(axis=-1)
+    loss = np.where(np.linalg.det(m0) < 0, 2.0 * s[:, 2], 0.0)
+    f_tn = float(f_max_from_theta(tn.sum(axis=-1) / 2.0))  # theta_from_pair's steps: f_max to the bit
+    f_so3 = f_tn - float(loss.sum()) / 12.0
+    per_branch = tuple(BranchBound(l=l, x=x, so3_value=so, trace_norm_value=tv)
+                       for (l, x), so, tv in zip(BRANCHES, (tn - loss).tolist() * 4, tn.tolist() * 4))
     return ClosedFormBounds(f_so3=f_so3, f_trace_norm=f_tn, so3_gap=f_tn - f_so3, per_branch=per_branch)
 
 

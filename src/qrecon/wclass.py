@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .fidelity import CLASSICAL_FIDELITY, f_max_from_theta, theta_from_pair, trace_norms
-from .protocol import _direction_blocks, _sample_directions
+from .protocol import _direction_blocks
 from .stateio import write_text
 
 NORMALIZATION_TOL = 1e-12
@@ -94,13 +94,18 @@ def wclass_rt_closed_form(params: WClassParams) -> tuple[np.ndarray, np.ndarray]
     return r[0], t[0]
 
 
+def _param_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
+    """:func:`sample_wclass`'s rows, one block of the shared direction stream at a time; n is checked here."""
+    return map(np.abs, _direction_blocks(n, seed, 4))
+
+
 def sample_wclass(n: int, seed: int = 42) -> np.ndarray:
     """Rows of uniformly random parameter tuples (lambda0..lambda3).
 
     Uniform on the nonnegative octant of the 3-sphere: absolute values
     of normalized 4-dim Gaussians.
     """
-    return np.abs(_sample_directions(np.random.default_rng(seed), n, 4))
+    return np.concatenate(list(_param_blocks(n, seed)))
 
 
 def region_for(f_tele: float) -> str:
@@ -133,10 +138,10 @@ def record_for(params: WClassParams) -> ScatterRecord:
 
 
 def scatter_experiment(n: int, seed: int = 42) -> list[ScatterRecord]:
-    """Sample n random family members and score each one."""
-    lam = sample_wclass(n, seed)
+    """Sample n random family members and score each one, a block at a time."""
     return [
         ScatterRecord(params=WClassParams(*row), f_tele=ft, f_recon=fr, region=region)
+        for lam in _param_blocks(n, seed)
         for row, ft, fr, region in zip(lam.tolist(), *_scatter_columns(lam))
     ]
 
@@ -150,7 +155,7 @@ _CSV_ROW = ",".join(["%.12g"] * 6 + ["%s"]) + "\n"
 def scatter_csv_chunks(n: int, seed: int = 42) -> Iterator[str]:
     """The CSV in pieces: the header, then one piece per block of
     :func:`sample_wclass`'s stream.  n is checked at the call."""
-    lams = map(np.abs, _direction_blocks(n, seed, 4))
+    lams = _param_blocks(n, seed)
     pieces = ("".join(_CSV_ROW % row for row in zip(*lam.T.tolist(), *_scatter_columns(lam))) for lam in lams)
     return itertools.chain([",".join(CSV_HEADER) + "\n"], pieces)
 

@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from qrecon.cli import MAX_SAMPLES, _json, main
-from qrecon.presets import preset_density
+from qrecon.fidelity import ALL_SETTINGS
+from qrecon.presets import PRESETS, preset_density
 from qrecon.states import decompose_state
 from qrecon.stateio import bloch_to_json, density_to_json, pure_to_json
 from qrecon import wclass
@@ -147,6 +150,15 @@ class TestOracle:
         assert abs(payload["f_max"] - 8 / 9) <= 1e-10
         assert payload["so3_gap"] == pytest.approx(0.0, abs=1e-10)
         assert abs(payload["mc_mean"] - payload["closed_form"]) <= 4 * payload["mc_std_error"]
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_f_max_is_the_analyze_f_max(self, capsys, preset):
+        for setting in ALL_SETTINGS:
+            argv = ["--preset", preset, "--setting", str(setting)]
+            code_o, out_o, _ = run_cli(capsys, "oracle", *argv, "--samples", "2000")
+            code_a, out_a, _ = run_cli(capsys, "analyze", *argv)
+            assert code_o == code_a == 0
+            assert json.loads(out_o)["f_max"] == json.loads(out_a)["f_max"]
 
     def test_bad_samples_exits_2(self, capsys):
         assert run_cli(capsys, "oracle", "--preset", "ghz", "--samples", "0")[0] == 2
@@ -292,6 +304,49 @@ def test_out_goes_through_the_one_writer(capsys, monkeypatch, tmp_path, argv):
     out = str(tmp_path / "out")
     assert run_cli(capsys, *argv, "--out", out) == (0, "", "")
     assert calls == [(out, stdout)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--preset", "w"],
+    ["oracle", "--preset", "w", "--samples", "2000"],
+    ["scatter", "--samples", "100"],
+    ["classical", "--samples", "1000"],
+], ids=lambda argv: argv[0])
+def test_empty_out_path_exits_2(capsys, monkeypatch, tmp_path, argv):
+    # an unset $OUT in `--out "$OUT"` must not fall back to stdout
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--out", "")
+    assert code == 2 and out == "" and "--out" in err and "empty" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_closed_stdout_reader_exits_0_quietly():
+    # `qrecon scatter | head -1`: the reader leaves after one line, far inside the CSV
+    proc = subprocess.Popen([sys.executable, "-m", "qrecon.cli", "scatter", "--samples", "20000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0 and err == b""
+    assert header.startswith(b"lambda0,")
+
+
+def test_closed_out_fifo_reader_exits_3(capsys, tmp_path):
+    # a broken pipe on --out is still an I/O failure
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def read_one_line():
+        with open(fifo, "rb") as f:
+            f.readline()
+
+    reader = threading.Thread(target=read_one_line, daemon=True)
+    reader.start()
+    code, out, err = run_cli(capsys, "scatter", "--samples", "20000", "--out", str(fifo))
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert code == 3 and out == "" and "Broken pipe" in err
 
 
 def test_no_arguments_exits_2(capsys):

@@ -10,18 +10,21 @@ from conftest import random_density, random_pure, random_rotation
 from qrecon.fidelity import (
     ALL_SETTINGS,
     CANONICAL_SETTING,
+    FRAMES,
     Setting,
     branch_matrices,
     f_max,
     full_report,
     pair_correlation_for_setting,
+    report_from_decomposition,
     role_tensor,
+    singlet_matrices,
     t_matrix_for_setting,
     theta,
     trace_norm,
 )
 from qrecon.paulis import identity2, kron3, pauli_x, pauli_z
-from qrecon.presets import preset_density
+from qrecon.presets import PRESETS, preset_density
 from qrecon.protocol import (
     BELL_DIAGONALS,
     BRANCHES,
@@ -171,17 +174,17 @@ class TestRotations:
 
 class TestOptimalRotation:
     def test_identity_branch_matrix(self):
-        omega, so3_val, tn_val = optimal_rotation(np.eye(3))
+        omega = optimal_rotation(np.eye(3))
         np.testing.assert_allclose(omega, np.eye(3), atol=1e-12)
-        assert so3_val == pytest.approx(3.0, abs=1e-12) and tn_val == pytest.approx(3.0, abs=1e-12)
+        assert np.trace(omega) == pytest.approx(trace_norm(np.eye(3)), abs=1e-12)
 
     def test_beats_random_rotations(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
             m = rng.normal(size=(3, 3))
-            omega, so3_val, tn_val = optimal_rotation(m)
-            assert so3_val <= tn_val + 1e-12
-            assert np.trace(m @ omega) == pytest.approx(so3_val, abs=1e-10)
+            so3_val = np.trace(m @ optimal_rotation(m))
+            assert so3_val == pytest.approx(so3_value(m), abs=1e-10)
+            assert so3_val <= trace_norm(m) + 1e-12
             for _ in range(10):
                 assert np.trace(m @ random_rotation(rng)) <= so3_val + 1e-10
 
@@ -191,9 +194,14 @@ class TestOptimalRotation:
             m = rng.normal(size=(3, 3))
             if np.linalg.det(m) < 0:
                 m[:, 0] *= -1
-            _, so3_val, tn_val = optimal_rotation(m)
-            assert so3_val == pytest.approx(tn_val, abs=1e-10)
-            assert so3_val == pytest.approx(trace_norm(m), abs=1e-10)
+            assert np.trace(m @ optimal_rotation(m)) == pytest.approx(trace_norm(m), abs=1e-10)
+
+    def test_a_stack_gives_a_rotation_stack(self):
+        m = np.random.default_rng(31).normal(size=(2, 5, 3, 3))
+        omegas = optimal_rotation(m)
+        assert omegas.shape == m.shape
+        for mi, omega in zip(m.reshape(-1, 3, 3), omegas.reshape(-1, 3, 3)):
+            np.testing.assert_array_equal(omega, optimal_rotation(mi))
 
 
 class TestSimulation:
@@ -306,6 +314,7 @@ class TestClosedFormAgreement:
             raise AssertionError("the simulator evaluated a closed form")
 
         monkeypatch.setattr("qrecon.protocol.branch_matrices", refuse)
+        monkeypatch.setattr("qrecon.protocol.singlet_matrices", refuse)
         mc = expected_fidelity_mc(rho, n_samples=2000, seed=5, rotations=rots)
         exact = expected_fidelity_exact(rho, rotations=rots)
         assert abs(mc.mean - exact) <= 4 * mc.std_error
@@ -327,7 +336,7 @@ class TestClosedFormAgreement:
         for _ in range(10):
             d = decompose_state(random_density(rng))
             bounds = closed_form_bounds(d)
-            assert bounds.f_trace_norm == pytest.approx(f_max(d), abs=1e-10)
+            assert bounds.f_trace_norm == f_max(d)
 
     def test_gap_is_real_for_some_states(self):
         # fixed Ginibre seed known to produce negative-determinant branches
@@ -346,6 +355,50 @@ class TestClosedFormAgreement:
         m = branch_matrices(d, CANONICAL_SETTING)[BRANCHES.index((2, +1))]
         t2 = np.diag(BELL_DIAGONALS[2])
         np.testing.assert_allclose(m, t2 @ (np.diag([0.0, 0, 1]) + np.diag([1.0, -1.0, 0.0])), atol=1e-12)
+
+
+def so3_value(m):
+    """s1 + s2 + sign(det M) s3 from a plain SVD of one matrix."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return s[0] + s[1] + np.sign(np.linalg.det(m)) * s[2]
+
+
+class TestOneRoute:
+    """Every closed form reads the two singlet matrices; branch (l, x) is F_l M_{0,x}."""
+
+    @seed(46)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(ALL_SETTINGS))
+    def test_trace_norm_route_is_f_max_to_the_bit_property(self, draw, pure, setting):
+        rng = np.random.default_rng(draw)
+        d = decompose_state(pure_to_density(random_pure(rng)) if pure else random_density(rng))
+        bounds = closed_form_bounds(d, setting)
+        assert bounds.f_trace_norm == report_from_decomposition(d, setting).f_max
+        assert bounds.so3_gap >= 0.0
+
+    def test_frames_are_the_pauli_rotations(self):
+        for l, f in enumerate(FRAMES):
+            np.testing.assert_array_equal(np.diag(f), -np.diag(BELL_DIAGONALS[l]))
+            assert np.linalg.det(np.diag(f)) == 1.0
+        np.testing.assert_array_equal(FRAMES[0], [1.0, 1.0, 1.0])
+
+    def test_branches_are_frames_of_the_singlet_matrices(self):
+        rng = np.random.default_rng(47)
+        states = [preset_density(name) for name in sorted(PRESETS)]
+        states += [random_density(rng) for _ in range(5)] + [pure_to_density(random_pure(rng)) for _ in range(5)]
+        for rho in states:
+            d = decompose_state(rho)
+            for setting in ALL_SETTINGS:
+                P, T = pair_correlation_for_setting(d, setting), t_matrix_for_setting(d, setting)
+                m = branch_matrices(d, setting)
+                literal = [np.diag(BELL_DIAGONALS[l]) @ (P + x * T) for l, x in BRANCHES]
+                np.testing.assert_array_equal(m, literal)
+                np.testing.assert_array_equal(singlet_matrices(P, T), [m[0], m[1]])
+                omegas = optimal_rotations(d, setting)
+                for mb, omega in zip(m, omegas):
+                    assert np.trace(mb @ omega) == pytest.approx(so3_value(mb), abs=1e-12)
+                np.testing.assert_allclose(omegas @ omegas.swapaxes(1, 2), np.stack([np.eye(3)] * 8), atol=1e-12)
+                np.testing.assert_allclose(np.linalg.det(omegas), 1.0, atol=1e-12)
 
 
 class TestResearchBoundary:

@@ -18,6 +18,7 @@ from qrecon.wclass import (
     CSV_HEADER,
     NORMALIZATION_TOL,
     InvalidParamsError,
+    ScatterRecord,
     WClassParams,
     record_for,
     region_for,
@@ -150,6 +151,16 @@ class TestSampling:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             sample_wclass(0)
+
+    @pytest.mark.parametrize("n, seed", [(1, 1), (8192, 3), (2 * 8192 + 1, 3), (100_000, 42)])
+    def test_block_stream_is_one_draw(self, n, seed):
+        # samples and records read the block stream; one draw of n rows is the reference
+        lam = np.abs(_sample_directions(np.random.default_rng(seed), n, 4))
+        np.testing.assert_array_equal(sample_wclass(n, seed), lam)
+        assert scatter_experiment(n, seed) == [
+            ScatterRecord(params=WClassParams(*row), f_tele=ft, f_recon=fr, region=region)
+            for row, ft, fr, region in zip(lam.tolist(), *wclass._scatter_columns(lam))
+        ]
 
     def test_streams_are_frozen(self):
         # digests of the W scatter CSV and of the sphere sampler's directions, fixed by seed
