@@ -78,8 +78,19 @@ ALL_SETTINGS = tuple(Setting(*roles) for roles in permutations(QUBITS))
 
 
 def trace_norms(stack: np.ndarray) -> np.ndarray:
-    """Sum of singular values of each matrix in a ``(..., m, n)`` stack."""
-    return np.linalg.svd(np.asarray(stack, dtype=float), compute_uv=False).sum(axis=-1)
+    """Sum of singular values of each matrix in a ``(..., m, n)`` stack.
+
+    A real 2x2 matrix B has s1^2 + s2^2 = ||B||_F^2 and s1 s2 = |det B|,
+    so a trailing shape (2, 2) takes the exact rule sqrt(||B||_F^2 + 2 |det B|)
+    with no SVD; a non-finite entry gives a non-finite norm, without a warning.
+    Every other shape sums a values-only SVD.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if stack.shape[-2:] != (2, 2):
+        return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+    a, b, c, d = stack[..., 0, 0], stack[..., 0, 1], stack[..., 1, 0], stack[..., 1, 1]
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf are NaN, as intended
+        return np.sqrt(a * a + b * b + c * c + d * d + 2.0 * np.abs(a * d - b * c))
 
 
 def trace_norm(matrix: np.ndarray) -> float:
@@ -122,7 +133,7 @@ def branch_matrices(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING)
 
 
 def theta_from_pair(P: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """(||P + T||_1 + ||P - T||_1) / 2 for matching ``(..., 3, 3)`` stacks."""
+    """(||P + T||_1 + ||P - T||_1) / 2 for matching ``(..., m, n)`` stacks."""
     return trace_norms(singlet_matrices(P, T)).sum(axis=-1) / 2.0
 
 

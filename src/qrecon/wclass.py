@@ -5,7 +5,8 @@ nonnegative, unit-norm amplitudes.  For this family the (A, C) pair
 matrix and the assisted slice have closed forms, so the whole scatter
 experiment (teleportation fidelity against reconstruction fidelity for
 random parameter tuples) is :mod:`qrecon.fidelity`'s theta and
-trace norm applied to whole stacks at once.
+trace norm applied to whole stacks at once.  The y axis decouples, so
+those are trace norms of real 2x2 blocks, which need no SVD.
 """
 
 from __future__ import annotations
@@ -125,9 +126,12 @@ class ScatterRecord:
 def _scatter_columns(lam: np.ndarray) -> tuple[list[float], list[float], list[str]]:
     """(f_tele, f_recon, region) columns for rows of parameter tuples."""
     r, t = _rt_closed_form_batch(lam)
+    # R, T and R +- T are an (x, z) block plus the lone entry R_yy (T_yy = 0)
+    y = np.abs(r[:, 1, 1])
+    rb, tb = r[:, ::2, ::2], t[:, ::2, ::2]
     # teleportation fidelity is the same map applied to the pair's trace norm
-    f_tele = f_max_from_theta(trace_norms(r)).tolist()
-    f_recon = f_max_from_theta(theta_from_pair(r, t)).tolist()
+    f_tele = f_max_from_theta(y + trace_norms(rb)).tolist()
+    f_recon = f_max_from_theta(y + theta_from_pair(rb, tb)).tolist()
     return f_tele, f_recon, [region_for(ft) for ft in f_tele]
 
 

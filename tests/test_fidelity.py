@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -22,6 +24,7 @@ from qrecon.fidelity import (
     teleportation_fidelity,
     theta,
     trace_norm,
+    trace_norms,
 )
 from qrecon.paulis import identity2, kron3, pauli_x, pauli_y, pauli_z
 from qrecon.presets import preset_density
@@ -76,6 +79,38 @@ class TestTraceNorm:
             m = rng.normal(size=(3, 3))
             o1, o2 = random_orthogonal(rng), random_orthogonal(rng)
             assert trace_norm(o1 @ m @ o2) == pytest.approx(trace_norm(m), abs=1e-10)
+
+    def test_two_by_two_rule_matches_the_svd(self):
+        # a trailing (2, 2) takes sqrt(||B||_F^2 + 2 |det B|); the values-only SVD is the reference
+        rng = np.random.default_rng(23)
+        gauss = rng.normal(size=(20_000, 2, 2))
+        row = rng.normal(size=(500, 1, 2))
+        rank_one = np.concatenate([row, 2.0 * row], axis=1)
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=500)
+        c, s = np.cos(angle), np.sin(angle)
+        k = rng.normal(size=500)
+        rotation = k[:, None, None] * np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        scaled_orthogonal = np.concatenate([rotation, rotation * [1.0, -1.0]])
+        stack = np.concatenate([gauss, rank_one, scaled_orthogonal, np.zeros((1, 2, 2))])
+        det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
+        assert (det < 0).sum() > 5000 and (det > 0).sum() > 5000 and (det == 0).sum() == 501
+        np.testing.assert_allclose(trace_norms(stack), np.linalg.svd(stack, compute_uv=False).sum(axis=-1),
+                                   rtol=2e-15, atol=0)
+        # k times a rotation or a reflection has both singular values |k|
+        np.testing.assert_allclose(trace_norms(scaled_orthogonal), 2.0 * np.abs(np.tile(k, 2)), rtol=2e-15, atol=0)
+        assert trace_norm(np.array([[3.0, 0.0], [0.0, -4.0]])) == 7.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_two_by_two_non_finite_entry_gives_a_non_finite_norm(self, bad):
+        # never a finite number, and no warning; the other matrices in the stack keep their norms
+        stack = np.tile(np.eye(2), (6, 1, 1))
+        stack[[0, 1, 2, 3], [0, 0, 1, 1], [0, 1, 0, 1]] = bad
+        stack[4] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = trace_norms(stack)
+        assert not np.isfinite(norms[:5]).any()
+        assert norms[5] == 2.0
 
 
 class TestSlices:

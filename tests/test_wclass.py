@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from qrecon.cli import main
-from qrecon.fidelity import CANONICAL_SETTING, full_report, pair_correlation_for_setting, t_matrix_for_setting
+from qrecon.fidelity import (
+    CANONICAL_SETTING,
+    f_max_from_theta,
+    full_report,
+    pair_correlation_for_setting,
+    t_matrix_for_setting,
+    theta_from_pair,
+    trace_norms,
+)
 from qrecon.presets import preset_density
 from qrecon.protocol import _sample_directions
 from qrecon.states import decompose_state, pure_to_density
@@ -167,8 +175,8 @@ class TestSampling:
         for (n, seed), digest in {
             (2000, 42): "83f39996878223e87f72def68bc03ae11cde67948ed2c461ae37a4ed03e6acde",
             (1, 1): "ebbc88da81a46ab245498a7855cfb8620f41788adcea4f43a9c197131efa7e32",
-            (5000, 7): "d52f502f3ebcebb772da4ba3b6d9c91b78e2d544aa94c9ebb7799cc9871df8e3",
-            (2 * 8192 + 1, 3): "f0b7b9f5c6f373ce3b92723f9cbdae7145e40a400f744b4a6bcf164068c83be2",  # three blocks
+            (5000, 7): "03e2bc46a7a8f4a24c988d5c83481b38e0c70e3d721fa62b29d7ac8028f9ca0a",
+            (2 * 8192 + 1, 3): "756e1b85389bb536bdf4e734497f158c4574c2e68d5a1617e012ab1a166c3b44",  # three blocks
         }.items():
             assert hashlib.sha256(scatter_csv_text(n, seed).encode()).hexdigest() == digest
         phis = _sample_directions(np.random.default_rng(42), 1000)
@@ -199,6 +207,44 @@ class TestScatter:
     def test_region_boundary_is_orange(self):
         assert region_for(2 / 3) == "orange"
         assert region_for(2 / 3 + 1e-9) == "blue"
+
+    def test_columns_match_the_svd_route(self):
+        # the 3x3 SVDs of the full (R, T) stacks are the reference for the 2x2 blocks the columns read
+        h = np.sqrt(0.5)
+        edges = np.array([
+            [0.0, 1.0, 1.0, 1.0],  # lambda0 = 0
+            [1.0, 1.0, 1.0, 0.0],  # lambda3 = 0, so T = 0
+            [1.0, 0.0, 2.0, 0.0],  # lambda1 = lambda3 = 0
+            [1.0, 1.0, 0.0, 1.0],  # lambda2 = 0: every block has det = 0
+            [0.0, h, 0.0, h],  # R - T = 0, R + T of rank one
+            [0.5, 0.0, 0.5, h],  # lambda3^2 = 1/2: the R block has det = 0 up to rounding
+            [1.0, 0.0, 1.0, 0.0],  # R = diag(1, -1, 1), T = 0: equal singular values
+            [1.0, 1.0, 1.0, 1.0],  # the R - T block is I / 2: equal singular values
+            [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+        ])
+        lam = np.concatenate([sample_wclass(100_000, seed=57), edges / np.linalg.norm(edges, axis=1, keepdims=True)])
+        r, t = wclass._rt_closed_form_batch(lam)
+        # the premise: outside the (x, z) block, R_yy is the only nonzero entry
+        outside = np.ones((3, 3), dtype=bool)
+        outside[::2, ::2] = False
+        assert not t[:, outside].any()
+        outside[1, 1] = False
+        assert not r[:, outside].any()
+        f_tele, f_recon, region = wclass._scatter_columns(lam)
+        reference = f_max_from_theta(trace_norms(r))
+        # the f map divides a norm's error by 6: 2e-15 on the norms, plus the last bit of f
+        np.testing.assert_allclose(f_tele, reference, rtol=0, atol=4.5e-16)
+        np.testing.assert_allclose(f_recon, f_max_from_theta(theta_from_pair(r, t)), rtol=0, atol=4.5e-16)
+        assert region == [region_for(f) for f in reference]
+
+    def test_scatter_takes_no_svd(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("the W scatter called numpy.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        scatter_csv_text(2 * 8192 + 1, 3)
+        scatter_experiment(2000, 42)
+        record_for(WClassParams.normalized(0.7, 0.11, 0.09, 0.7))
 
 
 def _writers(capsys, n, seed):
