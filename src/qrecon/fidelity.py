@@ -118,7 +118,10 @@ def pair_correlation_for_setting(d: BlochDecomposition, setting: Setting) -> np.
 def singlet_matrices(P: np.ndarray, T: np.ndarray) -> np.ndarray:
     """M_{0,x} = -(P + x T), x = +1 then -1, as a ``(..., 2, 3, 3)`` stack.  Branch (l, x) has
     M_{l,x} = F_l M_{0,x} (:data:`FRAMES`): same singular values, same determinant."""
-    return -np.stack([P + T, P - T], axis=-3)
+    m = np.empty(P.shape[:-2] + (2,) + P.shape[-2:])  # P + T and P - T written in place, negated in place
+    np.add(P, T, out=m[..., 0, :, :])
+    np.subtract(P, T, out=m[..., 1, :, :])
+    return np.negative(m, out=m)
 
 
 def branch_matrices(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> np.ndarray:
@@ -243,9 +246,9 @@ def report_from_decomposition(d: BlochDecomposition, setting: Setting = CANONICA
                               eps: float = ZERO_MATRIX_EPS) -> FidelityReport:
     t = role_tensor(d, setting)
     P, T = t[1:, 0, 1:], t[1:, 1, 1:]
-    th = float(theta_from_pair(P, T))
-    r_norm = trace_norm(P)
-    q_norm = trace_norm(t[1:, 1:, 0])
+    stack = np.concatenate((singlet_matrices(P, T), P[None], t[None, 1:, 1:, 0]))  # [M_{0,+}, M_{0,-}, P, Q]
+    plus, minus, r_norm, q_norm = trace_norms(stack).tolist()  # one values-only SVD
+    th = (plus + minus) / 2.0  # theta_from_pair's steps: sum the singlet norms, then halve
     qss_ok = q_norm <= 1.0 + QSS_NORM_SLACK and r_norm <= 1.0 + QSS_NORM_SLACK and th > 1.0
     return FidelityReport(
         setting=setting,

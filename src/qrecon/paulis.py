@@ -37,11 +37,8 @@ def pauli_vector(n: np.ndarray) -> np.ndarray:
 
 
 def _build_product_basis() -> np.ndarray:
-    basis = np.empty((4, 4, 4, 8, 8), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            for x in range(4):
-                basis[m, n, x] = kron3(sigma[m], sigma[n], sigma[x])
+    s = np.stack(sigma)  # every kron3(sigma_m, sigma_n, sigma_x) at once: kron3's products, in kron3's order
+    basis = np.multiply.outer(np.multiply.outer(s, s), s).transpose(0, 3, 6, 1, 4, 7, 2, 5, 8).reshape(4, 4, 4, 8, 8)
     basis.setflags(write=False)
     return basis
 

@@ -63,6 +63,19 @@ hadamard_projectors = {
 }
 
 
+def _branch_kernel() -> np.ndarray:
+    # Tr_S[(bell_l (x) had_x)(E_mu (x) 1)] on the (dealer, assistant) pair: k[b, mu, Q, q], E = {1, sigma}/2
+    bell = np.stack(bell_projectors)[[l for l, _ in BRANCHES]].reshape(8, 2, 2, 2, 2)  # rows and columns (S, dealer)
+    had = np.stack([hadamard_projectors[x] for _, x in BRANCHES])
+    return np.einsum("zmgh,zab->zmgahb", np.einsum("ztgsh,mst->zmgh", bell, _PAULIS4 / 2.0), had).reshape(32, 16)
+
+
+#: :func:`branch_maps`' state-independent tables, read-only: 1, sigma_x, sigma_y, sigma_z, and k as a (32, 16) matrix.
+_PAULIS4 = np.stack(sigma)
+_KERNEL = _branch_kernel()
+_PAULIS4.flags.writeable = _KERNEL.flags.writeable = False
+
+
 def _so3(omega, shape: tuple[int, ...] = (8, 3, 3)) -> np.ndarray:
     """``omega`` as a float array of ``shape`` whose 3x3 blocks are special
     orthogonal to :data:`ROTATION_TOL`; ValueError otherwise."""
@@ -263,16 +276,9 @@ def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
     """
     rho = permute_to_canonical(validate_state(rho), setting)
     omegas = optimal_rotations(decompose_state(rho), CANONICAL_SETTING) if rotations is None else _so3(rotations)
-    ls, xs = zip(*BRANCHES)
-    bell = np.stack(bell_projectors)[list(ls)].reshape(8, 2, 2, 2, 2)  # rows and columns (S, dealer)
-    had = np.stack([hadamard_projectors[x] for x in xs])
-    paulis4 = np.stack(sigma)  # 1, sigma_x, sigma_y, sigma_z
-    units = paulis4 / 2.0
-    # Tr_S[(bell_l (x) had_x)(E_mu (x) 1)] on the (dealer, assistant) pair: k[b, mu, Q, q]
-    k = np.einsum("zmgh,zab->zmgahb", np.einsum("ztgsh,mst->zmgh", bell, units), had).reshape(32, 16)
     # N[b, mu] = Tr_pair[k[b, mu] rho]: rho's rows (q, c) and columns (Q, d) regrouped as (Q, q) x (c, d)
-    n = (k @ rho.reshape(4, 2, 4, 2).transpose(2, 0, 1, 3).reshape(16, 4)).reshape(8, 4, 2, 2)
-    comps = np.einsum("zmcd,ndc->zmn", n, paulis4).real  # Tr[N sigma_nu]
+    n = (_KERNEL @ rho.reshape(4, 2, 4, 2).transpose(2, 0, 1, 3).reshape(16, 4)).reshape(8, 4, 2, 2)
+    comps = np.einsum("zmcd,ndc->zmn", n, _PAULIS4).real  # Tr[N sigma_nu]
     comps[..., 1:] = comps[..., 1:] @ omegas  # (Omega^T v)_i = sum_j v_j Omega_ji
     # p = Tr N; Tr[(U N U^dag) E_nu] = comps_nu / 2
     return comps[..., 0].T, comps.transpose(1, 0, 2) / 2.0

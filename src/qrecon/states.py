@@ -135,16 +135,19 @@ class BlochDecomposition:
 
     def __post_init__(self):
         fields = {name: np.asarray(getattr(self, name), dtype=float) for name in _SLOTS}
-        t = np.empty((4, 4, 4))
-        t[0, 0, 0] = 1.0
-        ok = all(arr.shape == _SHAPES[name] for name, arr in fields.items())
-        if ok:
+        t = None
+        if all(arr.shape == _SHAPES[name] for name, arr in fields.items()):
+            t = np.empty((4, 4, 4))
+            t[0, 0, 0] = 1.0
             for name, arr in fields.items():
                 t[_SLOTS[name]] = arr
-            # Pauli expectations of a valid state cannot leave [-1, 1]; NaN fails this test too.
-            ok = np.abs(t).max() <= 1.0 + 1e-9
-        if not ok:  # name the first bad field, in declaration order
-            for name, arr in fields.items():
+        self._adopt(t, fields)
+
+    def _adopt(self, t: np.ndarray | None, fields: dict | None = None) -> "BlochDecomposition":
+        """Store ``t`` (float, (4, 4, 4), ``t[0, 0, 0] = 1``) as it is and return self.  Pauli expectations lie in
+        [-1, 1] (NaN fails that test too); else, or with no ``t`` (a bad shape), name the first bad field."""
+        if t is None or not np.abs(t).max() <= 1.0 + 1e-9:
+            for name, arr in (fields or {name: t[slot] for name, slot in _SLOTS.items()}).items():
                 if arr.shape != _SHAPES[name]:
                     raise ValueError(f"{name} must have shape {_SHAPES[name]}, got {arr.shape}")
                 peak = float(np.abs(arr).max())
@@ -156,6 +159,7 @@ class BlochDecomposition:
         object.__setattr__(self, "_tensor", t)
         for name, slot in _SLOTS.items():
             object.__setattr__(self, name, t[slot])
+        return self
 
     def coefficient_tensor(self) -> np.ndarray:
         """Full (4, 4, 4) coefficient tensor, index 0 = identity slot (read-only)."""
@@ -175,8 +179,8 @@ def decompose_state(rho: np.ndarray) -> BlochDecomposition:
     residue = float(np.abs(coeff.imag).max())
     if residue > COEFFICIENT_IMAG_TOL:
         raise NonHermitianInputError(f"coefficient imaginary residue {residue:.3e} > {COEFFICIENT_IMAG_TOL:.0e}")
-    t = coeff.real
-    return BlochDecomposition(**{name: t[slot] for name, slot in _SLOTS.items()})
+    coeff[0, 0, 0] = 1.0  # the identity slot is 1 by definition, whatever the input's trace
+    return BlochDecomposition.__new__(BlochDecomposition)._adopt(coeff.real)  # as it is: no fields to stitch
 
 
 def compose_state(decomposition: BlochDecomposition) -> np.ndarray:

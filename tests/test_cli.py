@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -251,6 +252,27 @@ class TestClassical:
         # a mean over no samples is NaN, which JSON cannot hold
         code, out, err = run_cli(capsys, "classical", "--samples", samples)
         assert code == 2 and out == "" and "n_samples" in err
+
+
+#: Preset order of the frozen digests below.
+FROZEN_PRESETS = ("ghz", "w", "wexample3", "gamma-mix", "delta-mix", "beta-mix", "mixed")
+
+
+@pytest.mark.parametrize("command, extra, digest", [
+    ("analyze", (), "b05a90ef15b09fe4f5fe394e6459454ed6bd00689b67d4298f64fa1d2efe6c87"),
+    ("oracle", ("--samples", "2000", "--seed", "7"),
+     "8939e36c565260b82b038fb1913f03ef159378ae9cb500e9c673a4b6a4be79a5"),
+])
+def test_json_stdout_is_frozen(capsys, command, extra, digest):
+    # sha256 of the stdout of every preset x setting pair, concatenated in FROZEN_PRESETS x ALL_SETTINGS order
+    assert set(FROZEN_PRESETS) == set(PRESETS)
+    h = hashlib.sha256()
+    for preset in FROZEN_PRESETS:
+        for setting in ALL_SETTINGS:
+            code, out, _ = run_cli(capsys, command, "--preset", preset, "--setting", str(setting), *extra)
+            assert code == 0
+            h.update(out.encode())
+    assert h.hexdigest() == digest
 
 
 def test_json_output_refuses_non_finite_values(capsys):

@@ -6,10 +6,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_density, random_orthogonal
+from conftest import random_density, random_orthogonal, random_pure
 from qrecon.fidelity import (
     ALL_SETTINGS,
     CANONICAL_SETTING,
+    QSS_NORM_SLACK,
     Setting,
     classify_case,
     f_max,
@@ -23,12 +24,13 @@ from qrecon.fidelity import (
     t_matrix_for_setting,
     teleportation_fidelity,
     theta,
+    theta_from_pair,
     trace_norm,
     trace_norms,
 )
 from qrecon.paulis import identity2, kron3, pauli_x, pauli_y, pauli_z
 from qrecon.presets import preset_density
-from qrecon.states import NotPSDError, decompose_state, pure_to_density
+from qrecon.states import BlochDecomposition, NotPSDError, decompose_state, pure_to_density
 
 
 def bell_ac_density():
@@ -300,3 +302,72 @@ class TestReport:
         report = full_report(preset_density("ghz"), eps=1e-6)
         assert report.epsilon == 1e-6
         assert report.case_label.epsilon == 1e-6
+
+
+def three_call_report(d, setting):
+    """theta, the two channel norms, f_max and the QSS verdict from one SVD call each."""
+    t = role_tensor(d, setting)
+    P, T = t[1:, 0, 1:], t[1:, 1, 1:]
+    th = float(theta_from_pair(P, T))
+    r_norm, q_norm = trace_norm(P), trace_norm(t[1:, 1:, 0])
+    ok = q_norm <= 1.0 + QSS_NORM_SLACK and r_norm <= 1.0 + QSS_NORM_SLACK and th > 1.0
+    return th, r_norm, q_norm, f_max_from_theta(th), ok
+
+
+def coefficient_decomposition(Q=None, R=None, tau_entries=()):
+    """Keyword-built decomposition, zero except Q, R and the given (index, value) entries of tau."""
+    tau = np.zeros((3, 3, 3))
+    for index, value in tau_entries:
+        tau[index] = value
+    zero = np.zeros((3, 3))
+    return BlochDecomposition(a=np.zeros(3), b=np.zeros(3), c=np.zeros(3), Q=zero if Q is None else Q,
+                              R=zero if R is None else R, S=zero, tau=tau)
+
+
+class TestOneSVDReport:
+    """report_from_decomposition reads theta and both channel norms off one SVD of
+    [M_{0,+}, M_{0,-}, P, Q]; every value equals the three separate calls bit for bit."""
+
+    def assert_matches_three_calls(self, d, setting):
+        th, r_norm, q_norm, fm, ok = three_call_report(d, setting)
+        report = report_from_decomposition(d, setting)
+        assert report.theta == th and report.qss.theta == th
+        assert report.qss.reconstructor_channel_norm == r_norm
+        assert report.qss.assistant_channel_norm == q_norm
+        assert report.f_max == fm
+        assert report.f_tele_dealer_reconstructor == f_max_from_theta(r_norm)
+        assert report.f_tele_dealer_assistant == f_max_from_theta(q_norm)
+        assert report.qss.ok == ok and report.quantum_advantage == (th > 1.0)
+        return report
+
+    def test_random_and_degenerate_states(self):
+        rng = np.random.default_rng(61)
+        states = [pure_to_density(random_pure(rng)) for _ in range(100)]
+        states += [random_density(rng) for _ in range(100)]
+        states += [preset_density("ghz"), preset_density("mixed")]  # isotropic with det = 0, and I/8
+        for rho in states:
+            d = decompose_state(rho)
+            for setting in ALL_SETTINGS:
+                self.assert_matches_three_calls(d, setting)
+
+    def test_theta_exactly_one(self):
+        # P = diag(1, 0, 0), T = O: theta = (1 + 1) / 2 = 1, no advantage
+        report = self.assert_matches_three_calls(coefficient_decomposition(R=np.diag([1.0, 0, 0])), CANONICAL_SETTING)
+        assert report.theta == 1.0 and not report.quantum_advantage and not report.qss.ok
+        # (|000><000| + |101><101|) / 2 has P = diag(0, 0, 1) and T = O on ABC
+        rho = np.zeros((8, 8))
+        rho[0, 0] = rho[5, 5] = 0.5
+        report = self.assert_matches_three_calls(decompose_state(rho), CANONICAL_SETTING)
+        assert report.theta == 1.0 and report.f_max == 2 / 3 and not report.quantum_advantage
+
+    @pytest.mark.parametrize("channel", ["assistant", "reconstructor"])
+    def test_qss_norm_boundary(self, channel):
+        # on ABC, P = R and the dealer-assistant pair is Q; T = tau[:, 0, :] = E_yy gives theta = 1 + ||P||_1
+        edge = 1.0 + QSS_NORM_SLACK
+        for norm, ok in ((edge, True), (np.nextafter(edge, 2.0), False)):
+            pairs = {"Q": np.diag([1.0, 0, 0]), "R": np.diag([1.0, 0, 0])}
+            pairs["Q" if channel == "assistant" else "R"] = np.diag([norm, 0, 0])
+            d = coefficient_decomposition(**pairs, tau_entries=[((1, 0, 1), 1.0)])
+            report = self.assert_matches_three_calls(d, CANONICAL_SETTING)
+            assert getattr(report.qss, f"{channel}_channel_norm") == norm
+            assert report.theta > 1.0 and report.qss.ok is ok

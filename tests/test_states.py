@@ -21,6 +21,7 @@ from qrecon.states import (
     purity,
     validate_state,
 )
+from qrecon.stateio import bloch_to_json, parse_state
 
 
 def ghz_density():
@@ -48,6 +49,16 @@ class TestPaulis:
         flat = product_basis.reshape(64, 8, 8)
         gram = np.einsum("aij,bij->ab", flat.conj(), flat)  # Tr(B_a^dag B_b)
         np.testing.assert_allclose(gram, 8 * np.eye(64), atol=1e-12)
+
+    def test_product_basis_is_the_kron3_loop(self):
+        reference = np.empty((4, 4, 4, 8, 8), dtype=complex)
+        for m in range(4):
+            for n in range(4):
+                for x in range(4):
+                    reference[m, n, x] = kron3(sigma[m], sigma[n], sigma[x])
+        np.testing.assert_array_equal(product_basis, reference)
+        assert product_basis.tobytes() == reference.tobytes()  # signed zeros too
+        assert product_basis.flags.c_contiguous and not product_basis.flags.writeable
 
     def test_kron3_ordering(self):
         # A is the most significant bit: sigma_z on A flips sign at index 4
@@ -217,6 +228,83 @@ class TestDecomposition:
         fields[field].flat[0] = bad
         with pytest.raises(StateValidationError, match="non-finite"):
             BlochDecomposition(**fields)
+
+
+ZERO_FIELDS = dict(a=(3,), b=(3,), c=(3,), Q=(3, 3), R=(3, 3), S=(3, 3), tau=(3, 3, 3))
+
+
+def zero_fields(**overrides):
+    fields = {name: np.zeros(shape) for name, shape in ZERO_FIELDS.items()}
+    fields.update(overrides)
+    return fields
+
+
+class TestDecompositionErrors:
+    """decompose_state hands its tensor over as it is; the keyword constructor assembles one.
+    Both name the first bad field in declaration order with the same class and message."""
+
+    @pytest.mark.parametrize("terms, message", [
+        ([(3.0, (pauli_x, pauli_x, pauli_x))], "tau has entry of magnitude 3.000000 outside [-1, 1]"),
+        ([(3.0, (pauli_x, pauli_x, pauli_x)), (1.5, (pauli_z, pauli_z, identity2))],
+         "Q has entry of magnitude 1.500000 outside [-1, 1]"),
+        ([(2.0, (identity2, pauli_y, identity2)), (1.25, (pauli_z, identity2, pauli_x))],
+         "b has entry of magnitude 2.000000 outside [-1, 1]"),
+    ])
+    def test_unvalidated_input_names_the_first_bad_field(self, terms, message):
+        rho = np.eye(8, dtype=complex) / 8 + sum(w * kron3(*ops) for w, ops in terms) / 8
+        with pytest.raises(ValueError) as excinfo:
+            decompose_state(rho)
+        assert excinfo.type is ValueError and str(excinfo.value) == message
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input(self, bad):
+        rho = np.eye(8, dtype=complex) / 8
+        rho[3, 5] = bad
+        with pytest.raises(StateValidationError) as excinfo:
+            decompose_state(rho)
+        assert excinfo.type is StateValidationError and str(excinfo.value) == "a has a non-finite entry"
+
+    def test_unnormalized_input_keeps_the_identity_slot(self):
+        d = decompose_state(5 * np.eye(8) / 8)
+        assert d.coefficient_tensor()[0, 0, 0] == 1.0 and not d.coefficient_tensor()[1:].any()
+
+    @pytest.mark.parametrize("build", ["tensor", "keywords"])
+    def test_fields_are_read_only_views_of_one_tensor(self, build):
+        rho = random_density(np.random.default_rng(17))
+        d = decompose_state(rho)
+        if build == "keywords":
+            d = BlochDecomposition(**{name: getattr(d, name) for name in ZERO_FIELDS})
+        t = d.coefficient_tensor()
+        assert not t.flags.writeable
+        for name in ZERO_FIELDS:
+            field = getattr(d, name)
+            assert np.shares_memory(field, t) and not field.flags.writeable
+
+    @pytest.mark.parametrize("overrides, cls, message", [
+        (dict(a=np.zeros(2)), ValueError, "a must have shape (3,), got (2,)"),
+        (dict(tau=np.zeros((3, 3))), ValueError, "tau must have shape (3, 3, 3), got (3, 3)"),
+        (dict(S=np.full((3, 3), np.nan)), StateValidationError, "S has a non-finite entry"),
+        (dict(c=np.array([0.0, -np.inf, 0.0])), StateValidationError, "c has a non-finite entry"),
+        (dict(R=np.diag([0.0, 1.5, 0.0])), ValueError, "R has entry of magnitude 1.500000 outside [-1, 1]"),
+        (dict(a=np.array([np.nan, 0, 0]), b=np.zeros(4)), StateValidationError, "a has a non-finite entry"),
+        (dict(a=np.zeros(4), b=np.array([np.nan, 0, 0])), ValueError, "a must have shape (3,), got (4,)"),
+        (dict(Q=np.eye(3) * 2, tau=np.zeros(27)), ValueError, "Q has entry of magnitude 2.000000 outside [-1, 1]"),
+    ])
+    def test_keyword_constructor_messages(self, overrides, cls, message):
+        with pytest.raises(ValueError) as excinfo:
+            BlochDecomposition(**zero_fields(**overrides))
+        assert excinfo.type is cls and str(excinfo.value) == message
+
+    @pytest.mark.parametrize("value, cls, message", [
+        (1.5, ValueError, "a has entry of magnitude 1.500000 outside [-1, 1]"),
+        (float("nan"), StateValidationError, "a has a non-finite entry"),
+    ])
+    def test_bloch_state_file_messages(self, value, cls, message):
+        block = bloch_to_json(decompose_state(np.eye(8) / 8))
+        block["bloch"]["a"][0] = value
+        with pytest.raises(ValueError) as excinfo:
+            parse_state(block)
+        assert excinfo.type is cls and str(excinfo.value) == message
 
 
 class TestPartialTrace:
