@@ -39,10 +39,23 @@ def _add_state_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--preset", choices=sorted(PRESETS), help="named resource state")
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # argparse would name the type function instead of "int"
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def sample_count(text: str) -> int:
-    if (n := int(text)) > MAX_SAMPLES:  # n < 1 is left to the kernels, which name n_samples
+    if (n := _int(text)) > MAX_SAMPLES:  # n < 1 is left to the kernels, which name n_samples
         raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {n}")
     return n
+
+
+def seed_value(text: str) -> int:
+    if (seed := _int(text)) < 0:  # numpy's generator rejects it later, without naming the flag
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
 
 
 def out_path(text: str) -> str:
@@ -53,7 +66,7 @@ def out_path(text: str) -> str:
 
 def _add_common(parser: argparse.ArgumentParser, samples_default: int) -> None:
     parser.add_argument("--samples", type=sample_count, default=samples_default, metavar="N")
-    parser.add_argument("--seed", type=int, default=42, metavar="N")
+    parser.add_argument("--seed", type=seed_value, default=42, metavar="N")
     parser.add_argument("--out", type=out_path, metavar="FILE", help="write output here instead of stdout")
 
 

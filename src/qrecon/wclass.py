@@ -31,7 +31,7 @@ class InvalidParamsError(ValueError):
     """Parameter tuple is non-finite, negative somewhere or not unit norm."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WClassParams:
     """Amplitudes (lambda0..lambda3), each finite and >= 0, squares summing to 1."""
 
@@ -54,7 +54,12 @@ class WClassParams:
         lam = np.array([lambda0, lambda1, lambda2, lambda3], dtype=float)
         if not np.isfinite(lam).all():
             raise InvalidParamsError(f"amplitudes must be finite, got {tuple(lam)}")
-        norm = float(np.linalg.norm(lam))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(lam))
+        if norm in (0.0, np.inf) and (largest := np.abs(lam).max()) > 0:
+            # the squares underflowed or overflowed; ordinary tuples skip this and keep their bits
+            lam = lam / largest
+            norm = float(np.linalg.norm(lam))
         if norm <= 0:
             raise InvalidParamsError("cannot normalize the zero tuple")
         lam = lam / norm
@@ -71,20 +76,32 @@ def wclass_state(params: WClassParams) -> np.ndarray:
     return psi
 
 
+def _xz_blocks(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, z) blocks of R and T for rows of lambda tuples, shape (n, 2, 2) each.
+
+    Outside them the only nonzero entry is R_yy = -R_xx (T_yy = 0).
+    """
+    l0, l1, l2, l3 = lam.T
+    a, b = 2.0 * l0, -2.0 * l1
+    rb, tb = np.empty((2, len(lam), 2, 2))
+    rb[:, 0, 0] = a * l2
+    rb[:, 0, 1] = a * l1
+    rb[:, 1, 0] = b * l2
+    rb[:, 1, 1] = 1.0 - 2.0 * (l1 ** 2 + l3 ** 2)
+    tb[:, 0, 0] = 0.0
+    tb[:, 0, 1] = a * l3
+    tb[:, 1, 0] = -2.0 * l2 * l3
+    tb[:, 1, 1] = b * l3
+    return rb, tb
+
+
 def _rt_closed_form_batch(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R, T) stacks for rows of lambda tuples, shape (n, 3, 3) each."""
-    l0, l1, l2, l3 = lam[:, 0], lam[:, 1], lam[:, 2], lam[:, 3]
-    n = lam.shape[0]
-    r = np.zeros((n, 3, 3))
-    r[:, 0, 0] = 2.0 * l0 * l2
-    r[:, 0, 2] = 2.0 * l0 * l1
-    r[:, 1, 1] = -2.0 * l0 * l2
-    r[:, 2, 0] = -2.0 * l1 * l2
-    r[:, 2, 2] = 1.0 - 2.0 * (l1 ** 2 + l3 ** 2)
-    t = np.zeros((n, 3, 3))
-    t[:, 0, 2] = 2.0 * l0 * l3
-    t[:, 2, 0] = -2.0 * l2 * l3
-    t[:, 2, 2] = -2.0 * l1 * l3
+    rb, tb = _xz_blocks(lam)
+    r, t = np.zeros((2, len(lam), 3, 3))
+    r[:, ::2, ::2] = rb
+    r[:, 1, 1] = -rb[:, 0, 0]
+    t[:, ::2, ::2] = tb
     return r, t
 
 
@@ -98,6 +115,17 @@ def wclass_rt_closed_form(params: WClassParams) -> tuple[np.ndarray, np.ndarray]
 def _param_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
     """:func:`sample_wclass`'s rows, one block of the shared direction stream at a time; n is checked here."""
     return map(np.abs, _direction_blocks(n, seed, 4))
+
+
+def _valid_rows(lam: np.ndarray) -> np.ndarray:
+    """:class:`WClassParams`' rule on each row of an (n, 4) block at once: True where it accepts.
+
+    The sum of squares runs left to right, as the scalar ``sum`` does, so it has the same bits.
+    """
+    l0, l1, l2, l3 = lam.T
+    with np.errstate(over="ignore"):  # an infinite square fails the norm test, as in float arithmetic
+        total = l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3
+    return (lam >= 0).all(axis=1) & ~(np.abs(total - 1.0) > NORMALIZATION_TOL)
 
 
 def sample_wclass(n: int, seed: int = 42) -> np.ndarray:
@@ -115,7 +143,7 @@ def region_for(f_tele: float) -> str:
     return "orange" if f_tele <= CLASSICAL_FIDELITY else "blue"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScatterRecord:
     params: WClassParams
     f_tele: float
@@ -123,16 +151,19 @@ class ScatterRecord:
     region: str
 
 
+#: :func:`region_for`'s two answers, indexed by f_tele <= 2/3; the column shares these objects.
+_REGIONS = np.array(["blue", "orange"], dtype=object)
+
+
 def _scatter_columns(lam: np.ndarray) -> tuple[list[float], list[float], list[str]]:
     """(f_tele, f_recon, region) columns for rows of parameter tuples."""
-    r, t = _rt_closed_form_batch(lam)
-    # R, T and R +- T are an (x, z) block plus the lone entry R_yy (T_yy = 0)
-    y = np.abs(r[:, 1, 1])
-    rb, tb = r[:, ::2, ::2], t[:, ::2, ::2]
+    # R, T and R +- T are an (x, z) block plus the lone entry |R_yy| = |R_xx|
+    rb, tb = _xz_blocks(lam)
+    y = np.abs(rb[:, 0, 0])
     # teleportation fidelity is the same map applied to the pair's trace norm
-    f_tele = f_max_from_theta(y + trace_norms(rb)).tolist()
-    f_recon = f_max_from_theta(y + theta_from_pair(rb, tb)).tolist()
-    return f_tele, f_recon, [region_for(ft) for ft in f_tele]
+    f_tele = f_max_from_theta(y + trace_norms(rb))
+    f_recon = f_max_from_theta(y + theta_from_pair(rb, tb))
+    return f_tele.tolist(), f_recon.tolist(), _REGIONS.take(f_tele <= CLASSICAL_FIDELITY).tolist()
 
 
 def record_for(params: WClassParams) -> ScatterRecord:
@@ -142,12 +173,24 @@ def record_for(params: WClassParams) -> ScatterRecord:
 
 
 def scatter_experiment(n: int, seed: int = 42) -> list[ScatterRecord]:
-    """Sample n random family members and score each one, a block at a time."""
-    return [
-        ScatterRecord(params=WClassParams(*row), f_tele=ft, f_recon=fr, region=region)
-        for lam in _param_blocks(n, seed)
-        for row, ft, fr, region in zip(lam.tolist(), *_scatter_columns(lam))
-    ]
+    """Sample n random family members and score each one, a block at a time.
+
+    Each block passes :class:`WClassParams`' rule once, as a whole; then its
+    params and records are built by setting their slots, with no per-object check.
+    """
+    new = object.__new__
+    p0, p1, p2, p3 = (getattr(WClassParams, f).__set__ for f in ("lambda0", "lambda1", "lambda2", "lambda3"))
+    r0, r1, r2, r3 = (getattr(ScatterRecord, f).__set__ for f in ("params", "f_tele", "f_recon", "region"))
+    records = []
+    for lam in _param_blocks(n, seed):
+        if not (ok := _valid_rows(lam)).all():
+            WClassParams(*lam[np.argmin(ok)].tolist())  # the same rule: raises for the first bad row
+        for (l0, l1, l2, l3), ft, fr, region in zip(lam.tolist(), *_scatter_columns(lam)):
+            params, record = new(WClassParams), new(ScatterRecord)
+            p0(params, l0), p1(params, l1), p2(params, l2), p3(params, l3)
+            r0(record, params), r1(record, ft), r2(record, fr), r3(record, region)
+            records.append(record)
+    return records
 
 
 CSV_HEADER = ("lambda0", "lambda1", "lambda2", "lambda3", "f_tele", "f_recon", "region")

@@ -311,6 +311,28 @@ def test_samples_above_the_limit_exits_2_before_sampling(capsys, monkeypatch, co
     assert code == 2 and out == "" and str(MAX_SAMPLES) in err
 
 
+@pytest.mark.parametrize("command, kernels", [
+    ("oracle", ["load_state", "expected_fidelity_mc"]),
+    ("scatter", ["scatter_csv_chunks"]),
+    ("classical", ["classical_baseline", "dishonest_guess_fidelity"]),
+])
+def test_negative_seed_exits_2_while_parsing(capsys, monkeypatch, tmp_path, command, kernels):
+    # numpy's generator would reject it only after the state was read, without naming the flag
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started")
+    for kernel in kernels:
+        monkeypatch.setattr(f"qrecon.cli.{kernel}", must_not_run)
+    argv = [command, "--seed", "-1"] + (["--state", str(tmp_path / "absent.json")] if command == "oracle" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "argument --seed: must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--seed"])
+def test_non_integer_count_names_the_flag_and_int(capsys, flag):
+    code, out, err = run_cli(capsys, "scatter", flag, "x")
+    assert code == 2 and out == "" and f"argument {flag}: invalid int value: 'x'" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--preset", "wexample3", "--setting", "BCA"],
     ["oracle", "--preset", "beta-mix", "--samples", "2000", "--seed", "3"],

@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import hashlib
 import itertools
 import os
+import pickle
 import re
 import stat
 import threading
@@ -66,6 +69,19 @@ class TestParams:
         with pytest.raises(InvalidParamsError):
             WClassParams.normalized(bad, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("row, expected", [
+        ((1e-200, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),  # the squares underflow to a zero norm
+        ((1e-320, 1e-320, 0.0, 0.0), (np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0)),
+        ((1e200, 1e200, 0.0, 0.0), (np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0)),  # the squares overflow
+        ((1e300, 0.0, 1e-300, 0.0), (1.0, 0.0, 0.0, 0.0)),
+    ])
+    def test_normalized_rescales_tuples_whose_norm_underflows_or_overflows(self, row, expected):
+        assert WClassParams.normalized(*row).as_array() == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("row", [(0.7, 0.11, 0.09, 0.7), (1.0, 2.0, 3.0, 4.0), (1e-150, 2e-150, 0.0, 1e-151)])
+    def test_normalized_keeps_the_plain_division_on_ordinary_tuples(self, row):
+        lam = np.array(row)
+        assert WClassParams.normalized(*row).as_array().tobytes() == (lam / np.linalg.norm(lam)).tobytes()
 
     @staticmethod
     def numpy_rule(row):
@@ -98,6 +114,41 @@ class TestParams:
         decisions = [self.accepts(row) for row in rows.tolist()]
         assert decisions == [self.numpy_rule(row) for row in rows.tolist()]
         assert 0 < sum(decisions) < len(decisions)
+        # scatter_experiment's rule on a whole block decides every row the same way
+        assert wclass._valid_rows(rows).tolist() == decisions
+
+    def test_block_rule_matches_the_constructor_on_special_values(self):
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300, 1.0]
+        rows = list(itertools.product(special, repeat=4))
+        rows += [(1e200, 0.0, 0.0, 0.0), (1e-200, 0.0, 0.0, 1.0), (1e154, 1e154, 0.0, 0.0), (0.6, 0.8, 0.0, 1e-300)]
+        assert wclass._valid_rows(np.array(rows)).tolist() == [self.accepts(row) for row in rows]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_block_rule_matches_the_constructor_within_ulps_of_the_tolerance(self, seed):
+        # sums of squares a few ulps from 1 +- tol: any other summation order moves some decisions
+        rng = np.random.default_rng(seed)
+        rows = np.abs(rng.normal(size=(2000, 4)))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        edge = np.where(rng.random((2000, 1)) < 0.5, -NORMALIZATION_TOL, NORMALIZATION_TOL)
+        rows *= np.sqrt(1.0 + edge + rng.uniform(-4e-16, 4e-16, size=(2000, 1)))
+        decisions = [self.accepts(row) for row in rows.tolist()]
+        assert 0 < sum(decisions) < len(decisions)
+        assert wclass._valid_rows(rows).tolist() == decisions
+
+    def test_slotted_types_copy_compare_and_stay_frozen(self):
+        p = WClassParams.normalized(0.7, 0.11, 0.09, 0.7)
+        (rec,) = scatter_experiment(1, 1)
+        for obj in (p, rec, rec.params):
+            assert not hasattr(obj, "__dict__")
+            for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert twin == obj and hash(twin) == hash(obj) and type(twin) is type(obj)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, dataclasses.fields(obj)[0].name, 0.5)
+        # == and hash compare the fields as a tuple, as for the unslotted classes
+        assert hash(p) == hash((p.lambda0, p.lambda1, p.lambda2, p.lambda3))
+        built = ScatterRecord(WClassParams(*rec.params.as_array().tolist()), rec.f_tele, rec.f_recon, rec.region)
+        assert built == rec and hash(built) == hash(rec)
+        assert hash(rec) == hash((rec.params, rec.f_tele, rec.f_recon, rec.region))
 
 
 class TestState:
@@ -169,6 +220,19 @@ class TestSampling:
             ScatterRecord(params=WClassParams(*row), f_tele=ft, f_recon=fr, region=region)
             for row, ft, fr, region in zip(lam.tolist(), *wclass._scatter_columns(lam))
         ]
+
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0, 1.0, 0.0), (0.6, 0.8, 0.0, 1e-5)], ids=["nan", "off-norm"])
+    def test_bad_block_raises_the_constructor_error_for_its_first_bad_row(self, monkeypatch, bad):
+        # the second block holds two bad rows with different messages; the first one's is raised
+        good = sample_wclass(5, seed=1)
+        other = (0.6, 0.8, 1e-3, 0.0) if np.isfinite(bad).all() else (0.6, -0.8, 0.0, 0.0)
+        with pytest.raises(InvalidParamsError) as expected:
+            WClassParams(*bad)
+        blocks = [good, np.vstack([good[:2], [bad], [other], good[2:]])]
+        monkeypatch.setattr(wclass, "_param_blocks", lambda n, seed: iter(blocks))
+        with pytest.raises(InvalidParamsError) as raised:
+            scatter_experiment(15, 1)
+        assert str(raised.value) == str(expected.value)
 
     def test_streams_are_frozen(self):
         # digests of the W scatter CSV and of the sphere sampler's directions, fixed by seed
