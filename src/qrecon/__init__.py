@@ -2,7 +2,7 @@
 
 Closed-form reconstruction and teleportation fidelities from the Bloch
 tensor, advantage-source classification, secret-sharing eligibility, a
-brute-force protocol simulator with per-branch rotation optimization,
+Monte Carlo protocol simulator with per-branch rotation optimization,
 and a W-family scatter experiment.
 """
 
@@ -31,7 +31,6 @@ from .protocol import (
     BRANCHES,
     ClosedFormBounds,
     MCResult,
-    ProtocolOutcome,
     classical_baseline,
     closed_form_bounds,
     dishonest_guess_fidelity,
@@ -41,8 +40,6 @@ from .protocol import (
     optimal_rotation,
     optimal_rotations,
     permute_to_canonical,
-    rotation_to_unitary,
-    simulate_branches,
     sphere_average_identity_check,
 )
 from .states import (

@@ -9,6 +9,7 @@ with the output state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -179,18 +180,15 @@ class CaseLabel:
     epsilon: float
 
 
-def _is_zero(matrix: np.ndarray, eps: float) -> bool:
-    return bool(np.abs(matrix).max() < eps)
+#: :func:`classify_case`'s labels, indexed by [P = O][T = O].
+_CASE_LABELS = (("case1", "case3"), ("case2", "case4"))
 
 
 def classify_case(P: np.ndarray, T: np.ndarray, eps: float = ZERO_MATRIX_EPS) -> CaseLabel:
     """Classify the advantage source by which of P, T vanish (max-abs < eps)."""
-    if not (np.isfinite(eps) and eps > 0):
+    if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    p_zero = _is_zero(P, eps)
-    t_zero = _is_zero(T, eps)
-    label = {(False, False): "case1", (True, False): "case2",
-             (False, True): "case3", (True, True): "case4"}[(p_zero, t_zero)]
+    label = _CASE_LABELS[bool(np.abs(P).max() < eps)][bool(np.abs(T).max() < eps)]
     return CaseLabel(label=label, epsilon=eps)
 
 

@@ -25,19 +25,8 @@ paulis = (pauli_x, pauli_y, pauli_z)
 sigma = (identity2, pauli_x, pauli_y, pauli_z)
 
 
-def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Kronecker product of three single-qubit operators, A slot first."""
-    return np.kron(np.kron(a, b), c)
-
-
-def pauli_vector(n: np.ndarray) -> np.ndarray:
-    """n . sigma for a real 3-vector ``n``."""
-    n = np.asarray(n, dtype=float)
-    return n[0] * pauli_x + n[1] * pauli_y + n[2] * pauli_z
-
-
 def _build_product_basis() -> np.ndarray:
-    s = np.stack(sigma)  # every kron3(sigma_m, sigma_n, sigma_x) at once: kron3's products, in kron3's order
+    s = np.stack(sigma)  # every sigma_m (x) sigma_n (x) sigma_x at once, A slot most significant
     basis = np.multiply.outer(np.multiply.outer(s, s), s).transpose(0, 3, 6, 1, 4, 7, 2, 5, 8).reshape(4, 4, 4, 8, 8)
     basis.setflags(write=False)
     return basis

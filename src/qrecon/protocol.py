@@ -1,4 +1,4 @@
-"""Brute-force protocol simulation and the rotation-optimization oracle.
+"""The fast protocol simulator and the rotation-optimization oracle.
 
 The protocol: a source qubit S carrying ``rho_S = (I + phi . sigma)/2``
 is measured jointly with the dealer qubit in the Bell basis (outcome
@@ -9,16 +9,16 @@ conditional state with ``rho_S``; the figure of merit is the average of
 the branch-weighted fidelity over a uniformly random input direction
 ``phi``.
 
-Wire order in the simulation is (S, dealer, assistant, reconstructor)
-on a 16-dimensional space; :func:`permute_to_canonical` maps any role
-assignment onto that layout first.  Corrections are SO(3) matrices
-Omega, an (8, 3, 3) stack in :data:`BRANCHES` order.
-:func:`simulate_branches` applies the 16-dim projectors and each
-Omega's SU(2) unitary literally to one ``phi``; it is the test reference
-for :func:`branch_maps`, which uses that every branch is affine in
-``rho_S``: it runs the Pauli units {1, sigma}/2 through the same kernels
-and trace once per state and rotates the reconstructor's Bloch vector,
-n -> Omega^T n, with no unitary.
+Wire order in the simulation is (S, dealer, assistant, reconstructor);
+:func:`permute_to_canonical` maps any role assignment onto that layout
+first.  Corrections are SO(3) matrices Omega, an (8, 3, 3) stack in
+:data:`BRANCHES` order.  :func:`branch_maps` is the one simulator: every
+branch is affine in ``rho_S``, so it runs the Pauli units {1, sigma}/2
+through the Bell / x-basis kernels and the partial trace once per state
+and rotates the reconstructor's Bloch vector, n -> Omega^T n, with no
+unitary.  Its test oracle, the literal 16-dimensional simulation of one
+``phi`` with each Omega's SU(2) unitary, is ``tests/reference.py`` and is
+not part of the package.
 
 Two closed-form routes are computed side by side and never merged: the
 SO(3)-restricted optimum (attainable with unitary corrections, what the
@@ -36,7 +36,7 @@ import numpy as np
 
 from .fidelity import (BELL_DIAGONALS, BRANCHES, CANONICAL_SETTING, FRAMES, Setting, branch_matrices,
                        f_max_from_theta, role_tensor, singlet_matrices)
-from .paulis import identity2, pauli_x, paulis, pauli_vector, sigma
+from .paulis import identity2, pauli_x, paulis, sigma
 from .states import BlochDecomposition, decompose_state, validate_state
 
 ROTATION_TOL = 1e-10
@@ -76,12 +76,12 @@ _KERNEL = _branch_kernel()
 _PAULIS4.flags.writeable = _KERNEL.flags.writeable = False
 
 
-def _so3(omega, shape: tuple[int, ...] = (8, 3, 3)) -> np.ndarray:
-    """``omega`` as a float array of ``shape`` whose 3x3 blocks are special
+def _so3(omega) -> np.ndarray:
+    """``omega`` as a float (8, 3, 3) array whose 3x3 blocks are special
     orthogonal to :data:`ROTATION_TOL`; ValueError otherwise."""
     omega = np.asarray(omega, dtype=float)
-    if omega.shape != shape:
-        raise ValueError(f"rotations must have shape {shape}, got {omega.shape}")
+    if omega.shape != (8, 3, 3):
+        raise ValueError(f"rotations must have shape (8, 3, 3), got {omega.shape}")
     if not np.isfinite(omega).all():
         raise ValueError("rotations must be finite")
     defect = np.abs(omega @ omega.swapaxes(-1, -2) - np.eye(3)).max()
@@ -89,31 +89,6 @@ def _so3(omega, shape: tuple[int, ...] = (8, 3, 3)) -> np.ndarray:
     if defect > ROTATION_TOL or det_error > ROTATION_TOL:
         raise ValueError(f"not special orthogonal: orthogonality defect {defect:.3e}, |det - 1| {det_error:.3e}")
     return omega
-
-
-def rotation_to_unitary(omega: np.ndarray) -> np.ndarray:
-    """SU(2) element implementing a rotation: U (n.sigma) U^dag = (Omega^T n).sigma.
-
-    Equivalently U sigma_i U^dag = sum_j Omega_ij sigma_j.  Raises
-    ValueError if ``omega`` is not a finite 3x3 special orthogonal
-    matrix to 1e-10.
-    """
-    omega = _so3(omega, (3, 3))
-    # Unit quaternion q = (w, x, y, z) of the active rotation r = Omega^T,
-    # U = w I - i (x, y, z).sigma.  k = 4 q q^T has trace 4, so its largest
-    # diagonal entry is >= 1 and that row gives q stably, also near pi.
-    r = omega.T
-    a = r - omega
-    tr = np.trace(r)
-    k = np.empty((4, 4))
-    k[0, 0] = 1.0 + tr
-    k[0, 1:] = k[1:, 0] = a[2, 1], a[0, 2], a[1, 0]
-    k[1:, 1:] = r + omega + (1.0 - tr) * np.eye(3)
-    i = int(np.argmax(np.diag(k)))
-    q = k[i] / (2.0 * np.sqrt(k[i, i]))
-    if q[0] < 0:  # q and -q give the same rotation; w >= 0 maps the identity to +I
-        q = -q
-    return q[0] * identity2 - 1j * pauli_vector(q[1:])
 
 
 def optimal_rotation(m: np.ndarray) -> np.ndarray:
@@ -192,55 +167,6 @@ def permute_to_canonical(rho: np.ndarray, setting: Setting) -> np.ndarray:
     return np.asarray(rho).reshape((2,) * 6).transpose(axes).reshape(8, 8)
 
 
-@dataclass(frozen=True)
-class ProtocolOutcome:
-    """One measurement branch: outcome pair, its probability, the
-    corrected reconstructor state (None when the branch has zero
-    probability) and the fidelity against the input."""
-
-    l: int
-    x: int
-    p_alpha: float
-    charlie_state: Optional[np.ndarray]
-    branch_fidelity: float
-
-
-def _source_state(phi: np.ndarray) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (3,) or not np.isfinite(phi).all() or abs(np.linalg.norm(phi) - 1.0) > 1e-9:
-        raise ValueError("phi must be a unit 3-vector")
-    return (identity2 + pauli_vector(phi)) / 2.0
-
-
-def simulate_branches(rho: np.ndarray, phi: np.ndarray, rotations: np.ndarray) -> list[ProtocolOutcome]:
-    """Run every measurement branch for one input direction.
-
-    ``rho`` must already be in canonical wire order (dealer, assistant,
-    reconstructor) = (A, B, C); see :func:`permute_to_canonical`.
-    ``rotations`` is an (8, 3, 3) SO(3) stack in :data:`BRANCHES` order;
-    each is applied as its SU(2) unitary.  Probabilities sum to 1;
-    zero-probability branches carry fidelity 0 and no conditional state.
-    """
-    omegas = _so3(rotations)
-    rho_s = _source_state(phi)
-    rho_tot = np.kron(rho_s, np.asarray(rho, dtype=complex))
-    outcomes = []
-    for (l, x), omega in zip(BRANCHES, omegas):
-        proj = np.kron(np.kron(bell_projectors[l], hadamard_projectors[x]), identity2)
-        conditioned = proj @ rho_tot @ proj
-        p = float(conditioned.trace().real)
-        # trace out (S, dealer, assistant), keeping the reconstructor
-        n = np.trace(conditioned.reshape(8, 2, 8, 2), axis1=0, axis2=2)
-        if p < ZERO_PROBABILITY:
-            outcomes.append(ProtocolOutcome(l=l, x=x, p_alpha=p, charlie_state=None, branch_fidelity=0.0))
-            continue
-        u = rotation_to_unitary(omega)
-        charlie = u @ (n / p) @ u.conj().T
-        fid = float(np.trace(charlie @ rho_s).real)
-        outcomes.append(ProtocolOutcome(l=l, x=x, p_alpha=p, charlie_state=charlie, branch_fidelity=fid))
-    return outcomes
-
-
 def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
     """Uniform points on the unit sphere in R^dim via normalized Gaussians."""
     if n < 1:
@@ -272,7 +198,7 @@ def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
     probability ``f . p_map[:, b]`` and weighted fidelity
     ``f . q_map[:, b, :] . f``.  A correction acts on the Pauli components
     (Tr N, Tr[N sigma]) of the reconstructor's state N as
-    U N U^dag <-> (Tr N, Omega^T Tr[N sigma]) (see :func:`rotation_to_unitary`).
+    U N U^dag <-> (Tr N, Omega^T Tr[N sigma]) for the SU(2) element U of Omega.
     """
     rho = permute_to_canonical(validate_state(rho), setting)
     omegas = optimal_rotations(decompose_state(rho), CANONICAL_SETTING) if rotations is None else _so3(rotations)

@@ -63,7 +63,7 @@ class WClassParams:
         if norm <= 0:
             raise InvalidParamsError("cannot normalize the zero tuple")
         lam = lam / norm
-        return cls(*lam)
+        return cls(*lam.tolist())
 
     def as_array(self) -> np.ndarray:
         return np.array([self.lambda0, self.lambda1, self.lambda2, self.lambda3], dtype=float)

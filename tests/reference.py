@@ -1,0 +1,110 @@
+"""The literal reference protocol: the test oracle for :func:`qrecon.protocol.branch_maps`.
+
+The source qubit S carrying ``rho_S = (I + phi . sigma)/2`` joins the
+resource state on a 16-dimensional space with wire order (S, dealer,
+assistant, reconstructor).  Each measurement branch is applied as it is
+written down: the Bell projector on (S, dealer), the x-basis projector
+on the assistant, the partial trace down to the reconstructor, and the
+correction as the SU(2) unitary of its rotation.  One input direction
+per call, no Pauli-unit tables and no shared kernel, so the comparison
+with ``branch_maps`` stays between two independent derivations.  Only
+tests import this module; it is not part of the ``qrecon`` package.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from qrecon.protocol import BRANCHES, ZERO_PROBABILITY, _so3, bell_projectors, hadamard_projectors
+from qrecon.paulis import identity2, pauli_x, pauli_y, pauli_z
+
+
+def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Kronecker product of three single-qubit operators, A slot first."""
+    return np.kron(np.kron(a, b), c)
+
+
+def pauli_vector(n: np.ndarray) -> np.ndarray:
+    """n . sigma for a real 3-vector ``n``."""
+    n = np.asarray(n, dtype=float)
+    return n[0] * pauli_x + n[1] * pauli_y + n[2] * pauli_z
+
+
+def rotation_to_unitary(omega: np.ndarray) -> np.ndarray:
+    """SU(2) element implementing a rotation: U (n.sigma) U^dag = (Omega^T n).sigma.
+
+    Equivalently U sigma_i U^dag = sum_j Omega_ij sigma_j.  Raises
+    ValueError if ``omega`` is not a finite 3x3 special orthogonal
+    matrix to 1e-10.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (3, 3):
+        raise ValueError(f"rotations must have shape (3, 3), got {omega.shape}")
+    omega = _so3(np.broadcast_to(omega, (8, 3, 3)))[0]
+    # Unit quaternion q = (w, x, y, z) of the active rotation r = Omega^T,
+    # U = w I - i (x, y, z).sigma.  k = 4 q q^T has trace 4, so its largest
+    # diagonal entry is >= 1 and that row gives q stably, also near pi.
+    r = omega.T
+    a = r - omega
+    tr = np.trace(r)
+    k = np.empty((4, 4))
+    k[0, 0] = 1.0 + tr
+    k[0, 1:] = k[1:, 0] = a[2, 1], a[0, 2], a[1, 0]
+    k[1:, 1:] = r + omega + (1.0 - tr) * np.eye(3)
+    i = int(np.argmax(np.diag(k)))
+    q = k[i] / (2.0 * np.sqrt(k[i, i]))
+    if q[0] < 0:  # q and -q give the same rotation; w >= 0 maps the identity to +I
+        q = -q
+    return q[0] * identity2 - 1j * pauli_vector(q[1:])
+
+
+@dataclass(frozen=True)
+class ProtocolOutcome:
+    """One measurement branch: outcome pair, its probability, the
+    corrected reconstructor state (None when the branch has zero
+    probability) and the fidelity against the input."""
+
+    l: int
+    x: int
+    p_alpha: float
+    charlie_state: Optional[np.ndarray]
+    branch_fidelity: float
+
+
+def _source_state(phi: np.ndarray) -> np.ndarray:
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (3,) or not np.isfinite(phi).all() or abs(np.linalg.norm(phi) - 1.0) > 1e-9:
+        raise ValueError("phi must be a unit 3-vector")
+    return (identity2 + pauli_vector(phi)) / 2.0
+
+
+def simulate_branches(rho: np.ndarray, phi: np.ndarray, rotations: np.ndarray) -> list[ProtocolOutcome]:
+    """Run every measurement branch for one input direction.
+
+    ``rho`` must already be in canonical wire order (dealer, assistant,
+    reconstructor) = (A, B, C); see :func:`qrecon.protocol.permute_to_canonical`.
+    ``rotations`` is an (8, 3, 3) SO(3) stack in ``BRANCHES`` order;
+    each is applied as its SU(2) unitary.  Probabilities sum to 1;
+    zero-probability branches carry fidelity 0 and no conditional state.
+    """
+    omegas = _so3(rotations)
+    rho_s = _source_state(phi)
+    rho_tot = np.kron(rho_s, np.asarray(rho, dtype=complex))
+    outcomes = []
+    for (l, x), omega in zip(BRANCHES, omegas):
+        proj = np.kron(np.kron(bell_projectors[l], hadamard_projectors[x]), identity2)
+        conditioned = proj @ rho_tot @ proj
+        p = float(conditioned.trace().real)
+        # trace out (S, dealer, assistant), keeping the reconstructor
+        n = np.trace(conditioned.reshape(8, 2, 8, 2), axis1=0, axis2=2)
+        if p < ZERO_PROBABILITY:
+            outcomes.append(ProtocolOutcome(l=l, x=x, p_alpha=p, charlie_state=None, branch_fidelity=0.0))
+            continue
+        u = rotation_to_unitary(omega)
+        charlie = u @ (n / p) @ u.conj().T
+        fid = float(np.trace(charlie @ rho_s).real)
+        outcomes.append(ProtocolOutcome(l=l, x=x, p_alpha=p, charlie_state=charlie, branch_fidelity=fid))
+    return outcomes

@@ -28,9 +28,10 @@ from qrecon.fidelity import (
     trace_norm,
     trace_norms,
 )
-from qrecon.paulis import identity2, kron3, pauli_x, pauli_y, pauli_z
+from qrecon.paulis import identity2, pauli_x, pauli_y, pauli_z
 from qrecon.presets import preset_density
 from qrecon.states import BlochDecomposition, NotPSDError, decompose_state, pure_to_density
+from reference import kron3
 
 
 def bell_ac_density():
@@ -232,6 +233,18 @@ class TestClassification:
         assert classify_case(tiny, big, eps=1e-13).label == "case1"
         with pytest.raises(ValueError):
             classify_case(tiny, big, eps=0.0)
+
+    @pytest.mark.parametrize("eps", [1, np.float64(1e-9), 1e-9])
+    def test_epsilon_of_any_real_scalar_type(self, eps):
+        tiny, big = np.zeros((3, 3)), np.eye(3)
+        labels = [classify_case(a, b, eps).label for a, b in ((big, big), (tiny, big), (big, tiny), (tiny, tiny))]
+        assert labels == ["case1", "case2", "case3", "case4"]
+        assert classify_case(big, big, eps).epsilon == eps
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0, -1])
+    def test_rejects_epsilon_that_is_not_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            classify_case(np.eye(3), np.eye(3), eps)
 
     def test_pair_zero_forces_teleportation_half(self):
         # convex mixing with the identity preserves the zero pair matrix

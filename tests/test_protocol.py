@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import tracemalloc
 
@@ -23,7 +25,7 @@ from qrecon.fidelity import (
     theta,
     trace_norm,
 )
-from qrecon.paulis import identity2, kron3, pauli_x, pauli_z
+from qrecon.paulis import identity2, pauli_x, pauli_z
 from qrecon.presets import PRESETS, preset_density
 from qrecon.protocol import (
     BELL_DIAGONALS,
@@ -44,12 +46,12 @@ from qrecon.protocol import (
     optimal_rotation,
     optimal_rotations,
     permute_to_canonical,
-    rotation_to_unitary,
-    simulate_branches,
     sphere_average_identity_check,
 )
 from qrecon.states import NotPSDError, decompose_state, pure_to_density
 from qrecon.wclass import write_scatter_csv
+import reference
+from reference import kron3, rotation_to_unitary, simulate_branches
 
 
 def branch_weights(rho, rots, phis):
@@ -279,6 +281,27 @@ class TestSimulation:
         outcomes = simulate_branches(rho, phi, rots)
         np.testing.assert_allclose(p[:, 0], [o.p_alpha for o in outcomes], atol=1e-10)
         np.testing.assert_allclose(w[:, 0], [o.p_alpha * o.branch_fidelity for o in outcomes], atol=1e-10)
+
+
+#: The literal simulator and its helpers, which live in tests/reference.py only.
+REFERENCE_ONLY = ("simulate_branches", "ProtocolOutcome", "_source_state", "rotation_to_unitary", "kron3", "pauli_vector")
+
+
+def test_the_package_ships_one_simulator():
+    import qrecon
+    from qrecon import paulis, protocol
+    for module in (qrecon, protocol, paulis):
+        assert [name for name in REFERENCE_ONLY if hasattr(module, name)] == [], module.__name__
+    assert set(REFERENCE_ONLY) <= set(vars(reference))
+
+
+def test_the_reference_shares_no_fast_route_machinery():
+    # every name and attribute the reference reads: the comparison stays between two independent derivations
+    tree = ast.parse(inspect.getsource(reference))
+    read = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "_so3" in read and read.isdisjoint({"branch_maps", "_KERNEL", "_quadratic"})
 
 
 class TestClosedFormAgreement:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_density, random_pure
-from qrecon.paulis import identity2, kron3, pauli_x, pauli_y, pauli_z, paulis, product_basis, sigma
+from qrecon.paulis import identity2, pauli_x, pauli_y, pauli_z, paulis, product_basis, sigma
 from qrecon.states import (
     BlochDecomposition,
     NonHermitianInputError,
@@ -22,6 +22,7 @@ from qrecon.states import (
     validate_state,
 )
 from qrecon.stateio import bloch_to_json, parse_state
+from reference import kron3
 
 
 def ghz_density():

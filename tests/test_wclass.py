@@ -83,6 +83,13 @@ class TestParams:
         lam = np.array(row)
         assert WClassParams.normalized(*row).as_array().tobytes() == (lam / np.linalg.norm(lam)).tobytes()
 
+    @pytest.mark.parametrize("row", [(1, 2, 3, 4), (0.7, 0.11, 0.09, 0.7), (1e200, 1e200, 0.0, 0.0)])
+    def test_normalized_stores_python_floats(self, row):
+        # as scatter_experiment and WClassParams(*floats) do, not numpy scalars
+        p = WClassParams.normalized(*row)
+        assert all(type(getattr(p, f.name)) is float for f in dataclasses.fields(p))
+        assert "np.float64" not in repr(p) and "np.float64" not in repr(record_for(p))
+
     @staticmethod
     def numpy_rule(row):
         """The earlier per-record check, on a numpy array."""
