@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import itertools
 import tracemalloc
@@ -559,6 +560,24 @@ class TestMonteCarlo:
         assert mc.std_error == float.fromhex("0x1.20d441d04505ap-11")
         assert classical_baseline(20_000, seed=5) == float.fromhex("0x1.54d209e87f814p-1")
         assert dishonest_guess_fidelity(0.25, "negate", 20_000, seed=5) == float.fromhex("0x1.2a6904f43fc0bp-1")
+
+    def test_multi_block_values_are_frozen(self):
+        # three blocks of the direction stream, merged: every reported bit is pinned
+        def digest(mc):
+            values = [mc.mean, mc.std_error] + [b.probability for b in mc.per_branch] + [b.fidelity for b in mc.per_branch]
+            return hashlib.sha256(repr(tuple(values)).encode()).hexdigest()
+
+        rho, n = preset_density("beta-mix"), 2 * 8192 + 5
+        rng = np.random.default_rng(46)
+        rots = np.stack([random_rotation(rng) for _ in range(8)])
+        assert digest(expected_fidelity_mc(rho, n_samples=n, seed=7)) == (
+            "47942b1a2d213027999c7df1da1b27007e15147f26b63270461135aa269c0d45")
+        assert digest(expected_fidelity_mc(rho, n_samples=n, seed=7, rotations=rots)) == (
+            "4a631b08eac03a5847c9785f14f8d965522194bd7a0cd623cf6f480371106075")
+        y = np.array([[2.0, 0.5, -0.25], [0.5, -1.0, 0.75], [-0.25, 0.75, 0.5]])
+        check = sphere_average_identity_check(y, n_samples=2 * 8192 + 7, seed=11)
+        assert check.lhs == float.fromhex("0x1.02119c7829593p-1")
+        assert check.std_error == float.fromhex("0x1.d1a8ee2781b6ep-8")
 
     def test_suboptimal_rotations_stay_below_f_max(self):
         rng = np.random.default_rng(43)

@@ -253,6 +253,9 @@ class TestSampling:
         phis = _sample_directions(np.random.default_rng(42), 1000)
         assert hashlib.sha256(phis.tobytes()).hexdigest() == (
             "c9ee1a136b5e1385aba654199626253f4c06bab49c73895bbc5f90f61bdb4f5d")
+        lam = sample_wclass(2 * 8192 + 1, seed=8)  # three blocks
+        assert hashlib.sha256(lam.tobytes()).hexdigest() == (
+            "a6e270c2b987a5cc1890a2b55cee73136db6a0829e162307c9c53b7843ec02a7")
 
 
 class TestScatter:
