@@ -30,7 +30,7 @@ matrix has negative determinant).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -73,7 +73,9 @@ def _branch_kernel() -> np.ndarray:
 #: :func:`branch_maps`' state-independent tables, read-only: 1, sigma_x, sigma_y, sigma_z, and k as a (32, 16) matrix.
 _PAULIS4 = np.stack(sigma)
 _KERNEL = _branch_kernel()
-_PAULIS4.flags.writeable = _KERNEL.flags.writeable = False
+#: The six axis directions +-e_i, read-only: the quadratic form's sphere average is its mean over them.
+_AXES = np.vstack([np.eye(3), -np.eye(3)])
+_PAULIS4.flags.writeable = _KERNEL.flags.writeable = _AXES.flags.writeable = False
 
 
 def _so3(omega) -> np.ndarray:
@@ -167,25 +169,50 @@ def permute_to_canonical(rho: np.ndarray, setting: Setting) -> np.ndarray:
     return np.asarray(rho).reshape((2,) * 6).transpose(axes).reshape(8, 8)
 
 
+def _row_norms(v: np.ndarray, out: np.ndarray, square: np.ndarray) -> None:
+    # np.linalg.norm(v, axis=1) to the bit: it adds the squared columns left to right, (x0^2 + x1^2) + x2^2
+    np.multiply(v[:, 0], v[:, 0], out=out)
+    for k in range(1, v.shape[1]):
+        out += np.multiply(v[:, k], v[:, k], out=square)
+    np.sqrt(out, out=out)
+
+
+def _unit_rows(rng: np.random.Generator, v: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Fill ``v`` with normalized Gaussian rows drawn from ``rng`` and return it; ``work`` is (2, len(v)) scratch.
+
+    The bytes are those of ``rng.normal(size=v.shape)`` divided by ``np.linalg.norm`` of each row, with a
+    row of norm below 1e-12 redrawn from the same stream.
+    """
+    norms, square = work
+    rng.standard_normal(out=v)
+    v += 0.0  # normal() returns 0 + 1 z, which turns a -0.0 into +0.0
+    _row_norms(v, norms, square)
+    while norms.min() < 1e-12:
+        bad = norms < 1e-12
+        v[bad] = rng.normal(size=(int(bad.sum()), v.shape[1]))
+        _row_norms(v, norms, square)
+    for k in range(v.shape[1]):
+        v[:, k] /= norms
+    return v
+
+
 def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
     """Uniform points on the unit sphere in R^dim via normalized Gaussians."""
     if n < 1:
         raise ValueError(f"n_samples must be >= 1, got {n}")
-    v = rng.normal(size=(n, dim))
-    norms = np.linalg.norm(v, axis=1)
-    while np.any(norms < 1e-12):  # pragma: no cover - probability zero
-        bad = norms < 1e-12
-        v[bad] = rng.normal(size=(int(bad.sum()), dim))
-        norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None]
+    return _unit_rows(rng, np.empty((n, dim)), np.empty((2, n)))
 
 
 def _direction_blocks(n: int, seed: int, dim: int = 3) -> Iterator[np.ndarray]:
-    """The n directions of one ``default_rng(seed)`` draw, :data:`_BLOCK` rows at a time; n is checked here."""
+    """The n directions of one ``default_rng(seed)`` draw, :data:`_BLOCK` rows at a time; n is checked here.
+
+    Every block is a view of one buffer that the next block overwrites: copy a block to keep it.
+    """
     if n < 1:
         raise ValueError(f"n_samples must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    return (_sample_directions(rng, min(_BLOCK, n - start), dim) for start in range(0, n, _BLOCK))
+    v, work = np.empty((min(n, _BLOCK), dim)), np.empty((2, min(n, _BLOCK)))
+    return (_unit_rows(rng, v[:n - start], work[:, :n - start]) for start in range(0, n, _BLOCK))
 
 
 def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
@@ -210,37 +237,61 @@ def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
     return comps[..., 0].T, comps.transpose(1, 0, 2) / 2.0
 
 
-def _affine(table: Sequence[np.ndarray], phis_t: np.ndarray) -> np.ndarray:
-    # table[0] + sum_i phis_t[i] table[1 + i], elementwise: a row's value does not depend on the rows beside it
-    out = table[0] + phis_t[0] * table[1]
-    out += phis_t[1] * table[2]
-    out += phis_t[2] * table[3]
+def _quadratic_form(y: np.ndarray, p: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """f^T y f, f = (1, phi), for the directions whose x, y and z coordinates are the rows of ``p``,
+    written into ``out`` and returned; ``work`` is (2, len(out)) scratch.
+
+    For phi = (p_0, p_1, p_2) and a_nu = ((y[0, nu] + p_0 y[1, nu]) + p_1 y[2, nu]) + p_2 y[3, nu] the form is
+    ((a_0 + p_0 a_1) + p_1 a_2) + p_2 a_3, every step elementwise: a row's value does not depend on the rows
+    beside it.
+    """
+    a, term = work
+    y0, y1, y2, y3 = y.tolist()
+    for nu in range(4):
+        acc = out if nu == 0 else a
+        np.multiply(p[0], y1[nu], out=acc)
+        acc += y0[nu]
+        acc += np.multiply(p[1], y2[nu], out=term)
+        acc += np.multiply(p[2], y3[nu], out=term)
+        if nu:
+            acc *= p[nu - 1]
+            out += acc
     return out
 
 
 def _quadratic(y: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """f^T y f for each row phi of ``phis``, f = (1, phi), as one (n,) array."""
-    phis_t = np.ascontiguousarray(phis.T)
-    return _affine([_affine(y[:, nu], phis_t) for nu in range(4)], phis_t)
+    """f^T y f for each row phi of ``phis``, f = (1, phi), as one new (n,) array."""
+    return _quadratic_form(y, np.ascontiguousarray(phis.T), np.empty(len(phis)), np.empty((2, len(phis))))
 
 
 def _sphere_mean(y: np.ndarray, n_samples: int, seed: int) -> tuple[float, float, np.ndarray]:
     """Monte Carlo sphere average of f^T y f, f = (1, phi), for a (4, 4) ``y``:
     (mean, std_error, moments = sum f f^T).  Each block's two-pass mean and squared deviations
-    merge into a running (count, mean, M2) (Chan et al.): one block gives the two-pass values."""
+    merge into a running (count, mean, M2) (Chan et al.): one block gives the two-pass values.
+
+    One workspace, allocated per call, serves every block: the rows f (column 0 stays 1), phi's
+    coordinates as contiguous rows for the quadratic form, and the form's values and scratch.
+    """
+    blocks = _direction_blocks(n_samples, seed)
+    m = min(n_samples, _BLOCK)
+    f, coords, values, work = np.ones((m, 4)), np.empty((3, m)), np.empty(m), np.empty((2, m))
     count, mean, m2 = 0, 0.0, 0.0
     moments = np.zeros((4, 4))
-    for phis in _direction_blocks(n_samples, seed):
-        totals = _quadratic(y, phis)
-        b, block_mean = len(totals), float(totals.mean())
+    for phis in blocks:
+        b = len(phis)
+        fb, p = f[:b], coords[:, :b]
+        np.copyto(p, phis.T)
+        for k in range(3):
+            np.copyto(fb[:, 1 + k], p[k])
+        totals = _quadratic_form(y, p, values[:b], work[:, :b])
+        block_mean = float(totals.mean())
         totals -= block_mean
         totals *= totals
         count += b
         delta = block_mean - mean
         mean += delta * (b / count)
         m2 += float(totals.sum()) + delta * delta * ((count - b) * b / count)
-        f = np.hstack([np.ones((b, 1)), phis])
-        moments += f.T @ f
+        moments += fb.T @ fb
     std_error = float(np.sqrt(m2 / (n_samples - 1)) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return mean, std_error, moments
 
@@ -285,12 +336,11 @@ def expected_fidelity_mc(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     p_map, q_map = branch_maps(rho, setting, rotations)
     mean, std_error, moments = _sphere_mean(q_map.sum(axis=1), n_samples, seed)
-    p_sums = moments[0] @ p_map
-    w_sums = np.einsum("mbn,mn->b", q_map, moments)
+    p_sums = (moments[0] @ p_map).tolist()
+    w_sums = np.einsum("mbn,mn->b", q_map, moments).tolist()
     per_branch = tuple(
-        BranchStats(l=l, x=x, probability=float(p_sums[i] / n_samples),
-                    fidelity=float(w_sums[i] / p_sums[i]) if p_sums[i] > ZERO_PROBABILITY else 0.0)
-        for i, (l, x) in enumerate(BRANCHES)
+        BranchStats(l=l, x=x, probability=p / n_samples, fidelity=w / p if p > ZERO_PROBABILITY else 0.0)
+        for (l, x), p, w in zip(BRANCHES, p_sums, w_sums)
     )
     return MCResult(mean=mean, std_error=std_error, n_samples=n_samples, seed=seed, per_branch=per_branch)
 
@@ -305,7 +355,7 @@ def expected_fidelity_exact(rho: np.ndarray, setting: Setting = CANONICAL_SETTIN
     cross-check both the Monte Carlo and the closed forms.
     """
     q_map = branch_maps(rho, setting, rotations)[1]
-    return float(_quadratic(q_map.sum(axis=1), np.vstack([np.eye(3), -np.eye(3)])).mean())
+    return float(_quadratic(q_map.sum(axis=1), _AXES).mean())
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,10 @@ def wclass_rt_closed_form(params: WClassParams) -> tuple[np.ndarray, np.ndarray]
 
 
 def _param_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
-    """:func:`sample_wclass`'s rows, one block of the shared direction stream at a time; n is checked here."""
+    """:func:`sample_wclass`'s rows, one block of the shared direction stream at a time; n is checked here.
+
+    ``np.abs`` copies each block out of the stream's buffer, which the next block overwrites.
+    """
     return map(np.abs, _direction_blocks(n, seed, 4))
 
 

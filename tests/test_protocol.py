@@ -33,6 +33,7 @@ from qrecon.protocol import (
     BRANCHES,
     _guess_fidelity_samples,
     _quadratic,
+    _direction_blocks,
     _sample_directions,
     _sphere_mean,
     bell_projectors,
@@ -502,6 +503,86 @@ class TestSettingsPermutation:
     def test_canonical_permutation_is_identity(self):
         rho = preset_density("w")
         np.testing.assert_allclose(permute_to_canonical(rho, CANONICAL_SETTING), rho, atol=0)
+
+
+def literal_directions(rng, n, dim):
+    """The sampler's rule written out: normal rows, rows of norm below 1e-12 redrawn, then each divided by its norm."""
+    v = rng.normal(size=(n, dim))
+    norms = np.linalg.norm(v, axis=1)
+    while np.any(norms < 1e-12):
+        bad = norms < 1e-12
+        v[bad] = rng.normal(size=(int(bad.sum()), dim))
+        norms = np.linalg.norm(v, axis=1)
+    return v / norms[:, None]
+
+
+class DegenerateFirstDraw:
+    """``default_rng(seed)``'s stream, except that the first draw's row 1 is zero and its row 5 has norm 1e-13."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.PCG64(seed))  # default_rng's stream, even while it is patched
+        self.draws = []
+
+    def _drawn(self, v):
+        if not self.draws:
+            v[1] = 0.0
+            v[5] *= 1e-13 / np.linalg.norm(v[5])
+        self.draws.append(v.shape)
+        return v
+
+    def standard_normal(self, size=None, out=None):
+        return self._drawn(self.rng.standard_normal(size=size, out=out))
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return self._drawn(self.rng.normal(loc, scale, size))
+
+
+class TestDirections:
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("n", [1, 1000, 8193])
+    def test_sampler_is_the_literal_rule(self, n, dim):
+        for seed in (0, 42):
+            got = _sample_directions(np.random.default_rng(seed), n, dim)
+            assert got.tobytes() == literal_directions(np.random.default_rng(seed), n, dim).tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_degenerate_rows_are_redrawn_from_the_same_stream(self, monkeypatch, dim):
+        n = 300
+        rng = DegenerateFirstDraw(7)
+        got = _sample_directions(rng, n, dim)
+        reference = DegenerateFirstDraw(7)
+        assert got.tobytes() == literal_directions(reference, n, dim).tobytes()
+        assert rng.draws == reference.draws == [(n, dim), (2, dim)]  # one redraw, of the two bad rows
+        # across blocks: the redraw comes before the second block's draw, as in one literal draw per block
+        n = 2 * 8192 + 3
+        monkeypatch.setattr(np.random, "default_rng", DegenerateFirstDraw)
+        got = np.concatenate([block.copy() for block in _direction_blocks(n, 7, dim)])
+        reference = DegenerateFirstDraw(7)
+        expected = np.concatenate([literal_directions(reference, b, dim) for b in (8192, 8192, 3)])
+        assert got.tobytes() == expected.tobytes()
+        assert reference.draws == [(8192, dim), (2, dim), (8192, dim), (3, dim)]
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_blocks_are_views_of_one_buffer(self, dim):
+        # a consumer that keeps a block must copy it; the copies are one draw of n rows
+        n, first, copies = 2 * 8192 + 7, None, []
+        for block in _direction_blocks(n, 5, dim):
+            first = block if first is None else first
+            assert np.shares_memory(block, first)
+            copies.append(block.copy())
+        assert [len(c) for c in copies] == [8192, 8192, 7]
+        assert np.concatenate(copies).tobytes() == _sample_directions(np.random.default_rng(5), n, dim).tobytes()
+
+    def test_standard_normal_plus_zero_is_normal(self):
+        # the sampler draws with standard_normal(out=) and adds 0.0, as normal() computes 0 + 1 z
+        for seed in range(100):
+            out = np.empty((257, 3))
+            np.random.default_rng(seed).standard_normal(out=out)
+            out += 0.0
+            assert out.tobytes() == np.random.default_rng(seed).normal(size=(257, 3)).tobytes()
+        z = np.array([-0.0])
+        z += 0.0
+        assert z.tobytes() == np.array([0.0]).tobytes()
 
 
 class TestMonteCarlo:
