@@ -275,6 +275,20 @@ def test_json_stdout_is_frozen(capsys, command, extra, digest):
     assert h.hexdigest() == digest
 
 
+def test_classical_stdout_is_frozen(capsys):
+    # sha256 of the stdout of every (samples, p, strategy) run, concatenated in that nesting order:
+    # one row, one block plus one, and three blocks of the direction stream
+    h = hashlib.sha256()
+    for n in (1, 8193, 2 * 8192 + 5):
+        for p in ("0", "0.25", "0.5", "1"):
+            for strategy in ("same", "negate"):
+                code, out, _ = run_cli(capsys, "classical", "--p", p, "--strategy", strategy,
+                                       "--samples", str(n), "--seed", "42")
+                assert code == 0
+                h.update(out.encode())
+    assert h.hexdigest() == "08450c4c37bd33020794b5323cee88361f8c86b99d1a33b93f2f38e038922316"
+
+
 def test_json_output_refuses_non_finite_values(capsys):
     with pytest.raises(ValueError):
         _json({"mc_mean": float("nan")})
