@@ -32,6 +32,7 @@ from .protocol import (
     ClosedFormBounds,
     MCResult,
     classical_baseline,
+    classical_fidelities,
     closed_form_bounds,
     dishonest_guess_fidelity,
     expected_fidelity_exact,

@@ -18,12 +18,7 @@ from typing import Iterable
 
 from .fidelity import ALL_SETTINGS, Setting, full_report, report_to_dict
 from .presets import PRESETS, preset_density
-from .protocol import (
-    classical_baseline,
-    closed_form_bounds,
-    dishonest_guess_fidelity,
-    expected_fidelity_mc,
-)
+from .protocol import classical_fidelities, closed_form_bounds, expected_fidelity_mc
 from .states import StateValidationError, decompose_state
 from .stateio import load_state, write_text
 from .wclass import InvalidParamsError, scatter_csv_chunks
@@ -108,10 +103,10 @@ def cmd_scatter(args) -> Iterable[str]:
 
 
 def cmd_classical(args) -> list[str]:
-    guess = dishonest_guess_fidelity(args.p, args.strategy, args.samples, args.seed)  # checks p first
+    honest, guess = classical_fidelities(args.p, args.strategy, args.samples, args.seed)  # checks p first
     formula = (1.0 + args.p) / 3.0 if args.strategy == "same" else (2.0 - args.p) / 3.0
     return _json({
-        "honest_baseline": classical_baseline(args.samples, args.seed),
+        "honest_baseline": honest,
         "guess_fidelity": guess,
         "formula_value": formula,
     })

@@ -264,36 +264,40 @@ def _quadratic(y: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return _quadratic_form(y, np.ascontiguousarray(phis.T), np.empty(len(phis)), np.empty((2, len(phis))))
 
 
-def _sphere_mean(y: np.ndarray, n_samples: int, seed: int) -> tuple[float, float, np.ndarray]:
-    """Monte Carlo sphere average of f^T y f, f = (1, phi), for a (4, 4) ``y``:
-    (mean, std_error, moments = sum f f^T).  Each block's two-pass mean and squared deviations
-    merge into a running (count, mean, M2) (Chan et al.): one block gives the two-pass values.
+def _sphere_mean(ys: np.ndarray, n_samples: int, seed: int) -> tuple[float | list, float | list, np.ndarray]:
+    """Monte Carlo sphere averages of f^T y f, f = (1, phi), for ``ys`` one (4, 4) form y or a (k, 4, 4)
+    stack, all on one pass of the direction stream: (mean, std_error, moments = sum f f^T), where
+    mean and std_error are a float for one form and a list of k floats for a stack.  Each form's block
+    two-pass mean and squared deviations merge into its running (count, mean, M2) (Chan et al.): one
+    block gives the two-pass values, and a form's result does not depend on the forms beside it.
 
     One workspace, allocated per call, serves every block: the rows f (column 0 stays 1), phi's
-    coordinates as contiguous rows for the quadratic form, and the form's values and scratch.
+    coordinates as contiguous rows for the quadratic form, and one row of values per form and scratch.
     """
     blocks = _direction_blocks(n_samples, seed)
+    shape, ys = ys.shape[:-2], ys.reshape(-1, 4, 4)
     m = min(n_samples, _BLOCK)
-    f, coords, values, work = np.ones((m, 4)), np.empty((3, m)), np.empty(m), np.empty((2, m))
-    count, mean, m2 = 0, 0.0, 0.0
+    f, coords, values, work = np.ones((m, 4)), np.empty((3, m)), np.empty((len(ys), m)), np.empty((2, m))
+    count, mean, m2 = 0, np.zeros(len(ys)), np.zeros(len(ys))
     moments = np.zeros((4, 4))
     for phis in blocks:
         b = len(phis)
-        fb, p = f[:b], coords[:, :b]
+        fb, p, totals = f[:b], coords[:, :b], values[:, :b]
         np.copyto(p, phis.T)
         for k in range(3):
             np.copyto(fb[:, 1 + k], p[k])
-        totals = _quadratic_form(y, p, values[:b], work[:, :b])
-        block_mean = float(totals.mean())
-        totals -= block_mean
+        for y, row in zip(ys, totals):
+            _quadratic_form(y, p, row, work[:, :b])
+        block_mean = totals.sum(axis=1) / b  # the bits of totals.mean(axis=1), without its overhead
+        totals -= block_mean[:, None]
         totals *= totals
         count += b
         delta = block_mean - mean
         mean += delta * (b / count)
-        m2 += float(totals.sum()) + delta * delta * ((count - b) * b / count)
+        m2 += totals.sum(axis=1) + delta * delta * ((count - b) * b / count)
         moments += fb.T @ fb
-    std_error = float(np.sqrt(m2 / (n_samples - 1)) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return mean, std_error, moments
+    std_error = np.sqrt(m2 / (n_samples - 1)) / np.sqrt(n_samples) if n_samples > 1 else np.zeros(len(ys))
+    return mean.reshape(shape).tolist(), std_error.reshape(shape).tolist(), moments
 
 
 @dataclass(frozen=True)
@@ -384,8 +388,8 @@ def sphere_average_identity_check(y: np.ndarray, n_samples: int = 100_000, seed:
 def classical_baseline(n_samples: int = 1_000_000, seed: int = 42) -> float:
     """Monte Carlo mean fidelity of the best classical strategy
     (measure along z, resend the outcome state: fidelity (1 + z^2) / 2);
-    averages to 2/3 over uniform inputs."""
-    return _sphere_mean(np.diag([0.5, 0.0, 0.0, 0.5]), n_samples, seed)[0]
+    averages to 2/3 over uniform inputs.  It is the guess of a share whose helper bit is always 0."""
+    return _sphere_mean(_guess_form(1.0, "same"), n_samples, seed)[0]
 
 
 def _check_guess(p: float, strategy: str) -> None:
@@ -414,9 +418,22 @@ def _guess_fidelity_samples(p: float, strategy: str, n_samples: int, seed: int) 
     return np.where(guess, 1.0 - p_up, p_up)
 
 
-def dishonest_guess_fidelity(p: float, strategy: str, n_samples: int = 1_000_000, seed: int = 42) -> float:
-    """Mean fidelity when the reconstructor guesses from its share alone: with the hidden bits
+def _guess_form(p: float, strategy: str) -> np.ndarray:
+    """The guess from the share alone as the form diag(1/2, 0, 0, c) in f = (1, phi): with the hidden bits
     of :func:`_guess_fidelity_samples` averaged out, "same" scores 1/2 - (1 - 2p) z^2 / 2."""
     _check_guess(p, strategy)
     c = (2.0 * p - 1.0) / 2.0 if strategy == "same" else (1.0 - 2.0 * p) / 2.0  # "negate": 1 - the "same" score
-    return _sphere_mean(np.diag([0.5, 0.0, 0.0, c]), n_samples, seed)[0]
+    return np.diag([0.5, 0.0, 0.0, c])
+
+
+def dishonest_guess_fidelity(p: float, strategy: str, n_samples: int = 1_000_000, seed: int = 42) -> float:
+    """Mean fidelity when the reconstructor guesses from its share alone (:func:`_guess_form`)."""
+    return _sphere_mean(_guess_form(p, strategy), n_samples, seed)[0]
+
+
+def classical_fidelities(p: float, strategy: str, n_samples: int = 1_000_000,
+                         seed: int = 42) -> tuple[float, float]:
+    """(:func:`classical_baseline`, :func:`dishonest_guess_fidelity`) to the bit, from one pass of
+    the direction stream; p and strategy are checked before any draw."""
+    honest, guess = _sphere_mean(np.stack([_guess_form(1.0, "same"), _guess_form(p, strategy)]), n_samples, seed)[0]
+    return honest, guess

@@ -13,7 +13,7 @@ from qrecon.fidelity import ALL_SETTINGS
 from qrecon.presets import PRESETS, preset_density
 from qrecon.states import decompose_state
 from qrecon.stateio import bloch_to_json, density_to_json, pure_to_json
-from qrecon import wclass
+from qrecon import protocol, wclass
 from qrecon.wclass import scatter_csv_text
 
 
@@ -240,7 +240,7 @@ class TestClassical:
     def test_invalid_p_exits_2_before_sampling(self, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):
             raise AssertionError("sampled before checking --p")
-        monkeypatch.setattr("qrecon.cli.classical_baseline", must_not_run)
+        monkeypatch.setattr("qrecon.protocol._direction_blocks", must_not_run)
         code, out, err = run_cli(capsys, "classical", "--p", "2", "--samples", "20000000")
         assert code == 2 and out == "" and "p must lie" in err
 
@@ -289,6 +289,23 @@ def test_classical_stdout_is_frozen(capsys):
     assert h.hexdigest() == "08450c4c37bd33020794b5323cee88361f8c86b99d1a33b93f2f38e038922316"
 
 
+@pytest.mark.parametrize("argv", [
+    ["classical", "--samples", "20000"],
+    ["oracle", "--preset", "w", "--samples", "20000"],
+], ids=lambda argv: argv[0])
+def test_command_draws_its_directions_once(capsys, monkeypatch, argv):
+    # every form a command reports is evaluated on one pass of the direction stream
+    real, opened = protocol._direction_blocks, []
+
+    def counting(*args, **kwargs):
+        opened.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_direction_blocks", counting)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(opened) == 1
+
+
 def test_json_output_refuses_non_finite_values(capsys):
     with pytest.raises(ValueError):
         _json({"mc_mean": float("nan")})
@@ -298,7 +315,7 @@ def test_json_output_refuses_non_finite_values(capsys):
 @pytest.mark.parametrize("command, kernel", [
     ("oracle", "expected_fidelity_mc"),
     ("scatter", "scatter_csv_chunks"),
-    ("classical", "classical_baseline"),
+    ("classical", "classical_fidelities"),
 ])
 def test_memory_error_exits_2(capsys, monkeypatch, command, kernel):
     # a backstop only: the kernel is replaced, nothing large is allocated
@@ -313,7 +330,7 @@ def test_memory_error_exits_2(capsys, monkeypatch, command, kernel):
 @pytest.mark.parametrize("command, kernels", [
     ("oracle", ["expected_fidelity_mc"]),
     ("scatter", ["scatter_csv_chunks"]),
-    ("classical", ["classical_baseline", "dishonest_guess_fidelity"]),
+    ("classical", ["classical_fidelities"]),
 ])
 def test_samples_above_the_limit_exits_2_before_sampling(capsys, monkeypatch, command, kernels):
     def must_not_run(*args, **kwargs):
@@ -328,7 +345,7 @@ def test_samples_above_the_limit_exits_2_before_sampling(capsys, monkeypatch, co
 @pytest.mark.parametrize("command, kernels", [
     ("oracle", ["load_state", "expected_fidelity_mc"]),
     ("scatter", ["scatter_csv_chunks"]),
-    ("classical", ["classical_baseline", "dishonest_guess_fidelity"]),
+    ("classical", ["classical_fidelities"]),
 ])
 def test_negative_seed_exits_2_while_parsing(capsys, monkeypatch, tmp_path, command, kernels):
     # numpy's generator would reject it only after the state was read, without naming the flag

@@ -39,6 +39,7 @@ from qrecon.protocol import (
     bell_projectors,
     branch_maps,
     classical_baseline,
+    classical_fidelities,
     closed_form_bounds,
     dishonest_guess_fidelity,
     expected_fidelity_exact,
@@ -615,6 +616,18 @@ class TestMonteCarlo:
                 assert got[0] == pytest.approx(mean, rel=0, abs=4e-16)
                 assert got[1] == pytest.approx(std_error, rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 8192, 8193, 2 * 8192 + 5])
+    def test_a_stack_of_forms_gives_each_form_its_own_bits(self, n):
+        # one pass of the stream for k forms: each form's mean and std_error are those of its
+        # one-form call, whatever forms sit beside it, and the one moments sum is the same
+        ys = np.random.default_rng(47).normal(size=(3, 4, 4))
+        ys += ys.swapaxes(-1, -2)
+        means, std_errors, moments = _sphere_mean(ys, n, 7)
+        alone = [_sphere_mean(y, n, 7) for y in ys]
+        assert means == [a[0] for a in alone] and std_errors == [a[1] for a in alone]
+        assert all(type(v) is float for v in means + std_errors)
+        assert all(a[2].tobytes() == moments.tobytes() for a in alone)
+
     def test_per_branch_statistics_are_sample_means(self):
         # the moment sums must give the sample means of the per-branch tables over the same
         # directions, also past one chunk
@@ -697,9 +710,11 @@ class TestMonteCarlo:
     (lambda n, path: classical_baseline(n, seed=3), ()),
     (lambda n, path: sphere_average_identity_check(np.eye(3), n_samples=n, seed=3), ()),
     (lambda n, path: dishonest_guess_fidelity(0.25, "same", n, seed=3), ()),
+    (lambda n, path: classical_fidelities(0.25, "same", n, seed=3), ()),
     # bytes per row; fewer rows, since formatting them under tracemalloc is slow
     (lambda n, path: write_scatter_csv(path, n, seed=3), (10_000, 40_000)),
-], ids=["classical_baseline", "sphere_average_identity_check", "dishonest_guess_fidelity", "write_scatter_csv"])
+], ids=["classical_baseline", "sphere_average_identity_check", "dishonest_guess_fidelity",
+        "classical_fidelities", "write_scatter_csv"])
 def test_sphere_averages_grow_by_one_float_per_sample(average, sizes, tmp_path):
     # directions are drawn, scored and reduced (or written) per block: nothing grows with n
     assert bytes_per_sample(lambda n: average(n, tmp_path / "scatter.csv"), *sizes) <= 1
@@ -751,6 +766,27 @@ class TestClassicalBaselines:
         n = 100_000
         assert dishonest_guess_fidelity(0.5, "same", n, seed=5) == 0.5
         assert dishonest_guess_fidelity(0.5, "negate", n, seed=5) == 0.5
+
+    @pytest.mark.parametrize("n", [1, 8193, 2 * 8192 + 5, 100_000])
+    def test_honest_baseline_is_the_guess_of_an_always_zero_helper(self, n):
+        # p = 1 leaves the share equal to the measured bit: (1 + z^2) / 2 to the bit
+        for seed in (0, 5, 42):
+            baseline = classical_baseline(n, seed)
+            assert baseline == dishonest_guess_fidelity(1.0, "same", n, seed)
+            assert baseline == dishonest_guess_fidelity(0.0, "negate", n, seed)
+
+    def test_one_pass_gives_both_fidelities(self):
+        for n in (1, 8193, 2 * 8192 + 5):
+            for p in (0.0, 0.25, 0.5, 1.0):
+                for strategy in ("same", "negate"):
+                    expected = (classical_baseline(n, 42), dishonest_guess_fidelity(p, strategy, n, 42))
+                    assert classical_fidelities(p, strategy, n, 42) == expected
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\], got 1.1"):
+            classical_fidelities(1.1, "same", 10, 1)
+        with pytest.raises(ValueError, match="strategy must be 'same' or 'negate', got 'flip'"):
+            classical_fidelities(0.5, "flip", 10, 1)
+        with pytest.raises(ValueError, match="n_samples"):
+            classical_fidelities(0.5, "same", 0, 1)
 
     def test_guess_rule_averages_to_a_quadratic_form(self):
         # both hidden bits of the reference's rule enumerated exactly: P(s) = 1 - p_up, P(s2) = 1 - p
