@@ -36,8 +36,8 @@ import numpy as np
 
 from .fidelity import (BELL_DIAGONALS, BRANCHES, CANONICAL_SETTING, FRAMES, Setting, branch_matrices,
                        f_max_from_theta, role_tensor, singlet_matrices)
-from .paulis import identity2, pauli_x, paulis, sigma
-from .states import BlochDecomposition, decompose_state, validate_state
+from .paulis import identity2, pauli_x, paulis, product_basis, sigma
+from .states import BlochDecomposition, pauli_traces, validate_state
 
 ROTATION_TOL = 1e-10
 ZERO_PROBABILITY = 1e-15
@@ -70,12 +70,12 @@ def _branch_kernel() -> np.ndarray:
     return np.einsum("zmgh,zab->zmgahb", np.einsum("ztgsh,mst->zmgh", bell, _PAULIS4 / 2.0), had).reshape(32, 16)
 
 
-#: :func:`branch_maps`' state-independent tables, read-only: 1, sigma_x, sigma_y, sigma_z, and k as a (32, 16) matrix.
+#: :func:`branch_maps`' state-independent tables, read-only: 1, sigma_x, sigma_y, sigma_z, k as a (32, 16) matrix,
+#: and the 18 Pauli products sigma_i (x) {1, sigma_x} (x) sigma_k whose traces give P and T on the canonical layout.
 _PAULIS4 = np.stack(sigma)
 _KERNEL = _branch_kernel()
-#: The six axis directions +-e_i, read-only: the quadratic form's sphere average is its mean over them.
-_AXES = np.vstack([np.eye(3), -np.eye(3)])
-_PAULIS4.flags.writeable = _KERNEL.flags.writeable = _AXES.flags.writeable = False
+_PAIR_BASIS = np.ascontiguousarray(product_basis[1:, :2, 1:])
+_PAULIS4.flags.writeable = _KERNEL.flags.writeable = _PAIR_BASIS.flags.writeable = False
 
 
 def _so3(omega) -> np.ndarray:
@@ -108,11 +108,16 @@ def optimal_rotation(m: np.ndarray) -> np.ndarray:
     return (vt.swapaxes(-1, -2) * flip[..., None, :]) @ u.swapaxes(-1, -2)
 
 
+def _rotations(P: np.ndarray, T: np.ndarray) -> np.ndarray:
+    # M_{l,x} = F_l M_{0,x}, so Omega_{l,x} = Omega_{0,x} F_l: the (8, 3, 3) stack in BRANCHES order
+    return (optimal_rotation(singlet_matrices(P, T)) * FRAMES[:, None, None]).reshape(8, 3, 3)
+
+
 def optimal_rotations(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> np.ndarray:
     """Per-branch optimal corrections: a read-only (8, 3, 3) SO(3) stack in
     :data:`BRANCHES` order.  M_{l,x} = F_l M_{0,x}, so Omega_{l,x} = Omega_{0,x} F_l."""
     t = role_tensor(d, setting)
-    omegas = (optimal_rotation(singlet_matrices(t[1:, 0, 1:], t[1:, 1, 1:])) * FRAMES[:, None, None]).reshape(8, 3, 3)
+    omegas = _rotations(t[1:, 0, 1:], t[1:, 1, 1:])
     omegas.setflags(write=False)
     return omegas
 
@@ -228,7 +233,8 @@ def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
     U N U^dag <-> (Tr N, Omega^T Tr[N sigma]) for the SU(2) element U of Omega.
     """
     rho = permute_to_canonical(validate_state(rho), setting)
-    omegas = optimal_rotations(decompose_state(rho), CANONICAL_SETTING) if rotations is None else _so3(rotations)
+    # the default reads P = Tr[(sigma_i 1 sigma_k) rho] and T = Tr[(sigma_i sigma_x sigma_k) rho] alone
+    omegas = _rotations(*pauli_traces(rho, _PAIR_BASIS).real.swapaxes(0, 1)) if rotations is None else _so3(rotations)
     # N[b, mu] = Tr_pair[k[b, mu] rho]: rho's rows (q, c) and columns (Q, d) regrouped as (Q, q) x (c, d)
     n = (_KERNEL @ rho.reshape(4, 2, 4, 2).transpose(2, 0, 1, 3).reshape(16, 4)).reshape(8, 4, 2, 2)
     comps = np.einsum("zmcd,ndc->zmn", n, _PAULIS4).real  # Tr[N sigma_nu]
@@ -353,13 +359,15 @@ def expected_fidelity_exact(rho: np.ndarray, setting: Setting = CANONICAL_SETTIN
                             rotations: Optional[np.ndarray] = None) -> float:
     """Exact sphere average of the simulated fidelity.
 
-    Every branch map is affine in rho_S, so the averaged fidelity is a
-    quadratic polynomial in phi and the uniform sphere average equals
-    the mean over the six axis directions.  Deterministic; used to
+    Every branch map is affine in rho_S, so the averaged fidelity is the
+    form f^T y f, f = (1, phi), y = ``q_map`` summed over the branches.
+    E[phi_i phi_j] = delta_ij / 3 reads the sphere average off y's
+    diagonal, y_00 + (y_11 + y_22 + y_33) / 3: the six-axis mean, whose
+    +-e_i cross terms cancel in pairs.  Deterministic; used to
     cross-check both the Monte Carlo and the closed forms.
     """
-    q_map = branch_maps(rho, setting, rotations)[1]
-    return float(_quadratic(q_map.sum(axis=1), _AXES).mean())
+    y = branch_maps(rho, setting, rotations)[1].sum(axis=1).diagonal().tolist()
+    return y[0] + (y[1] + y[2] + y[3]) / 3.0
 
 
 @dataclass(frozen=True)

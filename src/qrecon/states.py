@@ -30,6 +30,16 @@ TRACE_TOL = 1e-10
 PSD_FLOOR = -1e-9
 NORMALIZATION_TOL = 1e-10
 COEFFICIENT_IMAG_TOL = 1e-8
+#: Largest coefficient magnitude of a :class:`BlochDecomposition` built from fields (a state file's ``bloch``).
+FIELD_BOUND = 1.0 + 1e-9
+#: Largest coefficient magnitude of a :func:`decompose_state` result: ||rho||_1 over every matrix that
+#: :func:`validate_state` admits, since |Re Tr[sigma rho]| = |Tr[sigma H]| <= ||H||_1 for a Pauli product sigma
+#: and the Hermitian part H of rho.  Tr H lies within TRACE_TOL of 1.  eigvalsh reads rho's lower triangle L,
+#: which differs from H by at most HERMITICITY_TOL / 2 in each of 56 off-diagonal entries, so
+#: ||H - L||_2 <= ||H - L||_F < 4 HERMITICITY_TOL and no eigenvalue of H lies below PSD_FLOOR - 4 HERMITICITY_TOL.
+#: At most 7 of the 8 are negative (Tr H > 0), so ||H||_1 = Tr H + 2 sum |negative eigenvalues| is at most
+#: 1 + TRACE_TOL + 14 (|PSD_FLOOR| + 4 HERMITICITY_TOL); 1e-12 more covers the rounding of eigvalsh and the einsum.
+DECOMPOSITION_BOUND = 1.0 + TRACE_TOL + 14 * (-PSD_FLOOR + 4 * HERMITICITY_TOL) + 1e-12
 
 
 class StateValidationError(ValueError):
@@ -119,7 +129,9 @@ class BlochDecomposition:
     ``a``, ``b``, ``c`` are the local Bloch vectors of A, B, C;
     ``Q``, ``R``, ``S`` the (A,B), (A,C), (B,C) correlation matrices
     (3x3, row index on the first-named qubit); ``tau`` the (3,3,3)
-    three-body tensor.  Every entry is finite and lies in [-1, 1].
+    three-body tensor.  Every entry is finite and lies in [-1, 1], to
+    :data:`FIELD_BOUND` when built from fields and to
+    :data:`DECOMPOSITION_BOUND` from :func:`decompose_state`.
     The fields are read-only views of one stored (4, 4, 4) tensor,
     :meth:`coefficient_tensor`.
     """
@@ -143,18 +155,23 @@ class BlochDecomposition:
                 t[_SLOTS[name]] = arr
         self._adopt(t, fields)
 
-    def _adopt(self, t: np.ndarray | None, fields: dict | None = None) -> "BlochDecomposition":
+    def _adopt(self, t: np.ndarray | None, fields: dict | None = None,
+               bound: float = FIELD_BOUND) -> "BlochDecomposition":
         """Store ``t`` (float, (4, 4, 4), ``t[0, 0, 0] = 1``) as it is and return self.  Pauli expectations lie in
-        [-1, 1] (NaN fails that test too); else, or with no ``t`` (a bad shape), name the first bad field."""
-        if t is None or not np.abs(t).max() <= 1.0 + 1e-9:
+        [-1, 1], here up to ``bound`` (NaN fails that test too); else, or with no ``t`` (a bad shape), name the
+        first bad field."""
+        if t is None or not np.abs(t).max() <= bound:
             for name, arr in (fields or {name: t[slot] for name, slot in _SLOTS.items()}).items():
                 if arr.shape != _SHAPES[name]:
                     raise ValueError(f"{name} must have shape {_SHAPES[name]}, got {arr.shape}")
                 peak = float(np.abs(arr).max())
                 if not math.isfinite(peak):
                     raise StateValidationError(f"{name} has a non-finite entry")
-                if peak > 1.0 + 1e-9:
-                    raise ValueError(f"{name} has entry of magnitude {peak:.6f} outside [-1, 1]")
+                if peak > bound:
+                    magnitude = f"{peak:.6f}"
+                    if magnitude == "1.000000":  # six decimals hide the excess
+                        magnitude = f"1 + {peak - 1.0:.3e}"
+                    raise ValueError(f"{name} has entry of magnitude {magnitude} outside [-1, 1]")
         t.setflags(write=False)
         object.__setattr__(self, "_tensor", t)
         for name, slot in _SLOTS.items():
@@ -166,21 +183,29 @@ class BlochDecomposition:
         return self._tensor
 
 
+def pauli_traces(rho: np.ndarray, basis: np.ndarray = product_basis) -> np.ndarray:
+    """Tr[sigma rho], complex, for each (8, 8) matrix sigma of ``basis`` (all 64 Pauli products by default);
+    a contiguous slice of the basis gives the bits of the same slice of the full result."""
+    return np.einsum("mnxab,ba->mnx", basis, rho)
+
+
 def decompose_state(rho: np.ndarray) -> BlochDecomposition:
     """Project a state onto the Pauli product basis.
 
     The coefficients of a Hermitian matrix are real; an imaginary
     residue above ``COEFFICIENT_IMAG_TOL`` (1e-8) therefore signals a
     non-Hermitian input and raises :class:`NonHermitianInputError`.
-    The input is not otherwise re-validated.
+    The input is not otherwise re-validated.  Every matrix that
+    :func:`validate_state` admits decomposes: coefficients may exceed 1
+    by up to ``DECOMPOSITION_BOUND - 1`` (about 2e-8).
     """
     rho = np.asarray(rho, dtype=complex)
-    coeff = np.einsum("mnxab,ba->mnx", product_basis, rho)
+    coeff = pauli_traces(rho)
     residue = float(np.abs(coeff.imag).max())
     if residue > COEFFICIENT_IMAG_TOL:
         raise NonHermitianInputError(f"coefficient imaginary residue {residue:.3e} > {COEFFICIENT_IMAG_TOL:.0e}")
     coeff[0, 0, 0] = 1.0  # the identity slot is 1 by definition, whatever the input's trace
-    return BlochDecomposition.__new__(BlochDecomposition)._adopt(coeff.real)  # as it is: no fields to stitch
+    return BlochDecomposition.__new__(BlochDecomposition)._adopt(coeff.real, bound=DECOMPOSITION_BOUND)  # as it is
 
 
 def compose_state(decomposition: BlochDecomposition) -> np.ndarray:

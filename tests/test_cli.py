@@ -11,8 +11,8 @@ import pytest
 from qrecon.cli import MAX_SAMPLES, _json, main
 from qrecon.fidelity import ALL_SETTINGS
 from qrecon.presets import PRESETS, preset_density
-from qrecon.states import decompose_state
-from qrecon.stateio import bloch_to_json, density_to_json, pure_to_json
+from qrecon.states import NotPSDError, decompose_state
+from qrecon.stateio import bloch_to_json, density_to_json, load_state, pure_to_json
 from qrecon import protocol, wclass
 from qrecon.wclass import scatter_csv_text
 
@@ -88,6 +88,22 @@ class TestAnalyze:
         path.write_text(json.dumps(pure_to_json(psi)))
         code, _, _ = run_cli(capsys, "analyze", "--state", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("excess, expected", [(9e-10, 0), (2e-9, 2)])
+    def test_state_at_the_psd_floor(self, capsys, tmp_path, excess, expected):
+        # lowest eigenvalue -excess against the floor -1e-9; a_z = 1 + 2 excess, past a bloch field's 1 + 1e-9
+        rho = np.zeros((8, 8))
+        rho[0, 0], rho[4, 4] = 1.0 + excess, -excess
+        path = tmp_path / "floor.json"
+        path.write_text(json.dumps(density_to_json(rho)))
+        for argv in (["analyze"], ["oracle", "--samples", "100"]):
+            code, out, err = run_cli(capsys, *argv, "--state", str(path))
+            assert code == expected, err
+            if expected == 2:
+                assert err.startswith("error: lowest eigenvalue") and out == ""
+        if expected == 2:
+            with pytest.raises(NotPSDError):
+                load_state(path)
 
     @pytest.mark.parametrize("kind", ["pure", "bloch"])
     def test_non_finite_state_file_exits_2(self, capsys, tmp_path, kind):

@@ -506,6 +506,64 @@ class TestSettingsPermutation:
         np.testing.assert_allclose(permute_to_canonical(rho, CANONICAL_SETTING), rho, atol=0)
 
 
+#: The six axis directions +-e_i: the literal quadrature that the exact value's diagonal reading must equal.
+SIX_AXES = np.vstack([np.eye(3), -np.eye(3)])
+
+
+class TestPerStatePreparation:
+    """branch_maps reads P and T off the permuted state; the exact value is read off the form's diagonal."""
+
+    @pytest.mark.parametrize("setting", ALL_SETTINGS, ids=str)
+    def test_default_rotations_are_the_decomposition_route_to_the_byte(self, setting):
+        rng = np.random.default_rng(48)
+        states = [preset_density(name) for name in sorted(PRESETS)]
+        states += [pure_to_density(random_pure(rng)) for _ in range(6)] + [random_density(rng) for _ in range(6)]
+        for rho in states:
+            rots = optimal_rotations(decompose_state(permute_to_canonical(rho, setting)))
+            for default, given_rots in zip(branch_maps(rho, setting), branch_maps(rho, setting, rotations=rots)):
+                assert default.tobytes() == given_rots.tobytes()
+
+    @seed(49)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.sampled_from(ALL_SETTINGS))
+    def test_exact_value_is_the_six_axis_mean_property(self, draw, pure, optimal, setting):
+        rng = np.random.default_rng(draw)
+        rho = pure_to_density(random_pure(rng)) if pure else random_density(rng)
+        rots = None if optimal else np.stack([random_rotation(rng) for _ in range(8)])
+        six_axis = float(_quadratic(branch_maps(rho, setting, rots)[1].sum(axis=1), SIX_AXES).mean())
+        assert abs(expected_fidelity_exact(rho, setting, rots) - six_axis) <= 1e-15
+
+    @pytest.mark.parametrize("entry", [
+        lambda rho, s: expected_fidelity_exact(rho, s),
+        lambda rho, s: expected_fidelity_mc(rho, s, n_samples=100, seed=3),
+    ], ids=["expected_fidelity_exact", "expected_fidelity_mc"])
+    def test_one_call_prepares_its_state_once(self, monkeypatch, entry):
+        import qrecon
+        rho = preset_density("w")
+        counts = dict.fromkeys(["validate_state", "decompose_state", "optimal_rotation"], 0)
+
+        def counting(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for module in (qrecon, *(m for n, m in vars(qrecon).items() if inspect.ismodule(m))):
+            for name in counts:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        entry(rho, Setting.from_string("BCA"))
+        assert counts == {"validate_state": 1, "decompose_state": 0, "optimal_rotation": 1}
+
+    def test_a_state_at_the_psd_floor_is_simulated(self):
+        # admitted by validation with a_z = 1 + 1.8e-9 beyond the fields' 1 + 1e-9: both routes take it
+        rho = np.zeros((8, 8))
+        rho[0, 0], rho[4, 4] = 1.0 + 9e-10, -9e-10
+        d = decompose_state(rho)
+        assert d.a[2] > 1.0 + 1e-9
+        assert expected_fidelity_exact(rho) == pytest.approx(closed_form_bounds(d).f_so3, abs=1e-12)
+
+
 def literal_directions(rng, n, dim):
     """The sampler's rule written out: normal rows, rows of norm below 1e-12 redrawn, then each divided by its norm."""
     v = rng.normal(size=(n, dim))

@@ -7,6 +7,10 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_density, random_pure
 from qrecon.paulis import identity2, pauli_x, pauli_y, pauli_z, paulis, product_basis, sigma
 from qrecon.states import (
+    DECOMPOSITION_BOUND,
+    HERMITICITY_TOL,
+    PSD_FLOOR,
+    TRACE_TOL,
     BlochDecomposition,
     NonHermitianInputError,
     NotHermitianError,
@@ -17,6 +21,7 @@ from qrecon.states import (
     compose_state,
     decompose_state,
     partial_trace,
+    pauli_traces,
     pure_to_density,
     purity,
     validate_state,
@@ -250,12 +255,29 @@ class TestDecompositionErrors:
          "Q has entry of magnitude 1.500000 outside [-1, 1]"),
         ([(2.0, (identity2, pauli_y, identity2)), (1.25, (pauli_z, identity2, pauli_x))],
          "b has entry of magnitude 2.000000 outside [-1, 1]"),
+        ([(1.0 + 4e-8, (pauli_z, identity2, identity2))], "a has entry of magnitude 1 + 4.000e-08 outside [-1, 1]"),
     ])
     def test_unvalidated_input_names_the_first_bad_field(self, terms, message):
         rho = np.eye(8, dtype=complex) / 8 + sum(w * kron3(*ops) for w, ops in terms) / 8
         with pytest.raises(ValueError) as excinfo:
             decompose_state(rho)
         assert excinfo.type is ValueError and str(excinfo.value) == message
+
+    def test_a_basis_slice_gives_the_bits_of_the_full_traces(self):
+        rng = np.random.default_rng(18)
+        pair = np.ascontiguousarray(product_basis[1:, :2, 1:])
+        for rho in [random_density(rng) for _ in range(10)] + [pure_to_density(random_pure(rng)) for _ in range(10)]:
+            assert pauli_traces(rho, pair).tobytes() == np.ascontiguousarray(pauli_traces(rho)[1:, :2, 1:]).tobytes()
+
+    @pytest.mark.parametrize("negatives", [1, 7])
+    def test_every_admitted_state_decomposes(self, negatives):
+        # eigenvalues at the PSD floor, the trace and the Hermiticity at their tolerances: a coefficient passes 1
+        low = 0.99 * PSD_FLOOR
+        rho = np.diag([1.0 + 0.99 * TRACE_TOL - negatives * low] + [low] * negatives + [0.0] * (7 - negatives))
+        rho = rho.astype(complex)
+        rho[1, 0] += 0.99 * HERMITICITY_TOL
+        peak = np.abs(decompose_state(validate_state(rho)).coefficient_tensor()).max()
+        assert 1.0 + 1e-9 < peak <= DECOMPOSITION_BOUND
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input(self, bad):
@@ -290,6 +312,8 @@ class TestDecompositionErrors:
         (dict(a=np.array([np.nan, 0, 0]), b=np.zeros(4)), StateValidationError, "a has a non-finite entry"),
         (dict(a=np.zeros(4), b=np.array([np.nan, 0, 0])), ValueError, "a must have shape (3,), got (4,)"),
         (dict(Q=np.eye(3) * 2, tau=np.zeros(27)), ValueError, "Q has entry of magnitude 2.000000 outside [-1, 1]"),
+        (dict(a=np.array([0.0, 1.0 + 5e-9, 0.0])), ValueError,
+         "a has entry of magnitude 1 + 5.000e-09 outside [-1, 1]"),
     ])
     def test_keyword_constructor_messages(self, overrides, cls, message):
         with pytest.raises(ValueError) as excinfo:
