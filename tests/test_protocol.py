@@ -548,7 +548,7 @@ class TestPerStatePreparation:
                 return fn(*args, **kwargs)
             return call
 
-        for module in (qrecon, *(m for n, m in vars(qrecon).items() if inspect.ismodule(m))):
+        for module in (qrecon, *(m for m in vars(qrecon).values() if inspect.ismodule(m))):
             for name in counts:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
