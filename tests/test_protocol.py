@@ -426,6 +426,20 @@ class TestOneRoute:
                 np.testing.assert_allclose(omegas @ omegas.swapaxes(1, 2), np.stack([np.eye(3)] * 8), atol=1e-12)
                 np.testing.assert_allclose(np.linalg.det(omegas), 1.0, atol=1e-12)
 
+    def test_bounds_are_frozen(self):
+        # sha256 of repr((f_so3, f_trace_norm, so3_gap)) per (state, setting), one per line: every bit is pinned
+        rng = np.random.default_rng(50)
+        states = [preset_density(name) for name in sorted(PRESETS)]
+        states += [pure_to_density(random_pure(rng)) for _ in range(10)] + [random_density(rng) for _ in range(10)]
+        lines = []
+        for rho in states:
+            d = decompose_state(rho)
+            for setting in ALL_SETTINGS:
+                bounds = closed_form_bounds(d, setting)
+                lines.append(repr((bounds.f_so3, bounds.f_trace_norm, bounds.so3_gap)))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "b6e836ed1477fdeab76ae863f6599d58d2420b2709fb0bb84b3b9cf4accde556")
+
 
 class TestResearchBoundary:
     @seed(45)
