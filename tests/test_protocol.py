@@ -464,6 +464,20 @@ class TestResearchBoundary:
             s3 = np.linalg.svd(m, compute_uv=False)[:, 2]
             assert gap == pytest.approx(2 / 48 * s3[dets < 0].sum(), abs=1e-12)
 
+    @pytest.mark.parametrize("setting", ALL_SETTINGS, ids=str)
+    def test_branch_optimum_depends_on_x_only(self, setting):
+        # at the default rotations, branch b's E[p_b] = p_map[0, b] and E[p_b f_b] = Y_00 + (Y_11 + Y_22 + Y_33) / 3,
+        # Y = q_map[:, b, :], are the same for the four l of each x: M_{l,x} = F_l M_{0,x}, one optimum per x
+        rng = np.random.default_rng(51)
+        states = [preset_density(name) for name in sorted(PRESETS)]
+        states += [pure_to_density(random_pure(rng)) for _ in range(10)] + [random_density(rng) for _ in range(10)]
+        for rho in states:
+            p_map, q_map = branch_maps(rho, setting)
+            y = q_map.diagonal(axis1=0, axis2=2)  # y[b, mu] = Y_b[mu, mu]
+            averages = np.stack([p_map[0], y[:, 0] + (y[:, 1] + y[:, 2] + y[:, 3]) / 3.0])
+            by_l = averages.reshape(2, 4, 2)  # BRANCHES order: l major, x minor
+            assert np.ptp(by_l, axis=1).max() <= 1e-15
+
     def test_theta_one_with_singular_branches(self):
         rho = np.zeros((8, 8))
         rho[0, 0] = rho[5, 5] = 0.5  # (|000><000| + |101><101|) / 2
