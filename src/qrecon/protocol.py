@@ -123,40 +123,30 @@ def optimal_rotations(d: BlochDecomposition, setting: Setting = CANONICAL_SETTIN
 
 
 @dataclass(frozen=True)
-class BranchBound:
-    l: int
-    x: int
-    so3_value: float
-    trace_norm_value: float
-
-
-@dataclass(frozen=True)
 class ClosedFormBounds:
     """The two closed-form routes, reported separately.
 
     ``f_so3`` is attainable (sums the SO(3)-restricted branch optima);
     ``f_trace_norm`` sums the trace norms and is the analytic ``f_max``
-    to the bit.  Both read the singlet matrices M_{0,x}, whose four branches each
-    lose 2 s3 to the SO(3) restriction where det M_{0,x} < 0: ``so3_gap >= 0``.
+    to the bit.  Both read the two singlet matrices M_{0,x} alone: branch
+    (l, x) has M_{l,x} = F_l M_{0,x}, with the singular values and the
+    determinant of M_{0,x}.  Each of the four branches of an x loses 2 s3
+    to the SO(3) restriction where det M_{0,x} < 0: ``so3_gap >= 0``.
     """
 
     f_so3: float
     f_trace_norm: float
     so3_gap: float
-    per_branch: tuple[BranchBound, ...]
 
 
 def closed_form_bounds(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> ClosedFormBounds:
     t = role_tensor(d, setting)
     m0 = singlet_matrices(t[1:, 0, 1:], t[1:, 1, 1:])
     s = np.linalg.svd(m0, compute_uv=False)
-    tn = s.sum(axis=-1)
     loss = np.where(np.linalg.det(m0) < 0, 2.0 * s[:, 2], 0.0)
-    f_tn = float(f_max_from_theta(tn.sum(axis=-1) / 2.0))  # theta_from_pair's steps: f_max to the bit
+    f_tn = float(f_max_from_theta(s.sum(axis=-1).sum(axis=-1) / 2.0))  # theta_from_pair's steps: f_max to the bit
     f_so3 = f_tn - float(loss.sum()) / 12.0
-    per_branch = tuple(BranchBound(l=l, x=x, so3_value=so, trace_norm_value=tv)
-                       for (l, x), so, tv in zip(BRANCHES, (tn - loss).tolist() * 4, tn.tolist() * 4))
-    return ClosedFormBounds(f_so3=f_so3, f_trace_norm=f_tn, so3_gap=f_tn - f_so3, per_branch=per_branch)
+    return ClosedFormBounds(f_so3=f_so3, f_trace_norm=f_tn, so3_gap=f_tn - f_so3)
 
 
 def fixed_rotation_fidelity(d: BlochDecomposition, setting: Setting, rotations: np.ndarray) -> float:

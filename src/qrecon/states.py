@@ -30,9 +30,7 @@ TRACE_TOL = 1e-10
 PSD_FLOOR = -1e-9
 NORMALIZATION_TOL = 1e-10
 COEFFICIENT_IMAG_TOL = 1e-8
-#: Largest coefficient magnitude of a :class:`BlochDecomposition` built from fields (a state file's ``bloch``).
-FIELD_BOUND = 1.0 + 1e-9
-#: Largest coefficient magnitude of a :func:`decompose_state` result: ||rho||_1 over every matrix that
+#: Largest coefficient magnitude of a :class:`BlochDecomposition`, however built: ||rho||_1 over every matrix that
 #: :func:`validate_state` admits, since |Re Tr[sigma rho]| = |Tr[sigma H]| <= ||H||_1 for a Pauli product sigma
 #: and the Hermitian part H of rho.  Tr H lies within TRACE_TOL of 1.  eigvalsh reads rho's lower triangle L,
 #: which differs from H by at most HERMITICITY_TOL / 2 in each of 56 off-diagonal entries, so
@@ -130,8 +128,8 @@ class BlochDecomposition:
     ``Q``, ``R``, ``S`` the (A,B), (A,C), (B,C) correlation matrices
     (3x3, row index on the first-named qubit); ``tau`` the (3,3,3)
     three-body tensor.  Every entry is finite and lies in [-1, 1], to
-    :data:`FIELD_BOUND` when built from fields and to
-    :data:`DECOMPOSITION_BOUND` from :func:`decompose_state`.
+    :data:`DECOMPOSITION_BOUND`, the largest coefficient of any matrix
+    that :func:`validate_state` admits.
     The fields are read-only views of one stored (4, 4, 4) tensor,
     :meth:`coefficient_tensor`.
     """
@@ -155,19 +153,18 @@ class BlochDecomposition:
                 t[_SLOTS[name]] = arr
         self._adopt(t, fields)
 
-    def _adopt(self, t: np.ndarray | None, fields: dict | None = None,
-               bound: float = FIELD_BOUND) -> "BlochDecomposition":
+    def _adopt(self, t: np.ndarray | None, fields: dict | None = None) -> "BlochDecomposition":
         """Store ``t`` (float, (4, 4, 4), ``t[0, 0, 0] = 1``) as it is and return self.  Pauli expectations lie in
-        [-1, 1], here up to ``bound`` (NaN fails that test too); else, or with no ``t`` (a bad shape), name the
-        first bad field."""
-        if t is None or not np.abs(t).max() <= bound:
+        [-1, 1], here up to :data:`DECOMPOSITION_BOUND` (NaN fails that test too); else, or with no ``t`` (a bad
+        shape), name the first bad field."""
+        if t is None or not np.abs(t).max() <= DECOMPOSITION_BOUND:
             for name, arr in (fields or {name: t[slot] for name, slot in _SLOTS.items()}).items():
                 if arr.shape != _SHAPES[name]:
                     raise ValueError(f"{name} must have shape {_SHAPES[name]}, got {arr.shape}")
                 peak = float(np.abs(arr).max())
                 if not math.isfinite(peak):
                     raise StateValidationError(f"{name} has a non-finite entry")
-                if peak > bound:
+                if peak > DECOMPOSITION_BOUND:
                     magnitude = f"{peak:.6f}"
                     if magnitude == "1.000000":  # six decimals hide the excess
                         magnitude = f"1 + {peak - 1.0:.3e}"
@@ -205,7 +202,7 @@ def decompose_state(rho: np.ndarray) -> BlochDecomposition:
     if residue > COEFFICIENT_IMAG_TOL:
         raise NonHermitianInputError(f"coefficient imaginary residue {residue:.3e} > {COEFFICIENT_IMAG_TOL:.0e}")
     coeff[0, 0, 0] = 1.0  # the identity slot is 1 by definition, whatever the input's trace
-    return BlochDecomposition.__new__(BlochDecomposition)._adopt(coeff.real, bound=DECOMPOSITION_BOUND)  # as it is
+    return BlochDecomposition.__new__(BlochDecomposition)._adopt(coeff.real)  # as it is
 
 
 def compose_state(decomposition: BlochDecomposition) -> np.ndarray:

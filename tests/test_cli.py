@@ -11,8 +11,8 @@ import pytest
 from qrecon.cli import MAX_SAMPLES, _json, main
 from qrecon.fidelity import ALL_SETTINGS
 from qrecon.presets import PRESETS, preset_density
-from qrecon.states import NotPSDError, decompose_state
-from qrecon.stateio import bloch_to_json, density_to_json, load_state, pure_to_json
+from qrecon.states import PSD_FLOOR, NotPSDError, decompose_state, validate_state
+from qrecon.stateio import bloch_to_json, density_to_json, load_state, parse_state, pure_to_json
 from qrecon import protocol, wclass
 from qrecon.wclass import scatter_csv_text
 
@@ -91,7 +91,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("excess, expected", [(9e-10, 0), (2e-9, 2)])
     def test_state_at_the_psd_floor(self, capsys, tmp_path, excess, expected):
-        # lowest eigenvalue -excess against the floor -1e-9; a_z = 1 + 2 excess, past a bloch field's 1 + 1e-9
+        # lowest eigenvalue -excess against the floor -1e-9; a_z = 1 + 2 excess, past 1
         rho = np.zeros((8, 8))
         rho[0, 0], rho[4, 4] = 1.0 + excess, -excess
         path = tmp_path / "floor.json"
@@ -104,6 +104,32 @@ class TestAnalyze:
         if expected == 2:
             with pytest.raises(NotPSDError):
                 load_state(path)
+
+    @pytest.mark.parametrize("negatives", [0, 1, 7])
+    def test_admitted_state_loads_from_its_bloch_file(self, capsys, tmp_path, negatives):
+        # a bloch file holds every coefficient an admitted matrix has: diag(1 + 9e-10, 0, 0, 0, -9e-10, 0, 0, 0),
+        # and unit-trace diagonal states with 1 or 7 eigenvalues just above the PSD floor
+        if negatives:
+            low = 0.99 * PSD_FLOOR
+            rho = np.diag([1.0 - negatives * low] + [low] * negatives + [0.0] * (7 - negatives))
+        else:
+            rho = np.zeros((8, 8))
+            rho[0, 0], rho[4, 4] = 1.0 + 9e-10, -9e-10
+        obj = bloch_to_json(decompose_state(validate_state(rho)))
+        assert np.abs(parse_state(obj) - rho).max() <= 1e-12
+        path = tmp_path / "bloch.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "analyze", "--state", str(path))
+        assert code == 0 and err == "" and json.loads(out)["setting"] == "ABC"
+
+    @pytest.mark.parametrize("value, message", [(1.5, "error: a has entry of magnitude 1.500000 outside [-1, 1]\n"),
+                                                (float("nan"), "error: a has a non-finite entry\n")], ids=["1.5", "nan"])
+    def test_bloch_field_out_of_range_exits_2(self, capsys, tmp_path, value, message):
+        obj = bloch_to_json(decompose_state(np.eye(8) / 8))
+        obj["bloch"]["a"][0] = value
+        path = tmp_path / "bloch.json"
+        path.write_text(json.dumps(obj))
+        assert run_cli(capsys, "analyze", "--state", str(path)) == (2, "", message)
 
     @pytest.mark.parametrize("kind", ["pure", "bloch"])
     def test_non_finite_state_file_exits_2(self, capsys, tmp_path, kind):

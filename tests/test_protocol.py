@@ -458,9 +458,8 @@ class TestResearchBoundary:
             np.testing.assert_allclose(dets, [-np.linalg.det(P + x * T) for _, x in BRANCHES], atol=1e-12)
             bounds = closed_form_bounds(d, setting)
             gap = bounds.so3_gap
-            # the det sign is exactly +-1, so no branch and no sum can round past the trace norm
+            # the det sign is exactly +-1, so the sum cannot round past the trace norm
             assert gap >= 0.0
-            assert all(b.so3_value <= b.trace_norm_value for b in bounds.per_branch)
             s3 = np.linalg.svd(m, compute_uv=False)[:, 2]
             assert gap == pytest.approx(2 / 48 * s3[dets < 0].sum(), abs=1e-12)
 
@@ -584,7 +583,7 @@ class TestPerStatePreparation:
         assert counts == {"validate_state": 1, "decompose_state": 0, "optimal_rotation": 1}
 
     def test_a_state_at_the_psd_floor_is_simulated(self):
-        # admitted by validation with a_z = 1 + 1.8e-9 beyond the fields' 1 + 1e-9: both routes take it
+        # admitted by validation with a_z = 1 + 1.8e-9, past 1 but within DECOMPOSITION_BOUND: both routes take it
         rho = np.zeros((8, 8))
         rho[0, 0], rho[4, 4] = 1.0 + 9e-10, -9e-10
         d = decompose_state(rho)

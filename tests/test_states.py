@@ -312,8 +312,8 @@ class TestDecompositionErrors:
         (dict(a=np.array([np.nan, 0, 0]), b=np.zeros(4)), StateValidationError, "a has a non-finite entry"),
         (dict(a=np.zeros(4), b=np.array([np.nan, 0, 0])), ValueError, "a must have shape (3,), got (4,)"),
         (dict(Q=np.eye(3) * 2, tau=np.zeros(27)), ValueError, "Q has entry of magnitude 2.000000 outside [-1, 1]"),
-        (dict(a=np.array([0.0, 1.0 + 5e-9, 0.0])), ValueError,
-         "a has entry of magnitude 1 + 5.000e-09 outside [-1, 1]"),
+        (dict(a=np.array([0.0, 1.0 + 4e-8, 0.0])), ValueError,
+         "a has entry of magnitude 1 + 4.000e-08 outside [-1, 1]"),
     ])
     def test_keyword_constructor_messages(self, overrides, cls, message):
         with pytest.raises(ValueError) as excinfo:
