@@ -19,9 +19,9 @@ from typing import Iterable
 from .fidelity import ALL_SETTINGS, Setting, full_report, report_to_dict
 from .presets import PRESETS, preset_density
 from .protocol import classical_fidelities, closed_form_bounds, expected_fidelity_mc
-from .states import StateValidationError, decompose_state
+from .states import decompose_state
 from .stateio import load_state, write_text
-from .wclass import InvalidParamsError, scatter_csv_chunks
+from .wclass import scatter_csv_chunks
 
 SETTING_CHOICES = tuple(str(s) for s in ALL_SETTINGS)
 
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except (StateValidationError, InvalidParamsError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # the package's input errors all subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -140,10 +140,14 @@ def sample_wclass(n: int, seed: int = 42) -> np.ndarray:
     return np.concatenate(list(_param_blocks(n, seed)))
 
 
+#: :func:`region_for`'s two answers, indexed by f_tele <= 2/3; the scatter's region column shares these objects.
+_REGIONS = np.array(["blue", "orange"], dtype=object)
+
+
 def region_for(f_tele: float) -> str:
     """"orange" when the pair alone stays classical (f_tele <= 2/3),
     "blue" when teleportation already beats the bound."""
-    return "orange" if f_tele <= CLASSICAL_FIDELITY else "blue"
+    return _REGIONS[int(f_tele <= CLASSICAL_FIDELITY)]  # int: a bool index would add an axis
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,10 +156,6 @@ class ScatterRecord:
     f_tele: float
     f_recon: float
     region: str
-
-
-#: :func:`region_for`'s two answers, indexed by f_tele <= 2/3; the column shares these objects.
-_REGIONS = np.array(["blue", "orange"], dtype=object)
 
 
 def _scatter_columns(lam: np.ndarray) -> tuple[list[float], list[float], list[str]]:
