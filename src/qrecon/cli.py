@@ -18,10 +18,11 @@ from typing import Iterable
 
 from .fidelity import ALL_SETTINGS, Setting, full_report, report_to_dict
 from .presets import PRESETS, preset_density
-from .protocol import classical_fidelities, closed_form_bounds, expected_fidelity_mc
 from .states import decompose_state
 from .stateio import load_state, write_text
-from .wclass import scatter_csv_chunks
+
+# protocol and wclass are imported by the commands that run them, so
+# analyze and the commands that exit while parsing load neither
 
 SETTING_CHOICES = tuple(str(s) for s in ALL_SETTINGS)
 
@@ -82,6 +83,8 @@ def cmd_analyze(args) -> list[str]:
 
 
 def cmd_oracle(args) -> list[str]:
+    from .protocol import closed_form_bounds, expected_fidelity_mc
+
     rho = _load_input_state(args)
     setting = Setting.from_string(args.setting)
     mc = expected_fidelity_mc(rho, setting, n_samples=args.samples, seed=args.seed)
@@ -99,10 +102,14 @@ def cmd_oracle(args) -> list[str]:
 
 
 def cmd_scatter(args) -> Iterable[str]:
+    from .wclass import scatter_csv_chunks
+
     return scatter_csv_chunks(args.samples, args.seed)
 
 
 def cmd_classical(args) -> list[str]:
+    from .protocol import classical_fidelities
+
     honest, guess = classical_fidelities(args.p, args.strategy, args.samples, args.seed)  # checks p first
     formula = (1.0 + args.p) / 3.0 if args.strategy == "same" else (2.0 - args.p) / 3.0
     return _json({

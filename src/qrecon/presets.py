@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .states import pure_to_density, validate_state
-from .wclass import WClassParams, wclass_state
 
 
 def _ket(*indices_amplitudes: tuple[int, float]) -> np.ndarray:
@@ -34,6 +33,8 @@ def wexample3_density() -> np.ndarray:
     """W-family member whose pair channel stays classical while the
     assisted protocol beats the bound: lambda = (0.7, 0.11, 0.09, 0.7),
     renormalized (the raw squares sum to 1.0002)."""
+    from .wclass import WClassParams, wclass_state  # here, so the other presets skip the scatter's modules
+
     params = WClassParams.normalized(0.7, 0.11, 0.09, 0.7)
     return pure_to_density(wclass_state(params))
 

@@ -354,6 +354,12 @@ def test_json_output_refuses_non_finite_values(capsys):
     assert capsys.readouterr().out == ""
 
 
+#: Where each kernel below is looked up when a command runs: the commands
+#: import protocol and wclass as they start, while cli.py binds load_state.
+KERNEL_MODULE = {"expected_fidelity_mc": "qrecon.protocol", "classical_fidelities": "qrecon.protocol",
+                 "scatter_csv_chunks": "qrecon.wclass", "load_state": "qrecon.cli"}
+
+
 @pytest.mark.parametrize("command, kernel", [
     ("oracle", "expected_fidelity_mc"),
     ("scatter", "scatter_csv_chunks"),
@@ -363,7 +369,7 @@ def test_memory_error_exits_2(capsys, monkeypatch, command, kernel):
     # a backstop only: the kernel is replaced, nothing large is allocated
     def out_of_memory(*args, **kwargs):
         raise MemoryError
-    monkeypatch.setattr(f"qrecon.cli.{kernel}", out_of_memory)
+    monkeypatch.setattr(f"{KERNEL_MODULE[kernel]}.{kernel}", out_of_memory)
     argv = [command, "--samples", "1000"] + (["--preset", "w"] if command == "oracle" else [])
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "--samples" in err
@@ -378,7 +384,7 @@ def test_samples_above_the_limit_exits_2_before_sampling(capsys, monkeypatch, co
     def must_not_run(*args, **kwargs):
         raise AssertionError("sampling started")
     for kernel in kernels:
-        monkeypatch.setattr(f"qrecon.cli.{kernel}", must_not_run)
+        monkeypatch.setattr(f"{KERNEL_MODULE[kernel]}.{kernel}", must_not_run)
     argv = [command, "--samples", str(MAX_SAMPLES + 1)] + (["--preset", "w"] if command == "oracle" else [])
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and str(MAX_SAMPLES) in err
@@ -394,7 +400,7 @@ def test_negative_seed_exits_2_while_parsing(capsys, monkeypatch, tmp_path, comm
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started")
     for kernel in kernels:
-        monkeypatch.setattr(f"qrecon.cli.{kernel}", must_not_run)
+        monkeypatch.setattr(f"{KERNEL_MODULE[kernel]}.{kernel}", must_not_run)
     argv = [command, "--seed", "-1"] + (["--state", str(tmp_path / "absent.json")] if command == "oracle" else [])
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "argument --seed: must be >= 0, got -1" in err
@@ -471,9 +477,51 @@ def test_no_arguments_exits_2(capsys):
 
 
 def test_import_does_not_load_scipy():
-    proc = subprocess.run([sys.executable, "-c", "import sys, qrecon; print('scipy' in sys.modules)"],
-                          capture_output=True, text=True)
+    # every export resolved first: the package loads a module only when one of its names is read
+    script = "import sys, qrecon; [getattr(qrecon, name) for name in qrecon.__all__]; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def modules_after(*argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter, and every module loaded by then."""
+    script = ("import contextlib, io, sys, qrecon.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+              f"    code = qrecon.cli.main({list(argv)!r})\n"
+              "print(code, *sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.split()
+    return int(code), set(modules)
+
+
+#: What only the simulator and the W scatter need: analyze loads none of it.
+SIMULATOR_MODULES = {"qrecon.protocol", "qrecon.wclass", "numpy.random"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["analyze", "--preset", "ghz"], 0),
+    (["analyze", "--state", "{pure}", "--setting", "CBA"], 0),
+    (["analyze", "--preset", "no-such-state"], 2),
+    (["analyze", "--preset", "w", "--setting", "ABA"], 2),
+    (["analyze", "--state", "{absent}"], 3),
+], ids=["preset", "state", "unknown-preset", "bad-setting", "missing-file"])
+def test_analyze_loads_neither_the_simulator_nor_the_scatter(tmp_path, argv, expected):
+    pure = tmp_path / "pure.json"
+    pure.write_text(json.dumps(pure_to_json(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))))
+    argv = [arg.format(pure=pure, absent=tmp_path / "absent.json") for arg in argv]
+    code, modules = modules_after(*argv)
+    assert code == expected
+    assert "qrecon.fidelity" in modules and modules & SIMULATOR_MODULES == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--preset", "w", "--samples", "100"],
+    ["classical", "--samples", "100"],
+], ids=lambda argv: argv[0])
+def test_simulator_commands_do_not_load_the_scatter(argv):
+    code, modules = modules_after(*argv)
+    assert code == 0 and "qrecon.protocol" in modules and "qrecon.wclass" not in modules
 
 
 def test_installed_entry_point():
