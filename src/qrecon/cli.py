@@ -11,6 +11,7 @@ early), 2 invalid input, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -119,7 +120,14 @@ def cmd_classical(args) -> list[str]:
     })
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of all four commands, built on the first call.
+
+    Every later call, and so every later :func:`main` call in the process,
+    returns the same shared object: callers must not mutate it.  Its
+    ``--preset`` choices are the presets that existed when it was built.
+    """
     parser = argparse.ArgumentParser(prog="qrecon", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

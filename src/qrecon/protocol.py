@@ -29,7 +29,7 @@ matrix has negative determinant).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -316,7 +316,10 @@ class MCResult:
     per_branch: tuple[BranchStats, ...]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # what dataclasses.asdict gives, without its recursive deep copy
+        return {"mean": self.mean, "std_error": self.std_error, "n_samples": self.n_samples, "seed": self.seed,
+                "per_branch": tuple({"l": b.l, "x": b.x, "probability": b.probability, "fidelity": b.fidelity}
+                                    for b in self.per_branch)}
 
 
 def expected_fidelity_mc(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,

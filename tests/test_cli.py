@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from qrecon.cli import MAX_SAMPLES, _json, main
+from qrecon.cli import MAX_SAMPLES, _json, build_parser, main
 from qrecon.fidelity import ALL_SETTINGS
 from qrecon.presets import PRESETS, preset_density
 from qrecon.states import PSD_FLOOR, NotPSDError, decompose_state, validate_state
@@ -529,3 +530,57 @@ def test_installed_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["f_max"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    real, built = argparse.ArgumentParser.__init__, []
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser.cache_clear()
+    calls = [
+        ["analyze", "--preset", "ghz"],
+        ["oracle", "--preset", "w", "--samples", "100"],
+        ["scatter", "--samples", "10"],
+        ["classical", "--samples", "100"],
+        ["analyze", "--preset", "nope"],
+    ]
+    assert [run_cli(capsys, *argv)[0] for argv in calls] == [0, 0, 0, 0, 2]
+    assert built == ["qrecon"] + [f"qrecon {command}" for command in ("analyze", "oracle", "scatter", "classical")]
+    built.clear()
+    assert [run_cli(capsys, *argv)[0] for argv in calls] == [0, 0, 0, 0, 2]
+    assert built == []
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch, tmp_path):
+    # each call in one process gives what a fresh interpreter gives for the same argv
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width in both
+    out = tmp_path / "report.json"
+    sequence = [
+        ["oracle", "--preset", "w", "--samples", "7", "--seed", "3"],
+        ["oracle", "--preset", "w", "--samples", "500"],  # --seed falls back to 42
+        ["analyze", "--preset", "w", "--out", str(out)],
+        ["analyze", "--preset", "w"],  # to stdout again
+        ["analyze", "--preset", "nope"],
+        ["analyze", "--preset", "ghz", "--setting", "CBA"],
+        ["--help"],
+        [],
+    ]
+
+    def take_out():
+        text = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return text
+
+    codes = []
+    for argv in sequence:
+        in_process, written = run_cli(capsys, *argv), take_out()
+        proc = subprocess.run([sys.executable, "-m", "qrecon.cli", *argv], capture_output=True, text=True, timeout=60)
+        assert in_process == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert written == take_out(), argv
+        codes.append(proc.returncode)
+    assert codes == [0, 0, 0, 0, 2, 0, 0, 2]

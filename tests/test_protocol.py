@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -789,6 +790,17 @@ class TestMonteCarlo:
         assert list(payload) == ["mean", "std_error", "n_samples", "seed", "per_branch"]
         assert len(payload["per_branch"]) == 8
         assert payload["n_samples"] == 500 and payload["seed"] == 2
+
+    @pytest.mark.parametrize("preset, setting, n, seed", [
+        ("ghz", "ABC", 1, 0), ("w", "BCA", 500, 42), ("mixed", "CBA", 8193, 7), ("beta-mix", "ACB", 3000, 11),
+    ])
+    def test_to_dict_equals_asdict(self, preset, setting, n, seed):
+        mc = expected_fidelity_mc(preset_density(preset), Setting.from_string(setting), n_samples=n, seed=seed)
+        payload, reference = mc.to_dict(), dataclasses.asdict(mc)
+        assert payload == reference
+        assert list(payload) == list(reference)
+        assert type(payload["per_branch"]) is tuple
+        assert [list(b) for b in payload["per_branch"]] == [list(b) for b in reference["per_branch"]]
 
 
 @pytest.mark.parametrize("average, sizes", [
