@@ -12,20 +12,21 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import os
 import sys
 from typing import Iterable
 
-from .fidelity import ALL_SETTINGS, Setting, full_report, report_to_dict
 from .presets import PRESETS, preset_density
-from .states import decompose_state
 from .stateio import load_state, write_text
 
-# protocol and wclass are imported by the commands that run them, so
-# analyze and the commands that exit while parsing load neither
+# every numpy module (fidelity, states, protocol, wclass) is imported by the
+# command that runs it once its input is read, so a run that fails on its
+# arguments or its state file exits without loading numpy
 
-SETTING_CHOICES = tuple(str(s) for s in ALL_SETTINGS)
+SETTING_CHOICES = tuple("".join(roles) for roles in itertools.permutations("ABC"))  # fidelity.ALL_SETTINGS order
 
 MAX_SAMPLES = 10**9  # largest --samples: a mistyped count above it would run for days
 
@@ -36,23 +37,37 @@ def _add_state_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--preset", choices=sorted(PRESETS), help="named resource state")
 
 
-def _int(text: str) -> int:
+def _number(text: str, kind: type) -> int | float:
     try:
-        return int(text)
-    except ValueError:  # argparse would name the type function instead of "int"
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        return kind(text)
+    except ValueError:  # argparse would name the type function instead of "int" or "float"
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
 
 
 def sample_count(text: str) -> int:
-    if (n := _int(text)) > MAX_SAMPLES:  # n < 1 is left to the kernels, which name n_samples
+    if (n := _number(text, int)) < 1:  # in the kernels' words
+        raise argparse.ArgumentTypeError(f"n_samples must be >= 1, got {n}")
+    if n > MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {n}")
     return n
 
 
 def seed_value(text: str) -> int:
-    if (seed := _int(text)) < 0:  # numpy's generator rejects it later, without naming the flag
+    if (seed := _number(text, int)) < 0:  # numpy's generator rejects it later, without naming the flag
         raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
     return seed
+
+
+def epsilon_value(text: str) -> float:
+    if not (math.isfinite(eps := _number(text, float)) and eps > 0):  # as fidelity.classify_case words it
+        raise argparse.ArgumentTypeError(f"eps must be finite and positive, got {eps}")
+    return eps
+
+
+def probability(text: str) -> float:
+    if not 0.0 <= (p := _number(text, float)) <= 1.0:  # as protocol._check_guess words it
+        raise argparse.ArgumentTypeError(f"p must lie in [0, 1], got {p}")
+    return p
 
 
 def out_path(text: str) -> str:
@@ -79,14 +94,18 @@ def _json(obj: dict) -> list[str]:
 
 def cmd_analyze(args) -> list[str]:
     rho = _load_input_state(args)
+    from .fidelity import Setting, full_report, report_to_dict
+
     report = full_report(rho, Setting.from_string(args.setting), eps=args.epsilon)
     return _json(report_to_dict(report))
 
 
 def cmd_oracle(args) -> list[str]:
-    from .protocol import closed_form_bounds, expected_fidelity_mc
-
     rho = _load_input_state(args)
+    from .fidelity import Setting
+    from .protocol import closed_form_bounds, expected_fidelity_mc
+    from .states import decompose_state
+
     setting = Setting.from_string(args.setting)
     mc = expected_fidelity_mc(rho, setting, n_samples=args.samples, seed=args.seed)
     bounds = closed_form_bounds(decompose_state(rho), setting)
@@ -111,7 +130,7 @@ def cmd_scatter(args) -> Iterable[str]:
 def cmd_classical(args) -> list[str]:
     from .protocol import classical_fidelities
 
-    honest, guess = classical_fidelities(args.p, args.strategy, args.samples, args.seed)  # checks p first
+    honest, guess = classical_fidelities(args.p, args.strategy, args.samples, args.seed)
     formula = (1.0 + args.p) / 3.0 if args.strategy == "same" else (2.0 - args.p) / 3.0
     return _json({
         "honest_baseline": honest,
@@ -135,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="closed-form fidelity report for one state")
     _add_state_source(p_analyze)
     p_analyze.add_argument("--setting", choices=SETTING_CHOICES, default="ABC")
-    p_analyze.add_argument("--epsilon", type=float, default=1e-9, metavar="X",
+    p_analyze.add_argument("--epsilon", type=epsilon_value, default=1e-9, metavar="X",
                            help="zero threshold for the case classification")
     p_analyze.add_argument("--out", type=out_path, metavar="FILE", help="write output here instead of stdout")
     p_analyze.set_defaults(func=cmd_analyze)
@@ -151,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scatter.set_defaults(func=cmd_scatter)
 
     p_classical = sub.add_parser("classical", help="classical baseline and guessing fidelities")
-    p_classical.add_argument("--p", type=float, default=0.5, metavar="X",
+    p_classical.add_argument("--p", type=probability, default=0.5, metavar="X",
                              help="probability that the helper share is 0")
     p_classical.add_argument("--strategy", choices=("same", "negate"), default="same")
     _add_common(p_classical, samples_default=1_000_000)

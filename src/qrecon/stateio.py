@@ -17,10 +17,15 @@ import itertools
 import json
 import os
 import stat
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .states import _SHAPES, BlochDecomposition, compose_state, pure_to_density, validate_state
+    from .states import BlochDecomposition
+
+# numpy and the state modules load inside the functions that convert arrays,
+# so a file that fails to open or decode costs no numpy import
 
 
 class StateFormatError(ValueError):
@@ -28,6 +33,8 @@ class StateFormatError(ValueError):
 
 
 def _real_array(data, shape, what) -> np.ndarray:
+    import numpy as np
+
     try:
         entries = np.array(data, dtype=object)
         arr = entries.astype(float)
@@ -55,6 +62,8 @@ def parse_state(obj: dict) -> np.ndarray:
     if len(set(obj)) != 1 or len(keys) != 1:
         raise StateFormatError(f"state object must have exactly one of 'pure', 'dense', 'bloch'; got keys {sorted(obj)}")
     (kind,) = keys
+    from .states import _SHAPES, BlochDecomposition, compose_state, pure_to_density, validate_state
+
     if kind == "pure":
         return validate_state(pure_to_density(_complex_array(obj["pure"], (8,))))
     if kind == "dense":
@@ -78,20 +87,24 @@ def load_state(path) -> np.ndarray:
     return parse_state(obj)
 
 
-def _pairs(arr: np.ndarray) -> list:
-    stacked = np.stack([np.asarray(arr).real, np.asarray(arr).imag], axis=-1)
-    return stacked.tolist()
+def _pairs(data, shape) -> list:
+    import numpy as np
+
+    arr = np.asarray(data, dtype=complex).reshape(shape)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def pure_to_json(amplitudes: np.ndarray) -> dict:
-    return {"pure": _pairs(np.asarray(amplitudes, dtype=complex).reshape(8))}
+    return {"pure": _pairs(amplitudes, (8,))}
 
 
 def density_to_json(rho: np.ndarray) -> dict:
-    return {"dense": _pairs(np.asarray(rho, dtype=complex).reshape(8, 8))}
+    return {"dense": _pairs(rho, (8, 8))}
 
 
 def bloch_to_json(d: BlochDecomposition) -> dict:
+    from .states import _SHAPES
+
     return {"bloch": {name: getattr(d, name).tolist() for name in _SHAPES}}
 
 

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from qrecon.cli import MAX_SAMPLES, _json, build_parser, main
+from qrecon.cli import MAX_SAMPLES, SETTING_CHOICES, _json, build_parser, main
 from qrecon.fidelity import ALL_SETTINGS
 from qrecon.presets import PRESETS, preset_density
 from qrecon.states import PSD_FLOOR, NotPSDError, decompose_state, validate_state
@@ -356,7 +356,7 @@ def test_json_output_refuses_non_finite_values(capsys):
 
 
 #: Where each kernel below is looked up when a command runs: the commands
-#: import protocol and wclass as they start, while cli.py binds load_state.
+#: import protocol and wclass once their input is read, while cli.py binds load_state.
 KERNEL_MODULE = {"expected_fidelity_mc": "qrecon.protocol", "classical_fidelities": "qrecon.protocol",
                  "scatter_csv_chunks": "qrecon.wclass", "load_state": "qrecon.cli"}
 
@@ -407,10 +407,40 @@ def test_negative_seed_exits_2_while_parsing(capsys, monkeypatch, tmp_path, comm
     assert code == 2 and out == "" and "argument --seed: must be >= 0, got -1" in err
 
 
+@pytest.mark.parametrize("command, kernels, flag, message", [
+    ("analyze", ["load_state"], ["--epsilon", "nan"], "argument --epsilon: eps must be finite and positive, got nan"),
+    ("analyze", ["load_state"], ["--epsilon", "0"], "argument --epsilon: eps must be finite and positive, got 0.0"),
+    ("oracle", ["load_state", "expected_fidelity_mc"], ["--samples", "0"], "argument --samples: n_samples must be >= 1, got 0"),
+    ("scatter", ["scatter_csv_chunks"], ["--samples", "-1"], "argument --samples: n_samples must be >= 1, got -1"),
+    ("classical", ["classical_fidelities"], ["--p", "2"], "argument --p: p must lie in [0, 1], got 2.0"),
+    ("classical", ["classical_fidelities"], ["--p", "nan"], "argument --p: p must lie in [0, 1], got nan"),
+], ids=["epsilon-nan", "epsilon-zero", "oracle-samples", "scatter-samples", "p-above-1", "p-nan"])
+def test_flag_out_of_range_exits_2_while_parsing(capsys, monkeypatch, tmp_path, command, kernels, flag, message):
+    # each flag is checked before any state is read, so an absent --state cannot turn the 2 into an I/O error's 3
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started")
+    for kernel in kernels:
+        monkeypatch.setattr(f"{KERNEL_MODULE[kernel]}.{kernel}", must_not_run)
+    argv = [command, *flag] + (["--state", str(tmp_path / "absent.json")] if "load_state" in kernels else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
 @pytest.mark.parametrize("flag", ["--samples", "--seed"])
 def test_non_integer_count_names_the_flag_and_int(capsys, flag):
     code, out, err = run_cli(capsys, "scatter", flag, "x")
     assert code == 2 and out == "" and f"argument {flag}: invalid int value: 'x'" in err
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--preset", "w", "--epsilon"], ["classical", "--p"]],
+                         ids=lambda argv: argv[-1])
+def test_non_numeric_float_flag_names_the_flag_and_float(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "x")
+    assert code == 2 and out == "" and f"argument {argv[-1]}: invalid float value: 'x'" in err
+
+
+def test_setting_choices_are_the_settings_in_order():
+    assert SETTING_CHOICES == tuple(str(s) for s in ALL_SETTINGS)
 
 
 @pytest.mark.parametrize("argv", [
@@ -500,20 +530,42 @@ def modules_after(*argv):
 SIMULATOR_MODULES = {"qrecon.protocol", "qrecon.wclass", "numpy.random"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--preset", "ghz"],
+    ["analyze", "--state", "{pure}", "--setting", "CBA"],
+], ids=["preset", "state"])
+def test_analyze_loads_neither_the_simulator_nor_the_scatter(tmp_path, argv):
+    pure = tmp_path / "pure.json"
+    pure.write_text(json.dumps(pure_to_json(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))))
+    argv = [arg.format(pure=pure) for arg in argv]
+    code, modules = modules_after(*argv)
+    assert code == 0
+    assert "qrecon.fidelity" in modules and modules & SIMULATOR_MODULES == set()
+
+
+#: All of qrecon that `import qrecon.cli` loads; none of it imports numpy.
+CLI_MODULES = {"qrecon", "qrecon.cli", "qrecon.presets", "qrecon.stateio"}
+
+
 @pytest.mark.parametrize("argv, expected", [
-    (["analyze", "--preset", "ghz"], 0),
-    (["analyze", "--state", "{pure}", "--setting", "CBA"], 0),
+    (["--help"], 0),
+    ([], 2),
     (["analyze", "--preset", "no-such-state"], 2),
     (["analyze", "--preset", "w", "--setting", "ABA"], 2),
     (["analyze", "--state", "{absent}"], 3),
-], ids=["preset", "state", "unknown-preset", "bad-setting", "missing-file"])
-def test_analyze_loads_neither_the_simulator_nor_the_scatter(tmp_path, argv, expected):
-    pure = tmp_path / "pure.json"
-    pure.write_text(json.dumps(pure_to_json(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))))
-    argv = [arg.format(pure=pure, absent=tmp_path / "absent.json") for arg in argv]
+    (["analyze", "--state", "{malformed}"], 2),
+    (["scatter", "--samples", "0"], 2),
+    (["analyze", "--preset", "mixed", "--epsilon", "nan"], 2),
+    (["classical", "--p", "2"], 2),
+], ids=["help", "no-arguments", "unknown-preset", "bad-setting", "missing-file", "malformed-file",
+        "zero-samples", "epsilon-nan", "p-above-1"])
+def test_exit_on_arguments_or_state_file_loads_no_numpy(tmp_path, argv, expected):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"pure": [[1, 0], ')
+    argv = [arg.format(absent=tmp_path / "absent.json", malformed=malformed) for arg in argv]
     code, modules = modules_after(*argv)
     assert code == expected
-    assert "qrecon.fidelity" in modules and modules & SIMULATOR_MODULES == set()
+    assert "numpy" not in modules and {name for name in modules if name.startswith("qrecon")} == CLI_MODULES
 
 
 @pytest.mark.parametrize("argv", [
@@ -569,6 +621,8 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch, tmp_pat
         ["analyze", "--preset", "ghz", "--setting", "CBA"],
         ["--help"],
         [],
+        ["analyze", "--state", str(tmp_path / "absent.json"), "--epsilon", "nan"],
+        ["scatter", "--samples", "0"],
     ]
 
     def take_out():
@@ -583,4 +637,4 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch, tmp_pat
         assert in_process == (proc.returncode, proc.stdout, proc.stderr), argv
         assert written == take_out(), argv
         codes.append(proc.returncode)
-    assert codes == [0, 0, 0, 0, 2, 0, 0, 2]
+    assert codes == [0, 0, 0, 0, 2, 0, 0, 2, 2, 2]
