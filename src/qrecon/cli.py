@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import math
@@ -210,5 +211,15 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The ``qrecon`` process entry: :func:`main` on ``sys.argv`` without the cyclic garbage collector."""
+    # one-shot run: the shutdown collection would walk every object numpy made, and no
+    # command creates reference cycles per sample (tests/test_cli.py pins that)
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

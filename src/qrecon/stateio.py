@@ -62,7 +62,8 @@ def parse_state(obj: dict) -> np.ndarray:
     if len(set(obj)) != 1 or len(keys) != 1:
         raise StateFormatError(f"state object must have exactly one of 'pure', 'dense', 'bloch'; got keys {sorted(obj)}")
     (kind,) = keys
-    from .states import _SHAPES, BlochDecomposition, compose_state, pure_to_density, validate_state
+    # by absolute name: a relative import resolves its package in Python on every call
+    from qrecon.states import _SHAPES, BlochDecomposition, compose_state, pure_to_density, validate_state
 
     if kind == "pure":
         return validate_state(pure_to_density(_complex_array(obj["pure"], (8,))))
@@ -103,7 +104,7 @@ def density_to_json(rho: np.ndarray) -> dict:
 
 
 def bloch_to_json(d: BlochDecomposition) -> dict:
-    from .states import _SHAPES
+    from qrecon.states import _SHAPES  # by absolute name, as in parse_state
 
     return {"bloch": {name: getattr(d, name).tolist() for name in _SHAPES}}
 

@@ -1,14 +1,19 @@
 import argparse
+import ast
+import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qrecon.cli
 from qrecon.cli import MAX_SAMPLES, SETTING_CHOICES, _json, build_parser, main
 from qrecon.fidelity import ALL_SETTINGS
 from qrecon.presets import PRESETS, preset_density
@@ -638,3 +643,62 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch, tmp_pat
         assert written == take_out(), argv
         codes.append(proc.returncode)
     assert codes == [0, 0, 0, 0, 2, 0, 0, 2, 2, 2]
+
+
+def test_console_script_is_the_module_entry():
+    # test_installed_entry_point runs `python -m qrecon.cli`; the installed `qrecon` must start the same way
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (target,) = re.findall(r'^qrecon = "qrecon\.cli:(\w+)"$', pyproject, re.MULTILINE)
+    tree = ast.parse(Path(qrecon.cli.__file__).read_text())
+    (block,) = [node for node in tree.body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(node) for node in block.body] == [f"sys.exit({target}())"]
+
+
+def test_process_entry_runs_without_the_collector():
+    script = ("import gc, sys, qrecon.cli\n"
+              "sys.argv = ['qrecon', 'analyze', '--preset', 'ghz']\n"
+              "code = qrecon.cli.run()\n"
+              "print(code, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr.split() == ["0", "False", "True"]
+    assert json.loads(proc.stdout)["f_max"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--preset", "ghz"],
+    ["oracle", "--preset", "w", "--samples", "100"],
+    ["scatter", "--samples", "10"],
+    ["classical", "--samples", "100"],
+    ["--help"],
+    ["analyze", "--preset", "nope"],
+    ["analyze", "--state", "{absent}"],
+], ids=["analyze", "oracle", "scatter", "classical", "help", "unknown-preset", "missing-file"])
+def test_main_keeps_the_callers_collector(capsys, tmp_path, argv):
+    argv = [arg.format(absent=tmp_path / "absent.json") for arg in argv]
+    before = gc.isenabled(), gc.get_freeze_count()
+    run_cli(capsys, *argv)
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    (["oracle", "--preset", "w"], (2000, 50_000)),  # 50 000 samples: 7 blocks
+    (["classical"], (20_000, 200_000)),
+    (["scatter", "--out", "{out}"], (100, 20_000)),
+], ids=["oracle", "classical", "scatter"])
+def test_cyclic_garbage_does_not_grow_with_samples(capsys, tmp_path, argv, sizes):
+    # what `run` relies on when it disables the collector: a command's memory stays bounded
+    # without it, because the cycles it leaves do not depend on --samples
+    argv = [arg.format(out=tmp_path / "out.csv") for arg in argv]
+
+    def cyclic_garbage(n):
+        gc.collect()
+        gc.disable()
+        try:
+            return run_cli(capsys, *argv, "--samples", str(n))[0], gc.collect()
+        finally:
+            gc.enable()
+
+    cyclic_garbage(sizes[0])  # the first call's imports leave cycles of their own
+    small, large = [cyclic_garbage(n) for n in sizes]
+    assert small[0] == large[0] == 0 and small[1] == large[1]
