@@ -29,6 +29,7 @@ matrix has negative determinant).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -178,9 +179,14 @@ def _unit_rows(rng: np.random.Generator, v: np.ndarray, work: np.ndarray) -> np.
     The bytes are those of ``rng.normal(size=v.shape)`` divided by ``np.linalg.norm`` of each row, with a
     row of norm below 1e-12 redrawn from the same stream.
     """
-    norms, square = work
     rng.standard_normal(out=v)
-    v += 0.0  # normal() returns 0 + 1 z, which turns a -0.0 into +0.0
+    return _normalized_rows(rng, v, v, work)
+
+
+def _normalized_rows(rng: np.random.Generator, raw: np.ndarray, v: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """:func:`_unit_rows` after its draw: ``raw``'s rows, normalized into ``v`` (``raw`` itself may be ``v``)."""
+    norms, square = work
+    np.add(raw, 0.0, out=v)  # normal() returns 0 + 1 z, which turns a -0.0 into +0.0
     _row_norms(v, norms, square)
     while norms.min() < 1e-12:
         bad = norms < 1e-12
@@ -201,13 +207,80 @@ def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.nda
 def _direction_blocks(n: int, seed: int, dim: int = 3) -> Iterator[np.ndarray]:
     """The n directions of one ``default_rng(seed)`` draw, :data:`_BLOCK` rows at a time; n is checked here.
 
-    Every block is a view of one buffer that the next block overwrites: copy a block to keep it.
+    Every block is a view of one buffer that the next block overwrites: copy a block to keep it.  Past one
+    block, the process's draw helper (:func:`_draw_jobs`) draws each next block's normals while the caller
+    scores the current one; the generator is read in the order of one thread drawing block after block.
     """
     if n < 1:
         raise ValueError(f"n_samples must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     v, work = np.empty((min(n, _BLOCK), dim)), np.empty((2, min(n, _BLOCK)))
-    return (_unit_rows(rng, v[:n - start], work[:, :n - start]) for start in range(0, n, _BLOCK))
+    if n <= _BLOCK:
+        return (_unit_rows(rng, v, work) for _ in range(1))
+    return _overlapped_blocks(rng, n, v, work)
+
+
+def _overlapped_blocks(rng: np.random.Generator, n: int, v: np.ndarray, work: np.ndarray) -> Iterator[np.ndarray]:
+    """:func:`_direction_blocks` for n > :data:`_BLOCK`, with block k + 1's draw on the helper while block k is out.
+
+    Block k is normalized, redraws included, before block k + 1's draw is handed over, and that draw is waited
+    for before block k + 1 is normalized, so ``rng`` serves one thread at a time in the single-thread order.
+    A stream that ends early waits for its pending draw: no queued work outlives it.
+    """
+    from queue import SimpleQueue
+
+    raw, done, jobs = np.empty_like(v), SimpleQueue(), _draw_jobs()
+    pending = False
+    try:
+        _unit_rows(rng, v, work)
+        for start in range(_BLOCK, n, _BLOCK):
+            b = min(n - start, _BLOCK)
+            jobs.put((rng, raw[:b], done))
+            pending = True
+            yield v
+            pending, error = False, done.get()
+            if error is not None:
+                raise error
+            _normalized_rows(rng, raw[:b], v[:b], work[:, :b])
+        yield v[:b]
+    finally:
+        if pending:
+            done.get()
+
+
+#: The draw helper: (thread, job queue) once a stream of two or more blocks has started it in this process.
+_helper: Optional[tuple] = None
+_helper_lock = threading.Lock()
+
+
+def _draw_jobs():
+    """The helper's job queue, starting the helper if this process has none running (a forked child inherits
+    a dead one).  A job ``(rng, out, done)`` runs ``rng.standard_normal(out=out)`` and puts None, or the
+    exception it raised, on ``done``."""
+    global _helper
+    with _helper_lock:
+        if _helper is None or not _helper[0].is_alive():
+            from queue import SimpleQueue
+
+            jobs = SimpleQueue()
+            thread = threading.Thread(target=_serve_draws, args=(jobs,), name="qrecon-draws", daemon=True)
+            thread.start()
+            _helper = thread, jobs
+        return _helper[1]
+
+
+def _serve_draws(jobs) -> None:
+    while True:
+        _draw(*jobs.get())  # unpacked in a call: the idle helper keeps no reference to the last job's rng or buffer
+
+
+def _draw(rng: np.random.Generator, out: np.ndarray, done) -> None:
+    try:
+        rng.standard_normal(out=out)
+    except BaseException as error:  # re-raised by the stream waiting on done
+        done.put(error)
+    else:
+        done.put(None)
 
 
 def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,

@@ -3,6 +3,12 @@ import dataclasses
 import hashlib
 import inspect
 import itertools
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -28,6 +34,7 @@ from qrecon.fidelity import (
     trace_norm,
 )
 from qrecon.paulis import identity2, pauli_x, pauli_z
+from qrecon import protocol
 from qrecon.presets import PRESETS, preset_density
 from qrecon.protocol import (
     BELL_DIAGONALS,
@@ -603,15 +610,16 @@ def literal_directions(rng, n, dim):
     return v / norms[:, None]
 
 
-class DegenerateFirstDraw:
-    """``default_rng(seed)``'s stream, except that the first draw's row 1 is zero and its row 5 has norm 1e-13."""
+class DegenerateDraw:
+    """``default_rng(seed)``'s stream, except that the k-th draw's row 1 is zero and its row 5 has norm 1e-13
+    (k counts from 1; k = 0 leaves every draw as drawn).  ``draws`` records each draw's shape in order."""
 
-    def __init__(self, seed):
+    def __init__(self, k, seed):
         self.rng = np.random.Generator(np.random.PCG64(seed))  # default_rng's stream, even while it is patched
-        self.draws = []
+        self.k, self.draws = k, []
 
     def _drawn(self, v):
-        if not self.draws:
+        if len(self.draws) + 1 == self.k:
             v[1] = 0.0
             v[5] *= 1e-13 / np.linalg.norm(v[5])
         self.draws.append(v.shape)
@@ -622,6 +630,33 @@ class DegenerateFirstDraw:
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self._drawn(self.rng.normal(loc, scale, size))
+
+
+class DegenerateFirstDraw(DegenerateDraw):
+    """``default_rng(seed)``'s stream, except that the first draw's row 1 is zero and its row 5 has norm 1e-13."""
+
+    def __init__(self, seed):
+        super().__init__(1, seed)
+
+
+def stream_bytes(n, seed, dim=3):
+    return np.concatenate([block.copy() for block in _direction_blocks(n, seed, dim)]).tobytes()
+
+
+def block_sizes(n):
+    return [min(8192, n - start) for start in range(0, n, 8192)]
+
+
+def open_degenerate_draws(monkeypatch, k):
+    """Patch ``default_rng`` to open ``DegenerateDraw(k, seed)``; the list of the fakes it opened, in order."""
+    opened = []
+
+    def open_fake(seed):
+        opened.append(DegenerateDraw(k, seed))
+        return opened[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", open_fake)
+    return opened
 
 
 class TestDirections:
@@ -660,6 +695,26 @@ class TestDirections:
         assert [len(c) for c in copies] == [8192, 8192, 7]
         assert np.concatenate(copies).tobytes() == _sample_directions(np.random.default_rng(5), n, dim).tobytes()
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("n", [8192, 8193, 2 * 8192, 2 * 8192 + 1, 5 * 8192 + 17])
+    def test_a_stream_is_one_draw_byte_for_byte(self, n, dim):
+        # past one block, the helper draws each next block: the bytes are still one draw of n rows
+        for seed in (0, 7, 42):
+            assert stream_bytes(n, seed, dim) == _sample_directions(np.random.default_rng(seed), n, dim).tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_redraw_in_a_block_the_helper_drew(self, monkeypatch, k, dim):
+        # the k-th draw is the helper's; its redraw runs on the caller before the next draw is handed over
+        n, opened = 3 * 8192 + 3, open_degenerate_draws(monkeypatch, k)
+        blocks = [block.copy() for block in _direction_blocks(n, 7, dim)]
+        reference = DegenerateDraw(k, 7)
+        for block, b in zip(blocks, block_sizes(n), strict=True):
+            assert block.tobytes() == literal_directions(reference, b, dim).tobytes()
+        draws = [(b, dim) for b in block_sizes(n)]
+        draws.insert(k, (2, dim))  # one redraw, of the two bad rows, right after the k-th draw
+        assert opened[0].draws == reference.draws == draws
+
     def test_standard_normal_plus_zero_is_normal(self):
         # the sampler draws with standard_normal(out=) and adds 0.0, as normal() computes 0 + 1 z
         for seed in range(100):
@@ -670,6 +725,129 @@ class TestDirections:
         z = np.array([-0.0])
         z += 0.0
         assert z.tobytes() == np.array([0.0]).tobytes()
+
+
+class TestDrawHelper:
+    """The one helper thread that draws a stream's next block: what it leaves behind, and who shares it."""
+
+    def assert_idle(self):
+        assert protocol._helper[0].is_alive() and protocol._helper[1].empty()
+
+    def test_a_stream_closed_early_waits_for_its_draw(self, monkeypatch):
+        opened = open_degenerate_draws(monkeypatch, 0)
+        stream = _direction_blocks(5 * 8192, 3)
+        next(stream), next(stream)
+        stream.close()
+        # blocks 0 and 1, and block 2's draw, handed over with block 1, is done: nothing is queued
+        assert opened[0].draws == [(8192, 3)] * 3
+        self.assert_idle()
+        monkeypatch.undo()
+        assert stream_bytes(3 * 8192, 11) == _sample_directions(np.random.default_rng(11), 3 * 8192, 3).tobytes()
+        assert opened[0].draws == [(8192, 3)] * 3
+
+    def test_a_consumer_that_raises_leaves_no_queued_draw(self, monkeypatch):
+        calls, real = [], protocol._quadratic_form
+
+        def raising(*args):
+            calls.append(None)
+            if len(calls) == 2:  # while block 1 is scored, block 2 is being drawn
+                raise RuntimeError("consumer failed")
+            return real(*args)
+
+        opened = open_degenerate_draws(monkeypatch, 0)
+        monkeypatch.setattr(protocol, "_quadratic_form", raising)
+        try:
+            expected_fidelity_mc(preset_density("w"), n_samples=5 * 8192, seed=3)
+        except RuntimeError:
+            pass  # the handled exception drops the last reference to the stream, which closes it
+        else:
+            pytest.fail("the consumer did not raise")
+        assert opened[0].draws == [(8192, 3)] * 3
+        self.assert_idle()
+        monkeypatch.undo()
+        assert stream_bytes(3 * 8192, 11) == _sample_directions(np.random.default_rng(11), 3 * 8192, 3).tobytes()
+
+    def test_a_failed_draw_is_raised_in_the_caller(self, monkeypatch):
+        class FailingSecondDraw(DegenerateDraw):
+            def standard_normal(self, size=None, out=None):
+                if self.draws:
+                    raise MemoryError("second draw")
+                return super().standard_normal(size, out)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingSecondDraw(0, seed))
+        stream = _direction_blocks(3 * 8192, 3)
+        next(stream)
+        with pytest.raises(MemoryError, match="second draw"):
+            next(stream)
+        self.assert_idle()
+
+    def test_one_helper_per_process(self):
+        stream_bytes(2 * 8192 + 1, 0)
+        before = threading.active_count()
+        for seed in range(30):
+            expected_fidelity_mc(preset_density("w"), n_samples=2 * 8192 + 1, seed=seed)
+        assert threading.active_count() <= before + 1
+
+    def test_single_block_streams_start_no_thread(self):
+        script = ("import contextlib, io, threading, qrecon.cli\n"
+                  "from qrecon import protocol\n"
+                  "from qrecon.presets import preset_density\n"
+                  "protocol.expected_fidelity_mc(preset_density('w'), n_samples=8192)\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = qrecon.cli.main(['oracle', '--preset', 'w', '--samples', '2000'])\n"
+                  "print(code, threading.active_count(), protocol._helper)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1", "None"]
+
+    def test_concurrent_callers_get_the_sequential_results(self):
+        # more callers than cores, switching often, all sharing the one helper
+        rho, n, seeds = preset_density("w"), 3 * 8192 + 5, (1, 2, 3, 4)
+        expected = {seed: expected_fidelity_mc(rho, n_samples=n, seed=seed) for seed in seeds}
+        got = {seed: [] for seed in seeds}
+
+        def caller(seed):
+            for _ in range(10):
+                got[seed].append(expected_fidelity_mc(rho, n_samples=n, seed=seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(seed,), daemon=True) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {seed: [expected[seed]] * 10 for seed in seeds}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() in a process that has threads
+    def test_a_forked_child_starts_its_own_helper(self):
+        # the child inherits the helper's thread object but not the thread: it must start one of its own
+        stream_bytes(2 * 8192 + 1, 0)
+        assert protocol._helper[0].is_alive()
+        n = 3 * 8192 + 7
+        expected = _sample_directions(np.random.default_rng(13), n, 3).tobytes()
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(write, b"1" if stream_bytes(n, 13) == expected else b"0")
+            finally:
+                os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 30
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its stream within 30 s")
+            time.sleep(0.01)
+        with os.fdopen(read, "rb") as pipe:
+            assert pipe.read() == b"1"
 
 
 class TestMonteCarlo:
