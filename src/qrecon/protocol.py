@@ -103,10 +103,9 @@ def optimal_rotation(m: np.ndarray) -> np.ndarray:
     Degenerate singular values are resolved by whatever valid SVD the
     backend picks; any maximizer gives the same value.
     """
-    u, s, vt = np.linalg.svd(np.asarray(m, dtype=float))
-    flip = np.ones_like(s)
-    flip[..., 2] = np.sign(np.linalg.det(u @ vt))  # exactly +-1, not a float det
-    return (vt.swapaxes(-1, -2) * flip[..., None, :]) @ u.swapaxes(-1, -2)
+    u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    vt[..., 2, :] *= np.sign(np.linalg.det(u @ vt))[..., None]  # exactly +-1, not a float det
+    return vt.swapaxes(-1, -2) @ u.swapaxes(-1, -2)
 
 
 def _rotations(P: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -173,18 +172,13 @@ def _row_norms(v: np.ndarray, out: np.ndarray, square: np.ndarray) -> None:
     np.sqrt(out, out=out)
 
 
-def _unit_rows(rng: np.random.Generator, v: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Fill ``v`` with normalized Gaussian rows drawn from ``rng`` and return it; ``work`` is (2, len(v)) scratch.
+def _normalized_rows(rng: np.random.Generator, raw: np.ndarray, v: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``raw``'s Gaussian rows, normalized into ``v`` (``raw`` itself may be ``v``) and returned; ``work`` is
+    (2, len(v)) scratch.
 
     The bytes are those of ``rng.normal(size=v.shape)`` divided by ``np.linalg.norm`` of each row, with a
-    row of norm below 1e-12 redrawn from the same stream.
+    row of norm below 1e-12 redrawn from ``rng``.
     """
-    rng.standard_normal(out=v)
-    return _normalized_rows(rng, v, v, work)
-
-
-def _normalized_rows(rng: np.random.Generator, raw: np.ndarray, v: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """:func:`_unit_rows` after its draw: ``raw``'s rows, normalized into ``v`` (``raw`` itself may be ``v``)."""
     norms, square = work
     np.add(raw, 0.0, out=v)  # normal() returns 0 + 1 z, which turns a -0.0 into +0.0
     _row_norms(v, norms, square)
@@ -198,54 +192,52 @@ def _normalized_rows(rng: np.random.Generator, raw: np.ndarray, v: np.ndarray, w
 
 
 def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
-    """Uniform points on the unit sphere in R^dim via normalized Gaussians."""
+    """Uniform points on the unit sphere in R^dim via normalized Gaussians: :func:`_blocks` over ``rng``,
+    collected into one new (n, dim) array."""
     if n < 1:
         raise ValueError(f"n_samples must be >= 1, got {n}")
-    return _unit_rows(rng, np.empty((n, dim)), np.empty((2, n)))
+    out, start = np.empty((n, dim)), 0
+    for block in _blocks(rng, n, dim):
+        out[start:start + len(block)] = block
+        start += len(block)
+    return out
 
 
 def _direction_blocks(n: int, seed: int, dim: int = 3) -> Iterator[np.ndarray]:
-    """The n directions of one ``default_rng(seed)`` draw, :data:`_BLOCK` rows at a time; n is checked here.
-
-    Every block is a view of one buffer that the next block overwrites: copy a block to keep it.  Past one
-    block, the process's draw helper (:func:`_draw_jobs`) draws each next block's normals while the caller
-    scores the current one; the generator is read in the order of one thread drawing block after block.
-    """
+    """The n directions of one ``default_rng(seed)`` draw, :data:`_BLOCK` rows at a time (:func:`_blocks`);
+    n is checked and ``default_rng(seed)`` opened here, at the call."""
     if n < 1:
         raise ValueError(f"n_samples must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    v, work = np.empty((min(n, _BLOCK), dim)), np.empty((2, min(n, _BLOCK)))
-    if n <= _BLOCK:
-        return (_unit_rows(rng, v, work) for _ in range(1))
-    return _overlapped_blocks(rng, n, v, work)
+    return _blocks(np.random.default_rng(seed), n, dim)
 
 
-def _overlapped_blocks(rng: np.random.Generator, n: int, v: np.ndarray, work: np.ndarray) -> Iterator[np.ndarray]:
-    """:func:`_direction_blocks` for n > :data:`_BLOCK`, with block k + 1's draw on the helper while block k is out.
+def _blocks(rng: np.random.Generator, n: int, dim: int) -> Iterator[np.ndarray]:
+    """n normalized Gaussian rows drawn from ``rng``, :data:`_BLOCK` rows at a time.
 
-    Block k is normalized, redraws included, before block k + 1's draw is handed over, and that draw is waited
-    for before block k + 1 is normalized, so ``rng`` serves one thread at a time in the single-thread order.
-    A stream that ends early waits for its pending draw: no queued work outlives it.
+    Every block is a view of one buffer that the next block overwrites: copy a block to keep it.  Past one
+    block, the process's draw helper (:func:`_draw_jobs`) draws block k + 1's normals while block k is out.
+    Block k is normalized, redraws included, before that draw is handed over, and the draw is waited for
+    before block k + 1 is normalized, so ``rng`` serves one thread at a time in the single-thread order.
+    A stream that is closed, abandoned or ended by its consumer's exception still waits for its pending
+    draw: no queued work outlives it.
     """
-    from queue import SimpleQueue
+    v, work = np.empty((min(n, _BLOCK), dim)), np.empty((2, min(n, _BLOCK)))
+    block = _normalized_rows(rng, rng.standard_normal(out=v), v, work)
+    if n > _BLOCK:
+        from queue import SimpleQueue
 
-    raw, done, jobs = np.empty_like(v), SimpleQueue(), _draw_jobs()
-    pending = False
-    try:
-        _unit_rows(rng, v, work)
-        for start in range(_BLOCK, n, _BLOCK):
-            b = min(n - start, _BLOCK)
-            jobs.put((rng, raw[:b], done))
-            pending = True
-            yield v
-            pending, error = False, done.get()
-            if error is not None:
-                raise error
-            _normalized_rows(rng, raw[:b], v[:b], work[:, :b])
-        yield v[:b]
-    finally:
-        if pending:
-            done.get()
+        raw, done, jobs = np.empty_like(v), SimpleQueue(), _draw_jobs()
+    for start in range(_BLOCK, n, _BLOCK):
+        b = min(n - start, _BLOCK)
+        jobs.put((rng, raw[:b], done))
+        try:
+            yield block
+        finally:
+            error = done.get()
+        if error is not None:
+            raise error
+        block = _normalized_rows(rng, raw[:b], v[:b], work[:, :b])
+    yield block
 
 
 #: The draw helper: (thread, job queue) once a stream of two or more blocks has started it in this process.
@@ -271,16 +263,13 @@ def _draw_jobs():
 
 def _serve_draws(jobs) -> None:
     while True:
-        _draw(*jobs.get())  # unpacked in a call: the idle helper keeps no reference to the last job's rng or buffer
-
-
-def _draw(rng: np.random.Generator, out: np.ndarray, done) -> None:
-    try:
-        rng.standard_normal(out=out)
-    except BaseException as error:  # re-raised by the stream waiting on done
-        done.put(error)
-    else:
-        done.put(None)
+        rng, out, done = jobs.get()
+        try:
+            rng.standard_normal(out=out)
+            done.put(None)
+        except BaseException as error:  # re-raised by the stream waiting on done
+            done.put(error)
+        del rng, out, done  # the idle helper keeps no reference to the last job's rng or buffer
 
 
 def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,

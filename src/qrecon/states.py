@@ -120,7 +120,7 @@ _SLOTS = {
 _SHAPES = {name: np.empty((4, 4, 4))[slot].shape for name, slot in _SLOTS.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochDecomposition:
     """Real Pauli-basis coefficients of a three-qubit state.
 
@@ -131,7 +131,8 @@ class BlochDecomposition:
     :data:`DECOMPOSITION_BOUND`, the largest coefficient of any matrix
     that :func:`validate_state` admits.
     The fields are read-only views of one stored (4, 4, 4) tensor,
-    :meth:`coefficient_tensor`.
+    :meth:`coefficient_tensor`.  Instances compare and hash by identity;
+    compare values with ``np.array_equal`` on their tensors.
     """
 
     a: np.ndarray
@@ -141,7 +142,7 @@ class BlochDecomposition:
     R: np.ndarray
     S: np.ndarray
     tau: np.ndarray
-    _tensor: np.ndarray = field(init=False, repr=False, compare=False)
+    _tensor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         fields = {name: np.asarray(getattr(self, name), dtype=float) for name in _SLOTS}

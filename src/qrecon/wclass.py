@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .fidelity import CLASSICAL_FIDELITY, f_max_from_theta, theta_from_pair, trace_norms
-from .protocol import _direction_blocks
+from .protocol import _direction_blocks, _sample_directions
 from .stateio import write_text
 
 NORMALIZATION_TOL = 1e-12
@@ -137,7 +137,8 @@ def sample_wclass(n: int, seed: int = 42) -> np.ndarray:
     Uniform on the nonnegative octant of the 3-sphere: absolute values
     of normalized 4-dim Gaussians.
     """
-    return np.concatenate(list(_param_blocks(n, seed)))
+    lam = _sample_directions(np.random.default_rng(seed), n, 4)
+    return np.abs(lam, out=lam)
 
 
 #: :func:`region_for`'s two answers, indexed by f_tele <= 2/3; the scatter's region column shares these objects.

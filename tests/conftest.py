@@ -26,3 +26,14 @@ def random_orthogonal(rng: np.random.Generator) -> np.ndarray:
     """O(3) element, either determinant sign."""
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     return q @ np.diag(np.sign(np.diag(r)))
+
+
+def literal_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """The sampler's rule written out: normal rows, rows of norm below 1e-12 redrawn, then each divided by its norm."""
+    v = rng.normal(size=(n, dim))
+    norms = np.linalg.norm(v, axis=1)
+    while np.any(norms < 1e-12):
+        bad = norms < 1e-12
+        v[bad] = rng.normal(size=(int(bad.sum()), dim))
+        norms = np.linalg.norm(v, axis=1)
+    return v / norms[:, None]

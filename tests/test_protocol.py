@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_pure, random_rotation
+from conftest import literal_directions, random_density, random_pure, random_rotation
 from qrecon.fidelity import (
     ALL_SETTINGS,
     CANONICAL_SETTING,
@@ -599,17 +599,6 @@ class TestPerStatePreparation:
         assert expected_fidelity_exact(rho) == pytest.approx(closed_form_bounds(d).f_so3, abs=1e-12)
 
 
-def literal_directions(rng, n, dim):
-    """The sampler's rule written out: normal rows, rows of norm below 1e-12 redrawn, then each divided by its norm."""
-    v = rng.normal(size=(n, dim))
-    norms = np.linalg.norm(v, axis=1)
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        v[bad] = rng.normal(size=(int(bad.sum()), dim))
-        norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None]
-
-
 class DegenerateDraw:
     """``default_rng(seed)``'s stream, except that the k-th draw's row 1 is zero and its row 5 has norm 1e-13
     (k counts from 1; k = 0 leaves every draw as drawn).  ``draws`` records each draw's shape in order."""
@@ -693,14 +682,14 @@ class TestDirections:
             assert np.shares_memory(block, first)
             copies.append(block.copy())
         assert [len(c) for c in copies] == [8192, 8192, 7]
-        assert np.concatenate(copies).tobytes() == _sample_directions(np.random.default_rng(5), n, dim).tobytes()
+        assert np.concatenate(copies).tobytes() == literal_directions(np.random.default_rng(5), n, dim).tobytes()
 
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("n", [8192, 8193, 2 * 8192, 2 * 8192 + 1, 5 * 8192 + 17])
     def test_a_stream_is_one_draw_byte_for_byte(self, n, dim):
         # past one block, the helper draws each next block: the bytes are still one draw of n rows
         for seed in (0, 7, 42):
-            assert stream_bytes(n, seed, dim) == _sample_directions(np.random.default_rng(seed), n, dim).tobytes()
+            assert stream_bytes(n, seed, dim) == literal_directions(np.random.default_rng(seed), n, dim).tobytes()
 
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("k", [2, 3])
@@ -742,7 +731,7 @@ class TestDrawHelper:
         assert opened[0].draws == [(8192, 3)] * 3
         self.assert_idle()
         monkeypatch.undo()
-        assert stream_bytes(3 * 8192, 11) == _sample_directions(np.random.default_rng(11), 3 * 8192, 3).tobytes()
+        assert stream_bytes(3 * 8192, 11) == literal_directions(np.random.default_rng(11), 3 * 8192, 3).tobytes()
         assert opened[0].draws == [(8192, 3)] * 3
 
     def test_a_consumer_that_raises_leaves_no_queued_draw(self, monkeypatch):
@@ -765,7 +754,7 @@ class TestDrawHelper:
         assert opened[0].draws == [(8192, 3)] * 3
         self.assert_idle()
         monkeypatch.undo()
-        assert stream_bytes(3 * 8192, 11) == _sample_directions(np.random.default_rng(11), 3 * 8192, 3).tobytes()
+        assert stream_bytes(3 * 8192, 11) == literal_directions(np.random.default_rng(11), 3 * 8192, 3).tobytes()
 
     def test_a_failed_draw_is_raised_in_the_caller(self, monkeypatch):
         class FailingSecondDraw(DegenerateDraw):
@@ -830,7 +819,7 @@ class TestDrawHelper:
         stream_bytes(2 * 8192 + 1, 0)
         assert protocol._helper[0].is_alive()
         n = 3 * 8192 + 7
-        expected = _sample_directions(np.random.default_rng(13), n, 3).tobytes()
+        expected = literal_directions(np.random.default_rng(13), n, 3).tobytes()
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:
@@ -869,7 +858,7 @@ class TestMonteCarlo:
         y = branch_maps(rho)[1].sum(axis=1)
         for n in (8192, 2 * 8192 + 5):
             # the reference draws all n directions at once and takes the two-pass mean and deviations
-            totals = _quadratic(y, _sample_directions(np.random.default_rng(7), n))
+            totals = _quadratic(y, literal_directions(np.random.default_rng(7), n, 3))
             mean = float(totals.mean())
             std_error = float(np.sqrt(((totals - mean) ** 2).sum() / (n - 1)) / np.sqrt(n))
             got = _sphere_mean(y, n, 7)
@@ -1035,6 +1024,14 @@ class TestClassicalBaselines:
                 samples = _guess_fidelity_samples(p, strategy, n, seed=3)
                 se = samples.std(ddof=1) / np.sqrt(n)
                 assert abs(samples.mean() - formula) <= 3 * se
+
+    def test_guess_samples_are_frozen(self):
+        # one digest over every sample's bytes, across one, two, three and six blocks of directions
+        digest = hashlib.sha256()
+        for n in (1, 1000, 8192, 8193, 2 * 8192 + 5, 5 * 8192 + 17):
+            for p, strategy, seed in ((0.25, "same", 42), (0.5, "negate", 3), (1.0, "same", 42), (0.0, "negate", 7)):
+                digest.update(_guess_fidelity_samples(p, strategy, n, seed).tobytes())
+        assert digest.hexdigest() == "730eb8a845a9d6312ea9f8de8ee8b52b3169c03d91b7b15129b6b359a75b0c00"
 
     def test_half_transparent_share_is_uninformative(self):
         # the z^2 coefficient (1 - 2p) / 2 vanishes: every sample scores 1/2 exactly

@@ -201,6 +201,14 @@ class TestDecomposition:
         np.testing.assert_array_equal(t[1:, 0, 1:], d.R)
         np.testing.assert_array_equal(t[1:, 1:, 1:], d.tau)
 
+    def test_equality_and_hashing_are_by_identity(self):
+        # array fields have no single truth value: two decompositions are compared through their tensors
+        rho = random_density(np.random.default_rng(17))
+        d1, d2 = decompose_state(rho), decompose_state(rho)
+        assert d1 == d1 and d1 != d2 and hash(d1) == hash(d1)
+        assert len({d1, d2}) == 2
+        assert np.array_equal(d1.coefficient_tensor(), d2.coefficient_tensor())
+
     def test_fields_are_copied_from_the_input(self):
         fields = dict(a=np.zeros(3), b=np.zeros(3), c=np.zeros(3), Q=np.zeros((3, 3)),
                       R=np.zeros((3, 3)), S=np.zeros((3, 3)), tau=np.zeros((3, 3, 3)))

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import literal_directions
 from qrecon.cli import main
 from qrecon.fidelity import (
     CANONICAL_SETTING,
@@ -221,7 +222,7 @@ class TestSampling:
     @pytest.mark.parametrize("n, seed", [(1, 1), (8192, 3), (2 * 8192 + 1, 3), (100_000, 42)])
     def test_block_stream_is_one_draw(self, n, seed):
         # samples and records read the block stream; one draw of n rows is the reference
-        lam = np.abs(_sample_directions(np.random.default_rng(seed), n, 4))
+        lam = np.abs(literal_directions(np.random.default_rng(seed), n, 4))
         np.testing.assert_array_equal(sample_wclass(n, seed), lam)
         assert scatter_experiment(n, seed) == [
             ScatterRecord(params=WClassParams(*row), f_tele=ft, f_recon=fr, region=region)
