@@ -15,18 +15,18 @@ import importlib
 #: Submodule -> the names the package exports from it.
 _EXPORTS = {
     "fidelity": (
-        "ALL_SETTINGS", "BRANCHES", "CANONICAL_SETTING", "CaseLabel", "FidelityReport", "QSSCheck",
-        "Setting", "classify_case", "f_max", "f_max_from_theta", "full_report",
+        "ALL_SETTINGS", "BRANCHES", "CANONICAL_SETTING", "CaseLabel", "ClosedFormBounds", "FidelityReport",
+        "QSSCheck", "Setting", "classify_case", "closed_form_bounds", "f_max", "f_max_from_theta",
+        "fixed_rotation_fidelity", "full_report", "optimal_rotation", "optimal_rotations",
         "pair_correlation_for_setting", "qss_check", "report_from_decomposition", "report_to_dict",
         "t_matrix_for_setting", "teleportation_fidelity", "theta", "trace_norm",
     ),
     "paulis": (),
     "presets": ("PRESETS", "preset_density"),
     "protocol": (
-        "ClosedFormBounds", "MCResult", "classical_baseline", "classical_fidelities",
-        "closed_form_bounds", "dishonest_guess_fidelity", "expected_fidelity_exact",
-        "expected_fidelity_mc", "fixed_rotation_fidelity", "optimal_rotation", "optimal_rotations",
-        "permute_to_canonical", "sphere_average_identity_check",
+        "MCResult", "classical_baseline", "classical_fidelities", "dishonest_guess_fidelity",
+        "expected_fidelity_exact", "expected_fidelity_mc", "permute_to_canonical",
+        "sphere_average_identity_check",
     ),
     "states": (
         "BlochDecomposition", "NonHermitianInputError", "NotHermitianError", "NotNormalizedError",

@@ -103,8 +103,8 @@ def cmd_analyze(args) -> list[str]:
 
 def cmd_oracle(args) -> list[str]:
     rho = _load_input_state(args)
-    from .fidelity import Setting
-    from .protocol import closed_form_bounds, expected_fidelity_mc
+    from .fidelity import Setting, closed_form_bounds
+    from .protocol import expected_fidelity_mc
     from .states import decompose_state
 
     setting = Setting.from_string(args.setting)

@@ -1,10 +1,13 @@
-"""Closed-form reconstruction fidelity, case classification, secret sharing.
+"""Every closed form: reconstruction fidelity, SO(3) rotations, case classification, secret sharing.
 
-Everything here is a function of the Bloch decomposition alone.  A
-*setting* assigns the three roles: the dealer holds the qubit being
-measured jointly with the input, the assistant measures in the x basis
-and broadcasts, the reconstructor applies the correction and ends up
-with the output state.
+Everything here is a function of the Bloch decomposition alone.  A *setting* assigns the three roles:
+the dealer holds the qubit being measured jointly with the input, the assistant measures in the x basis
+and broadcasts, the reconstructor applies the correction and ends up with the output state.
+
+Two closed-form routes are computed side by side and never merged: the SO(3)-restricted optimum
+(attainable with unitary corrections, what the Monte Carlo of :mod:`qrecon.protocol` must match) and the
+trace-norm bound (which equals the closed-form ``f_max`` and may exceed the SO(3) value when a branch
+matrix has negative determinant).
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ ZERO_MATRIX_EPS = 1e-9
 QSS_NORM_SLACK = 1e-12
 
 CLASSICAL_FIDELITY = 2.0 / 3.0
+
+ROTATION_TOL = 1e-10
 
 #: Signs (t1, t2, t3) such that the l-th Bell projector is
 #: (1/4)(I + sum_i t_i sigma_i (x) sigma_i); l = 0 is the singlet.
@@ -136,9 +141,14 @@ def branch_matrices(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING)
     return (FRAMES[:, None, :, None] * singlet_matrices(t[1:, 0, 1:], t[1:, 1, 1:])).reshape(8, 3, 3)
 
 
+def _theta(plus, minus):
+    """theta's one bit rule: add the trace norms of M_{0,+} and M_{0,-} (each summed as trace_norms does), halve."""
+    return (plus + minus) / 2.0
+
+
 def theta_from_pair(P: np.ndarray, T: np.ndarray) -> np.ndarray:
     """(||P + T||_1 + ||P - T||_1) / 2 for matching ``(..., m, n)`` stacks."""
-    return trace_norms(singlet_matrices(P, T)).sum(axis=-1) / 2.0
+    return _theta(*np.moveaxis(trace_norms(singlet_matrices(P, T)), -1, 0))
 
 
 def theta(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> float:
@@ -148,8 +158,7 @@ def theta(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> float:
     values above 1 mean the optimally corrected protocol beats the
     classical bound 2/3.
     """
-    t = role_tensor(d, setting)
-    return float(theta_from_pair(t[1:, 0, 1:], t[1:, 1, 1:]))
+    return float(theta_from_pair(pair_correlation_for_setting(d, setting), t_matrix_for_setting(d, setting)))
 
 
 def f_max_from_theta(th: float) -> float:
@@ -164,6 +173,82 @@ def f_max(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> float:
 def teleportation_fidelity(pair_matrix: np.ndarray) -> float:
     """(1 + ||P||_1 / 3) / 2: what the pair alone achieves, no assistant."""
     return f_max_from_theta(trace_norm(pair_matrix))
+
+
+def _so3(omega) -> np.ndarray:
+    """``omega`` as a float (8, 3, 3) array whose 3x3 blocks are special
+    orthogonal to :data:`ROTATION_TOL`; ValueError otherwise."""
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (8, 3, 3):
+        raise ValueError(f"rotations must have shape (8, 3, 3), got {omega.shape}")
+    if not np.isfinite(omega).all():
+        raise ValueError("rotations must be finite")
+    defect = np.abs(omega @ omega.swapaxes(-1, -2) - np.eye(3)).max()
+    det_error = np.abs(np.linalg.det(omega) - 1.0).max()
+    if defect > ROTATION_TOL or det_error > ROTATION_TOL:
+        raise ValueError(f"not special orthogonal: orthogonality defect {defect:.3e}, |det - 1| {det_error:.3e}")
+    return omega
+
+
+def optimal_rotation(m: np.ndarray) -> np.ndarray:
+    """Best SO(3) rotation for a branch matrix, or a rotation per matrix of a ``(..., 3, 3)`` stack.
+
+    Maximizes Tr(M Omega) over rotations: with SVD M = U S V^T the
+    optimum is Omega = V diag(1, 1, det(UV^T)) U^T, attaining
+    s1 + s2 + sign(det M) s3 (the trace norm when det M >= 0).
+    Degenerate singular values are resolved by whatever valid SVD the
+    backend picks; any maximizer gives the same value.
+    """
+    u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    vt[..., 2, :] *= np.sign(np.linalg.det(u @ vt))[..., None]  # exactly +-1, not a float det
+    return vt.swapaxes(-1, -2) @ u.swapaxes(-1, -2)
+
+
+def _rotations(P: np.ndarray, T: np.ndarray) -> np.ndarray:
+    # M_{l,x} = F_l M_{0,x}, so Omega_{l,x} = Omega_{0,x} F_l: the (8, 3, 3) stack in BRANCHES order
+    return (optimal_rotation(singlet_matrices(P, T)) * FRAMES[:, None, None]).reshape(8, 3, 3)
+
+
+def optimal_rotations(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> np.ndarray:
+    """Per-branch optimal corrections: a read-only (8, 3, 3) SO(3) stack in
+    :data:`BRANCHES` order.  M_{l,x} = F_l M_{0,x}, so Omega_{l,x} = Omega_{0,x} F_l."""
+    t = role_tensor(d, setting)
+    omegas = _rotations(t[1:, 0, 1:], t[1:, 1, 1:])
+    omegas.setflags(write=False)
+    return omegas
+
+
+@dataclass(frozen=True)
+class ClosedFormBounds:
+    """The two closed-form routes, reported separately.
+
+    ``f_so3`` is attainable (sums the SO(3)-restricted branch optima);
+    ``f_trace_norm`` sums the trace norms and is the analytic ``f_max``
+    to the bit.  Both read the two singlet matrices M_{0,x} alone: branch
+    (l, x) has M_{l,x} = F_l M_{0,x}, with the singular values and the
+    determinant of M_{0,x}.  Each of the four branches of an x loses 2 s3
+    to the SO(3) restriction where det M_{0,x} < 0: ``so3_gap >= 0``.
+    """
+
+    f_so3: float
+    f_trace_norm: float
+    so3_gap: float
+
+
+def closed_form_bounds(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> ClosedFormBounds:
+    t = role_tensor(d, setting)
+    m0 = singlet_matrices(t[1:, 0, 1:], t[1:, 1, 1:])
+    s = np.linalg.svd(m0, compute_uv=False)
+    loss = np.where(np.linalg.det(m0) < 0, 2.0 * s[:, 2], 0.0)
+    f_tn = f_max_from_theta(_theta(*s.sum(axis=-1).tolist()))
+    f_so3 = f_tn - float(loss.sum()) / 12.0
+    return ClosedFormBounds(f_so3=f_so3, f_trace_norm=f_tn, so3_gap=f_tn - f_so3)
+
+
+def fixed_rotation_fidelity(d: BlochDecomposition, setting: Setting, rotations: np.ndarray) -> float:
+    """Closed-form sphere-averaged fidelity for a fixed (8, 3, 3) rotation
+    stack: 1/2 + (1/48) sum_branches Tr[t_l (P + x T) Omega]."""
+    return 0.5 + float(np.einsum("bij,bji->", branch_matrices(d, setting), _so3(rotations))) / 48.0
 
 
 @dataclass(frozen=True)
@@ -235,9 +320,7 @@ class FidelityReport:
 def full_report(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
                 eps: float = ZERO_MATRIX_EPS) -> FidelityReport:
     """Validate a state and run the complete closed-form analysis."""
-    rho = validate_state(rho)
-    d = decompose_state(rho)
-    return report_from_decomposition(d, setting, eps)
+    return report_from_decomposition(decompose_state(validate_state(rho)), setting, eps)
 
 
 def report_from_decomposition(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING,
@@ -246,7 +329,7 @@ def report_from_decomposition(d: BlochDecomposition, setting: Setting = CANONICA
     P, T = t[1:, 0, 1:], t[1:, 1, 1:]
     stack = np.concatenate((singlet_matrices(P, T), P[None], t[None, 1:, 1:, 0]))  # [M_{0,+}, M_{0,-}, P, Q]
     plus, minus, r_norm, q_norm = trace_norms(stack).tolist()  # one values-only SVD
-    th = (plus + minus) / 2.0  # theta_from_pair's steps: sum the singlet norms, then halve
+    th = _theta(plus, minus)
     qss_ok = q_norm <= 1.0 + QSS_NORM_SLACK and r_norm <= 1.0 + QSS_NORM_SLACK and th > 1.0
     return FidelityReport(
         setting=setting,

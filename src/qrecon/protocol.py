@@ -1,4 +1,4 @@
-"""The fast protocol simulator and the rotation-optimization oracle.
+"""The fast protocol simulator and its Monte Carlo oracle; the closed forms live in :mod:`qrecon.fidelity`.
 
 The protocol: a source qubit S carrying ``rho_S = (I + phi . sigma)/2``
 is measured jointly with the dealer qubit in the Bell basis (outcome
@@ -19,12 +19,6 @@ and rotates the reconstructor's Bloch vector, n -> Omega^T n, with no
 unitary.  Its test oracle, the literal 16-dimensional simulation of one
 ``phi`` with each Omega's SU(2) unitary, is ``tests/reference.py`` and is
 not part of the package.
-
-Two closed-form routes are computed side by side and never merged: the
-SO(3)-restricted optimum (attainable with unitary corrections, what the
-Monte Carlo must match) and the trace-norm bound (which equals the
-closed-form ``f_max`` and may exceed the SO(3) value when a branch
-matrix has negative determinant).
 """
 
 from __future__ import annotations
@@ -35,12 +29,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .fidelity import (BELL_DIAGONALS, BRANCHES, CANONICAL_SETTING, FRAMES, Setting, branch_matrices,
-                       f_max_from_theta, role_tensor, singlet_matrices)
+from .fidelity import BELL_DIAGONALS, BRANCHES, CANONICAL_SETTING, Setting, _rotations, _so3
+from .fidelity import closed_form_bounds, optimal_rotations  # read from here too; the simulator uses neither
 from .paulis import identity2, pauli_x, paulis, product_basis, sigma
-from .states import BlochDecomposition, pauli_traces, validate_state
+from .states import pauli_traces, validate_state
 
-ROTATION_TOL = 1e-10
 ZERO_PROBABILITY = 1e-15
 _BLOCK = 8192  # rows per block of every Monte Carlo direction stream
 
@@ -77,82 +70,6 @@ _PAULIS4 = np.stack(sigma)
 _KERNEL = _branch_kernel()
 _PAIR_BASIS = np.ascontiguousarray(product_basis[1:, :2, 1:])
 _PAULIS4.flags.writeable = _KERNEL.flags.writeable = _PAIR_BASIS.flags.writeable = False
-
-
-def _so3(omega) -> np.ndarray:
-    """``omega`` as a float (8, 3, 3) array whose 3x3 blocks are special
-    orthogonal to :data:`ROTATION_TOL`; ValueError otherwise."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (8, 3, 3):
-        raise ValueError(f"rotations must have shape (8, 3, 3), got {omega.shape}")
-    if not np.isfinite(omega).all():
-        raise ValueError("rotations must be finite")
-    defect = np.abs(omega @ omega.swapaxes(-1, -2) - np.eye(3)).max()
-    det_error = np.abs(np.linalg.det(omega) - 1.0).max()
-    if defect > ROTATION_TOL or det_error > ROTATION_TOL:
-        raise ValueError(f"not special orthogonal: orthogonality defect {defect:.3e}, |det - 1| {det_error:.3e}")
-    return omega
-
-
-def optimal_rotation(m: np.ndarray) -> np.ndarray:
-    """Best SO(3) rotation for a branch matrix, or a rotation per matrix of a ``(..., 3, 3)`` stack.
-
-    Maximizes Tr(M Omega) over rotations: with SVD M = U S V^T the
-    optimum is Omega = V diag(1, 1, det(UV^T)) U^T, attaining
-    s1 + s2 + sign(det M) s3 (the trace norm when det M >= 0).
-    Degenerate singular values are resolved by whatever valid SVD the
-    backend picks; any maximizer gives the same value.
-    """
-    u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
-    vt[..., 2, :] *= np.sign(np.linalg.det(u @ vt))[..., None]  # exactly +-1, not a float det
-    return vt.swapaxes(-1, -2) @ u.swapaxes(-1, -2)
-
-
-def _rotations(P: np.ndarray, T: np.ndarray) -> np.ndarray:
-    # M_{l,x} = F_l M_{0,x}, so Omega_{l,x} = Omega_{0,x} F_l: the (8, 3, 3) stack in BRANCHES order
-    return (optimal_rotation(singlet_matrices(P, T)) * FRAMES[:, None, None]).reshape(8, 3, 3)
-
-
-def optimal_rotations(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> np.ndarray:
-    """Per-branch optimal corrections: a read-only (8, 3, 3) SO(3) stack in
-    :data:`BRANCHES` order.  M_{l,x} = F_l M_{0,x}, so Omega_{l,x} = Omega_{0,x} F_l."""
-    t = role_tensor(d, setting)
-    omegas = _rotations(t[1:, 0, 1:], t[1:, 1, 1:])
-    omegas.setflags(write=False)
-    return omegas
-
-
-@dataclass(frozen=True)
-class ClosedFormBounds:
-    """The two closed-form routes, reported separately.
-
-    ``f_so3`` is attainable (sums the SO(3)-restricted branch optima);
-    ``f_trace_norm`` sums the trace norms and is the analytic ``f_max``
-    to the bit.  Both read the two singlet matrices M_{0,x} alone: branch
-    (l, x) has M_{l,x} = F_l M_{0,x}, with the singular values and the
-    determinant of M_{0,x}.  Each of the four branches of an x loses 2 s3
-    to the SO(3) restriction where det M_{0,x} < 0: ``so3_gap >= 0``.
-    """
-
-    f_so3: float
-    f_trace_norm: float
-    so3_gap: float
-
-
-def closed_form_bounds(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> ClosedFormBounds:
-    t = role_tensor(d, setting)
-    m0 = singlet_matrices(t[1:, 0, 1:], t[1:, 1, 1:])
-    s = np.linalg.svd(m0, compute_uv=False)
-    loss = np.where(np.linalg.det(m0) < 0, 2.0 * s[:, 2], 0.0)
-    f_tn = float(f_max_from_theta(s.sum(axis=-1).sum(axis=-1) / 2.0))  # theta_from_pair's steps: f_max to the bit
-    f_so3 = f_tn - float(loss.sum()) / 12.0
-    return ClosedFormBounds(f_so3=f_so3, f_trace_norm=f_tn, so3_gap=f_tn - f_so3)
-
-
-def fixed_rotation_fidelity(d: BlochDecomposition, setting: Setting, rotations: np.ndarray) -> float:
-    """Closed-form sphere-averaged fidelity for a fixed (8, 3, 3) rotation
-    stack: 1/2 + (1/48) sum_branches Tr[t_l (P + x T) Omega]."""
-    return 0.5 + float(np.einsum("bij,bji->", branch_matrices(d, setting), _so3(rotations))) / 48.0
 
 
 def permute_to_canonical(rho: np.ndarray, setting: Setting) -> np.ndarray:
@@ -498,5 +415,4 @@ def classical_fidelities(p: float, strategy: str, n_samples: int = 1_000_000,
                          seed: int = 42) -> tuple[float, float]:
     """(:func:`classical_baseline`, :func:`dishonest_guess_fidelity`) to the bit, from one pass of
     the direction stream; p and strategy are checked before any draw."""
-    honest, guess = _sphere_mean(np.stack([_guess_form(1.0, "same"), _guess_form(p, strategy)]), n_samples, seed)[0]
-    return honest, guess
+    return tuple(_sphere_mean(np.stack([_guess_form(1.0, "same"), _guess_form(p, strategy)]), n_samples, seed)[0])

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from qrecon.protocol import BRANCHES, ZERO_PROBABILITY, _so3, bell_projectors, hadamard_projectors
+from qrecon.fidelity import _so3
+from qrecon.protocol import BRANCHES, ZERO_PROBABILITY, bell_projectors, hadamard_projectors
 from qrecon.paulis import identity2, pauli_x, pauli_y, pauli_z
 
 

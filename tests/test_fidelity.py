@@ -311,6 +311,12 @@ class TestReport:
         with pytest.raises(NotPSDError):
             full_report(bad)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+    def test_a_coefficient_excess_within_tolerance_is_no_advantage(self):
+        # |000><000| within validation's tolerance; its a_z = 1 + 1.8e-9 gives theta 1.0000000018
+        rho = np.diag([1.0 + 9e-10, 0, 0, 0, -9e-10, 0, 0, 0])
+        assert not full_report(rho).quantum_advantage
+
     def test_report_epsilon_recorded(self):
         report = full_report(preset_density("ghz"), eps=1e-6)
         assert report.epsilon == 1e-6

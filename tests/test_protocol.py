@@ -23,8 +23,12 @@ from qrecon.fidelity import (
     FRAMES,
     Setting,
     branch_matrices,
+    closed_form_bounds,
     f_max,
+    fixed_rotation_fidelity,
     full_report,
+    optimal_rotation,
+    optimal_rotations,
     pair_correlation_for_setting,
     report_from_decomposition,
     role_tensor,
@@ -48,14 +52,10 @@ from qrecon.protocol import (
     branch_maps,
     classical_baseline,
     classical_fidelities,
-    closed_form_bounds,
     dishonest_guess_fidelity,
     expected_fidelity_exact,
     expected_fidelity_mc,
-    fixed_rotation_fidelity,
     hadamard_projectors,
-    optimal_rotation,
-    optimal_rotations,
     permute_to_canonical,
     sphere_average_identity_check,
 )
@@ -347,8 +347,8 @@ class TestClosedFormAgreement:
         def refuse(*args, **kwargs):
             raise AssertionError("the simulator evaluated a closed form")
 
-        monkeypatch.setattr("qrecon.protocol.branch_matrices", refuse)
-        monkeypatch.setattr("qrecon.protocol.singlet_matrices", refuse)
+        monkeypatch.setattr("qrecon.fidelity.branch_matrices", refuse)  # at the source: every route reads them there
+        monkeypatch.setattr("qrecon.fidelity.singlet_matrices", refuse)
         mc = expected_fidelity_mc(rho, n_samples=2000, seed=5, rotations=rots)
         exact = expected_fidelity_exact(rho, rotations=rots)
         assert abs(mc.mean - exact) <= 4 * mc.std_error
@@ -496,6 +496,18 @@ class TestResearchBoundary:
         bounds = closed_form_bounds(d)
         assert expected_fidelity_exact(rho) == pytest.approx(bounds.f_so3, abs=1e-12)
         assert bounds.f_so3 == pytest.approx(bounds.f_trace_norm, abs=1e-12)
+
+    def test_a_trace_norm_advantage_the_protocol_cannot_attain(self):
+        # state 252 of default_rng(11)'s alternating random_density / random_pure draws, setting ACB:
+        # f_trace_norm > 2/3 says advantage, while unitary corrections reach only f_so3 <= 2/3
+        rng = np.random.default_rng(11)
+        states = [random_density(rng) if i % 2 == 0 else pure_to_density(random_pure(rng)) for i in range(253)]
+        rho, setting = states[252], Setting.from_string("ACB")
+        bounds = closed_form_bounds(decompose_state(rho), setting)
+        assert (bounds.f_trace_norm, bounds.f_so3) == pytest.approx((0.66708, 0.64725), abs=5e-6)
+        assert bounds.f_trace_norm > 2 / 3 >= bounds.f_so3
+        assert full_report(rho, setting).quantum_advantage
+        assert expected_fidelity_exact(rho, setting) == pytest.approx(bounds.f_so3, abs=1e-10)
 
     def test_ghz_with_repeated_singular_values(self):
         rho = preset_density("ghz")

@@ -10,14 +10,18 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import literal_directions
 from qrecon.cli import main
 from qrecon.fidelity import (
     CANONICAL_SETTING,
+    closed_form_bounds,
     f_max_from_theta,
     full_report,
     pair_correlation_for_setting,
+    singlet_matrices,
     t_matrix_for_setting,
     theta_from_pair,
     trace_norms,
@@ -203,6 +207,30 @@ class TestClosedForm:
         assert rec.f_recon == pytest.approx(w_report.f_max, abs=1e-12)
         assert rec.f_tele == pytest.approx(7 / 9, abs=1e-12)
         assert rec.region == "blue"
+
+
+def wclass_decomposition(params):
+    return decompose_state(pure_to_density(wclass_state(params)))
+
+
+class TestNoSO3Gap:
+    """The W family attains its trace-norm f_recon with unitary corrections: det(P + x T) = -4 l0^2 l2^2 (1 + 2x l1 l3)
+    <= 0, so each singlet matrix M_{0,x} = -(P + x T) has det >= 0 and loses nothing to the SO(3) restriction."""
+
+    @seed(55)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(any))
+    def test_singlet_determinants_and_gap_property(self, lam):
+        d = wclass_decomposition(WClassParams.normalized(*lam))
+        P, T = pair_correlation_for_setting(d, CANONICAL_SETTING), t_matrix_for_setting(d, CANONICAL_SETTING)
+        assert (np.linalg.det(P + T) <= 0) and (np.linalg.det(P - T) <= 0)
+        assert (np.linalg.det(singlet_matrices(P, T)) >= 0).all()
+        assert closed_form_bounds(d).so3_gap == 0.0
+
+    def test_no_gap_on_the_scatter_rows(self):
+        gaps = [closed_form_bounds(wclass_decomposition(WClassParams(*row))).so3_gap
+                for row in sample_wclass(2000, 42).tolist()]
+        assert max(gaps) == 0.0 and min(gaps) == 0.0
 
 
 class TestSampling:
