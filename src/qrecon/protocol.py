@@ -89,23 +89,13 @@ def _row_norms(v: np.ndarray, out: np.ndarray, square: np.ndarray) -> None:
     np.sqrt(out, out=out)
 
 
-def _normalized_rows(rng: np.random.Generator, raw: np.ndarray, v: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """``raw``'s Gaussian rows, normalized into ``v`` (``raw`` itself may be ``v``) and returned; ``work`` is
-    (2, len(v)) scratch.
-
-    The bytes are those of ``rng.normal(size=v.shape)`` divided by ``np.linalg.norm`` of each row, with a
-    row of norm below 1e-12 redrawn from ``rng``.
-    """
-    norms, square = work
-    np.add(raw, 0.0, out=v)  # normal() returns 0 + 1 z, which turns a -0.0 into +0.0
-    _row_norms(v, norms, square)
+def _redraw(rng: np.random.Generator, v: np.ndarray, norms: np.ndarray, square: np.ndarray) -> None:
+    """Redraw from ``rng`` every row of ``v`` whose norm in ``norms`` is below 1e-12, until none is; ``norms``
+    stays the rows' norms (:func:`_row_norms`, with ``square`` as scratch)."""
     while norms.min() < 1e-12:
         bad = norms < 1e-12
         v[bad] = rng.normal(size=(int(bad.sum()), v.shape[1]))
         _row_norms(v, norms, square)
-    for k in range(v.shape[1]):
-        v[:, k] /= norms
-    return v
 
 
 def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
@@ -131,30 +121,63 @@ def _direction_blocks(n: int, seed: int, dim: int = 3) -> Iterator[np.ndarray]:
 def _blocks(rng: np.random.Generator, n: int, dim: int) -> Iterator[np.ndarray]:
     """n normalized Gaussian rows drawn from ``rng``, :data:`_BLOCK` rows at a time.
 
-    Every block is a view of one buffer that the next block overwrites: copy a block to keep it.  Past one
-    block, the process's draw helper (:func:`_draw_jobs`) draws block k + 1's normals while block k is out.
-    Block k is normalized, redraws included, before that draw is handed over, and the draw is waited for
-    before block k + 1 is normalized, so ``rng`` serves one thread at a time in the single-thread order.
-    A stream that is closed, abandoned or ended by its consumer's exception still waits for its pending
-    draw: no queued work outlives it.
+    The bytes are those of ``rng.normal(size=(n, dim))``, block by block, divided by ``np.linalg.norm`` of
+    each row, with a block's rows of norm below 1e-12 redrawn from ``rng`` before the next block is drawn.
+    Every block is a view of one buffer that the next block overwrites: copy a block to keep it.
+
+    Past one block, the process's draw helper (:func:`_draw_jobs`) draws ahead.  Once block k's normals are
+    in the block buffer, ``rng``'s state is saved and block k + 1's draw is handed over; then block k's norms
+    are taken and checked for a redraw, and block k is divided and yielded.  A redraw first collects the
+    speculative draw, restores the saved state, redraws and hands block k + 1 over again, so ``rng`` serves
+    one thread at a time in the single-thread order.  Block k + 1's draw is collected, and copied into the
+    block buffer, when the next block is asked for.  A stream has at most one pending draw and collects it
+    exactly once on every exit: one that is closed, abandoned or ended by an exception leaves no queued work.
     """
-    v, work = np.empty((min(n, _BLOCK), dim)), np.empty((2, min(n, _BLOCK)))
-    block = _normalized_rows(rng, rng.standard_normal(out=v), v, work)
+    m = min(n, _BLOCK)
+    v, work = np.empty((m, dim)), np.empty((2, m))
+    np.add(rng.standard_normal(out=v), 0.0, out=v)  # normal() returns 0 + 1 z, which turns a -0.0 into +0.0
     if n > _BLOCK:
         from queue import SimpleQueue
 
         raw, done, jobs = np.empty_like(v), SimpleQueue(), _draw_jobs()
-    for start in range(_BLOCK, n, _BLOCK):
-        b = min(n - start, _BLOCK)
-        jobs.put((rng, raw[:b], done))
-        try:
-            yield block
-        finally:
-            error = done.get()
+    pending = False
+
+    def hand_over(rows: int) -> None:
+        nonlocal pending
+        jobs.put((rng, raw[:rows], done))
+        pending = True
+
+    def collect() -> None:
+        nonlocal pending
+        error = done.get()
+        pending = False
         if error is not None:
             raise error
-        block = _normalized_rows(rng, raw[:b], v[:b], work[:, :b])
-    yield block
+
+    try:
+        for start in range(0, n, _BLOCK):
+            b, ahead = min(n - start, _BLOCK), min(n - start - _BLOCK, _BLOCK)  # ahead <= 0: the last block
+            block, norms, square = v[:b], work[0, :b], work[1, :b]
+            if ahead > 0:
+                saved = rng.bit_generator.state
+                hand_over(ahead)
+            _row_norms(block, norms, square)
+            if norms.min() < 1e-12:
+                if ahead > 0:  # the speculative draw read rng past this block's redraw: rewind to before it
+                    collect()
+                    rng.bit_generator.state = saved
+                _redraw(rng, block, norms, square)
+                if ahead > 0:
+                    hand_over(ahead)
+            for k in range(dim):
+                block[:, k] /= norms
+            yield block
+            if ahead > 0:
+                collect()
+                np.add(raw[:ahead], 0.0, out=v[:ahead])
+    finally:
+        if pending:  # the stream ends before its next block: wait, so no draw outlives it
+            done.get()
 
 
 #: The draw helper: (thread, job queue) once a stream of two or more blocks has started it in this process.

@@ -665,6 +665,38 @@ def test_process_entry_runs_without_the_collector():
     assert json.loads(proc.stdout)["f_max"] == pytest.approx(1.0, abs=1e-12)
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("entry", ["run", "main"])
+@pytest.mark.parametrize("chosen", [None, *BLAS_THREAD_VARIABLES])
+def test_process_entry_runs_one_blas_thread_unless_the_caller_chose(entry, chosen):
+    # what main() sees: run() sets OpenBLAS's count before numpy loads, unless the caller set any variable
+    # OpenBLAS reads it from; main(argv), for API callers, sets nothing
+    script = ("import os, sys, qrecon.cli\n"
+              "real = qrecon.cli.main\n"
+              "def main(argv=None):\n"
+              f"    print(*[os.environ.get(name) for name in {BLAS_THREAD_VARIABLES!r}], 'numpy' in sys.modules,\n"
+              "          file=sys.stderr)\n"
+              "    return real(argv)\n"
+              "qrecon.cli.main = main\n"
+              "sys.argv = ['qrecon', 'oracle', '--preset', 'w', '--samples', '100']\n"
+              f"code = qrecon.cli.{entry}({'' if entry == 'run' else 'sys.argv[1:]'})\n"
+              "print(code, os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)")
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARIABLES}
+    if chosen is not None:
+        env[chosen] = "2"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen = dict(zip(BLAS_THREAD_VARIABLES, [None] * 3))
+    if chosen is not None:
+        seen[chosen] = "2"
+    elif entry == "run":
+        seen["OPENBLAS_NUM_THREADS"] = "1"
+    assert proc.stderr.split() == [*map(str, seen.values()), "False", "0", str(seen["OPENBLAS_NUM_THREADS"])]
+    assert json.loads(proc.stdout)["n_samples"] == 100
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--preset", "ghz"],
     ["oracle", "--preset", "w", "--samples", "100"],

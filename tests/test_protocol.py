@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import itertools
 import os
+import queue
 import signal
 import subprocess
 import sys
@@ -613,14 +614,22 @@ class TestPerStatePreparation:
 
 class DegenerateDraw:
     """``default_rng(seed)``'s stream, except that the k-th draw's row 1 is zero and its row 5 has norm 1e-13
-    (k counts from 1; k = 0 leaves every draw as drawn).  ``draws`` records each draw's shape in order."""
+    (k counts from 1; k = 0 leaves every draw as drawn).  ``draws`` records each draw's shape in order,
+    and ``bit_generator`` is the stream's own: restoring its state rewinds the stream but not ``draws``."""
 
     def __init__(self, k, seed):
         self.rng = np.random.Generator(np.random.PCG64(seed))  # default_rng's stream, even while it is patched
         self.k, self.draws = k, []
 
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def _degenerate(self, v):
+        return len(self.draws) + 1 == self.k
+
     def _drawn(self, v):
-        if len(self.draws) + 1 == self.k:
+        if self._degenerate(v):
             v[1] = 0.0
             v[5] *= 1e-13 / np.linalg.norm(v[5])
         self.draws.append(v.shape)
@@ -640,6 +649,15 @@ class DegenerateFirstDraw(DegenerateDraw):
         super().__init__(1, seed)
 
 
+class DegenerateBlocks(DegenerateDraw):
+    """``default_rng(seed)``'s stream, except that every draw of 6 rows or more, a block's but not a redraw's,
+    has the two bad rows of :class:`DegenerateDraw` whatever k is: chosen by its size, so a draw made again
+    after a rewind is made bad again."""
+
+    def _degenerate(self, v):
+        return len(v) >= 6
+
+
 def stream_bytes(n, seed, dim=3):
     return np.concatenate([block.copy() for block in _direction_blocks(n, seed, dim)]).tobytes()
 
@@ -648,12 +666,12 @@ def block_sizes(n):
     return [min(8192, n - start) for start in range(0, n, 8192)]
 
 
-def open_degenerate_draws(monkeypatch, k):
-    """Patch ``default_rng`` to open ``DegenerateDraw(k, seed)``; the list of the fakes it opened, in order."""
+def open_degenerate_draws(monkeypatch, k, fake=DegenerateDraw):
+    """Patch ``default_rng`` to open ``fake(k, seed)``; the list of the fakes it opened, in order."""
     opened = []
 
     def open_fake(seed):
-        opened.append(DegenerateDraw(k, seed))
+        opened.append(fake(k, seed))
         return opened[-1]
 
     monkeypatch.setattr(np.random, "default_rng", open_fake)
@@ -676,14 +694,16 @@ class TestDirections:
         reference = DegenerateFirstDraw(7)
         assert got.tobytes() == literal_directions(reference, n, dim).tobytes()
         assert rng.draws == reference.draws == [(n, dim), (2, dim)]  # one redraw, of the two bad rows
-        # across blocks: the redraw comes before the second block's draw, as in one literal draw per block
+        # across blocks: the bytes are those of one literal draw per block, whose redraw comes before the
+        # second block's draw; the stream drew the second block ahead, then rewound and drew it again
         n = 2 * 8192 + 3
-        monkeypatch.setattr(np.random, "default_rng", DegenerateFirstDraw)
+        opened = open_degenerate_draws(monkeypatch, 1)
         got = np.concatenate([block.copy() for block in _direction_blocks(n, 7, dim)])
         reference = DegenerateFirstDraw(7)
         expected = np.concatenate([literal_directions(reference, b, dim) for b in (8192, 8192, 3)])
         assert got.tobytes() == expected.tobytes()
         assert reference.draws == [(8192, dim), (2, dim), (8192, dim), (3, dim)]
+        assert opened[0].draws == [(8192, dim), (8192, dim), (2, dim), (8192, dim), (3, dim)]
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_blocks_are_views_of_one_buffer(self, dim):
@@ -706,7 +726,8 @@ class TestDirections:
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("k", [2, 3])
     def test_a_redraw_in_a_block_the_helper_drew(self, monkeypatch, k, dim):
-        # the k-th draw is the helper's; its redraw runs on the caller before the next draw is handed over
+        # the k-th draw is the helper's.  The next block's draw is handed over before the redraw check, so
+        # the redraw collects it, rewinds rng, redraws on the caller and hands the next block over again
         n, opened = 3 * 8192 + 3, open_degenerate_draws(monkeypatch, k)
         blocks = [block.copy() for block in _direction_blocks(n, 7, dim)]
         reference = DegenerateDraw(k, 7)
@@ -714,7 +735,23 @@ class TestDirections:
             assert block.tobytes() == literal_directions(reference, b, dim).tobytes()
         draws = [(b, dim) for b in block_sizes(n)]
         draws.insert(k, (2, dim))  # one redraw, of the two bad rows, right after the k-th draw
-        assert opened[0].draws == reference.draws == draws
+        assert reference.draws == draws
+        # draw k, the discarded draw of block k + 1, the redraw, block k + 1 drawn again
+        assert opened[0].draws == draws[:k] + [draws[k + 1]] + draws[k:]
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_redraws_in_every_block_are_the_literal_rule(self, monkeypatch, dim):
+        # every block, the last (17 rows) too, has a redraw: each rewinds rng past a draw made ahead
+        n, opened = 5 * 8192 + 17, open_degenerate_draws(monkeypatch, 0, DegenerateBlocks)
+        got = np.concatenate([block.copy() for block in _direction_blocks(n, 7, dim)])
+        reference = DegenerateBlocks(0, 7)
+        expected = np.concatenate([literal_directions(reference, b, dim) for b in block_sizes(n)])
+        assert got.tobytes() == expected.tobytes()
+        sizes = [(b, dim) for b in block_sizes(n)]
+        assert reference.draws == [draw for size in sizes for draw in (size, (2, dim))]
+        # block k + 1 drawn ahead, block k's redraw, block k + 1 drawn again; the last block's redraw
+        ahead = [draw for size in sizes[1:] for draw in (size, (2, dim), size)]
+        assert opened[0].draws == sizes[:1] + ahead + [(2, dim)]
 
     def test_standard_normal_plus_zero_is_normal(self):
         # the sampler draws with standard_normal(out=) and adds 0.0, as normal() computes 0 + 1 z
@@ -728,20 +765,69 @@ class TestDirections:
         assert z.tobytes() == np.array([0.0]).tobytes()
 
 
+def handed_over(monkeypatch):
+    """Patch the draw helper's job queue to log each job; the list of the ``done`` queues of the jobs handed
+    over, one entry per job."""
+    real, dones = protocol._draw_jobs, []
+
+    class Logged:
+        def __init__(self, jobs):
+            self.jobs = jobs
+
+        def put(self, job):
+            dones.append(job[2])
+            self.jobs.put(job)
+
+    monkeypatch.setattr(protocol, "_draw_jobs", lambda: Logged(real()))
+    return dones
+
+
+def within(seconds, call):
+    """``call()`` on another thread, failing the test if it does not return or raise within ``seconds``; what
+    it raised is raised here."""
+    raised = []
+
+    def target():
+        try:
+            call()
+        except BaseException as error:
+            raised.append(error)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"no return within {seconds} s: a wait that can never end"
+    if raised:
+        raise raised[0]
+
+
 class TestDrawHelper:
     """The one helper thread that draws a stream's next block: what it leaves behind, and who shares it."""
 
-    def assert_idle(self):
-        assert protocol._helper[0].is_alive() and protocol._helper[1].empty()
+    def assert_idle(self, dones=()):
+        """The helper is alive with nothing queued and serves a new job at once; each of ``dones`` (the job
+        log of :func:`handed_over`), collected as often as it was handed a job, is empty."""
+        thread, jobs = protocol._helper
+        assert thread.is_alive() and jobs.empty()
+        probe = queue.SimpleQueue()
+        jobs.put((np.random.Generator(np.random.PCG64(0)), np.empty((1, 3)), probe))
+        assert probe.get(timeout=30) is None  # served after every earlier job: no draw is left running
+        assert all(done.empty() for done in dones)
+
+    def test_a_stream_that_ends_collects_every_draw(self, monkeypatch):
+        opened, dones = open_degenerate_draws(monkeypatch, 0), handed_over(monkeypatch)
+        assert len(list(_direction_blocks(3 * 8192 + 1, 3))) == 4
+        assert opened[0].draws == [(8192, 3)] * 3 + [(1, 3)] and len(dones) == 3
+        self.assert_idle(dones)
 
     def test_a_stream_closed_early_waits_for_its_draw(self, monkeypatch):
-        opened = open_degenerate_draws(monkeypatch, 0)
+        opened, dones = open_degenerate_draws(monkeypatch, 0), handed_over(monkeypatch)
         stream = _direction_blocks(5 * 8192, 3)
         next(stream), next(stream)
-        stream.close()
+        within(30, stream.close)
         # blocks 0 and 1, and block 2's draw, handed over with block 1, is done: nothing is queued
         assert opened[0].draws == [(8192, 3)] * 3
-        self.assert_idle()
+        self.assert_idle(dones)
         monkeypatch.undo()
         assert stream_bytes(3 * 8192, 11) == literal_directions(np.random.default_rng(11), 3 * 8192, 3).tobytes()
         assert opened[0].draws == [(8192, 3)] * 3
@@ -755,7 +841,7 @@ class TestDrawHelper:
                 raise RuntimeError("consumer failed")
             return real(*args)
 
-        opened = open_degenerate_draws(monkeypatch, 0)
+        opened, dones = open_degenerate_draws(monkeypatch, 0), handed_over(monkeypatch)
         monkeypatch.setattr(protocol, "_quadratic_form", raising)
         try:
             expected_fidelity_mc(preset_density("w"), n_samples=5 * 8192, seed=3)
@@ -764,7 +850,7 @@ class TestDrawHelper:
         else:
             pytest.fail("the consumer did not raise")
         assert opened[0].draws == [(8192, 3)] * 3
-        self.assert_idle()
+        self.assert_idle(dones)
         monkeypatch.undo()
         assert stream_bytes(3 * 8192, 11) == literal_directions(np.random.default_rng(11), 3 * 8192, 3).tobytes()
 
@@ -776,11 +862,61 @@ class TestDrawHelper:
                 return super().standard_normal(size, out)
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingSecondDraw(0, seed))
+        dones = handed_over(monkeypatch)
         stream = _direction_blocks(3 * 8192, 3)
         next(stream)
         with pytest.raises(MemoryError, match="second draw"):
-            next(stream)
-        self.assert_idle()
+            within(30, lambda: next(stream))
+        self.assert_idle(dones)
+
+    def test_a_failed_draw_that_a_redraw_discards_is_raised(self, monkeypatch):
+        # block 0 needs a redraw, so the draw of block 1 made ahead is collected, and its error raised
+        class FailingSecondDraw(DegenerateDraw):
+            def standard_normal(self, size=None, out=None):
+                if self.draws:
+                    raise MemoryError("second draw")
+                return super().standard_normal(size, out)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingSecondDraw(1, seed))
+        dones = handed_over(monkeypatch)
+        with pytest.raises(MemoryError, match="second draw"):
+            within(30, lambda: next(_direction_blocks(3 * 8192, 3)))
+        assert len(dones) == 1
+        self.assert_idle(dones)
+
+    def test_a_failed_rewind_ends_the_stream(self, monkeypatch):
+        # the draw made ahead is collected before the rewind fails: the stream's exit must not wait again
+        class Unrestorable:
+            def __init__(self, bit_generator):
+                self.real = bit_generator
+
+            @property
+            def state(self):
+                return self.real.state
+
+            @state.setter
+            def state(self, value):
+                raise RuntimeError("state not restored")
+
+        class UnrewindableDraw(DegenerateDraw):
+            @property
+            def bit_generator(self):
+                return Unrestorable(self.rng.bit_generator)
+
+        opened = open_degenerate_draws(monkeypatch, 1, UnrewindableDraw)
+        dones = handed_over(monkeypatch)
+        with pytest.raises(RuntimeError, match="state not restored"):
+            within(30, lambda: next(_direction_blocks(3 * 8192, 3)))
+        assert opened[0].draws == [(8192, 3)] * 2 and len(dones) == 1
+        self.assert_idle(dones)
+
+    def test_a_stream_closed_after_a_redraw_waits_for_the_draw_handed_over_again(self, monkeypatch):
+        opened, dones = open_degenerate_draws(monkeypatch, 1), handed_over(monkeypatch)
+        stream = _direction_blocks(3 * 8192, 3)
+        next(stream)
+        within(30, stream.close)
+        assert opened[0].draws == [(8192, 3), (8192, 3), (2, 3), (8192, 3)] and len(dones) == 2
+        self.assert_idle(dones)
 
     def test_one_helper_per_process(self):
         stream_bytes(2 * 8192 + 1, 0)
