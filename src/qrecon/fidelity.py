@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -70,7 +71,7 @@ class Setting:
     def __str__(self) -> str:
         return self.dealer + self.assistant + self.reconstructor
 
-    @property
+    @cached_property  # computed once per instance, kept in its __dict__: not a field, so ==, hash and repr ignore it
     def order(self) -> tuple[int, int, int]:
         """Wire index of (dealer, assistant, reconstructor).  This axis
         permutation is the whole role rule: :func:`role_tensor` applies it
@@ -319,7 +320,12 @@ class FidelityReport:
 
 def full_report(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
                 eps: float = ZERO_MATRIX_EPS) -> FidelityReport:
-    """Validate a state and run the complete closed-form analysis."""
+    """Validate a state and run the complete closed-form analysis.
+
+    :func:`validate_state` and :func:`decompose_state` remember the last
+    state they admitted, one entry by its exact bytes, so reports of one
+    state under several settings validate and decompose it once; every
+    result has the bits it has without that memo."""
     return report_from_decomposition(decompose_state(validate_state(rho)), setting, eps)
 
 

@@ -64,6 +64,13 @@ class NonHermitianInputError(StateValidationError):
     """Decomposition coefficients came out with a non-real residue."""
 
 
+#: The last state :func:`validate_state` admitted: (the bytes of its C-ordered complex (8, 8) array, and the
+#: (4, 4, 4) complex coefficients :func:`decompose_state` made from those bytes, or None until it has).  One
+#: entry, replaced whole, never handed out: a thread reads the old entry or the new one, and every caller gets
+#: its own copy.  Threads may replace each other's entries; any entry is an admitted state and its own bits.
+_last_state: tuple[bytes, np.ndarray | None] | None = None
+
+
 def validate_state(matrix: np.ndarray) -> np.ndarray:
     """Check the density-matrix contract and return a read-only copy.
 
@@ -73,24 +80,34 @@ def validate_state(matrix: np.ndarray) -> np.ndarray:
     violation in the message.  Hermiticity is required to 1e-10 (max
     abs deviation), the trace to 1e-10, and eigenvalues may not fall
     below -1e-9.
+
+    The last admitted state is remembered, one entry by its exact bytes:
+    checking the same bytes again runs no check and returns a fresh copy
+    (so :func:`decompose_state` and every analysis of one state validate it
+    once).  A rejected input is checked again on every call.
     """
+    global _last_state
     rho = np.asarray(matrix, dtype=complex)
     if rho.shape != (8, 8):
         raise StateValidationError(f"expected shape (8, 8), got {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise StateValidationError("density matrix has a non-finite entry")
+    key = rho.tobytes()  # C order, whatever rho's layout; every check below reads values alone
+    last = _last_state
+    if last is None or last[0] != key:
+        if not np.isfinite(rho).all():
+            raise StateValidationError("density matrix has a non-finite entry")
 
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > HERMITICITY_TOL:
-        raise NotHermitianError(f"max |rho - rho^dag| = {herm:.3e} > {HERMITICITY_TOL:.0e}")
+        herm = np.abs(rho - rho.conj().T).max()
+        if herm > HERMITICITY_TOL:
+            raise NotHermitianError(f"max |rho - rho^dag| = {herm:.3e} > {HERMITICITY_TOL:.0e}")
 
-    trace = rho.trace()
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise NotUnitTraceError(f"|Tr rho - 1| = {abs(trace - 1.0):.3e} > {TRACE_TOL:.0e}")
+        trace = rho.trace()
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise NotUnitTraceError(f"|Tr rho - 1| = {abs(trace - 1.0):.3e} > {TRACE_TOL:.0e}")
 
-    lowest = float(np.linalg.eigvalsh(rho).min())
-    if lowest < PSD_FLOOR:
-        raise NotPSDError(f"lowest eigenvalue {lowest:.3e} < {PSD_FLOOR:.0e}")
+        lowest = float(np.linalg.eigvalsh(rho).min())
+        if lowest < PSD_FLOOR:
+            raise NotPSDError(f"lowest eigenvalue {lowest:.3e} < {PSD_FLOOR:.0e}")
+        _last_state = key, None
 
     out = rho.copy()
     out.setflags(write=False)
@@ -196,13 +213,26 @@ def decompose_state(rho: np.ndarray) -> BlochDecomposition:
     The input is not otherwise re-validated.  Every matrix that
     :func:`validate_state` admits decomposes: coefficients may exceed 1
     by up to ``DECOMPOSITION_BOUND - 1`` (about 2e-8).
+
+    For the last state :func:`validate_state` admitted, given as a
+    C-ordered array of the same bytes, the coefficients are computed once
+    and kept: a later call copies them into a new decomposition.
     """
+    global _last_state
     rho = np.asarray(rho, dtype=complex)
-    coeff = pauli_traces(rho)
-    residue = float(np.abs(coeff.imag).max())
-    if residue > COEFFICIENT_IMAG_TOL:
-        raise NonHermitianInputError(f"coefficient imaginary residue {residue:.3e} > {COEFFICIENT_IMAG_TOL:.0e}")
-    coeff[0, 0, 0] = 1.0  # the identity slot is 1 by definition, whatever the input's trace
+    last = _last_state
+    # C order only: the einsum's summation order may follow the input's layout, and the kept bits must be this call's
+    seen = last is not None and rho.shape == (8, 8) and rho.flags.c_contiguous and last[0] == rho.tobytes()
+    if seen and last[1] is not None:
+        coeff = last[1].copy()
+    else:
+        coeff = pauli_traces(rho)
+        residue = float(np.abs(coeff.imag).max())
+        if residue > COEFFICIENT_IMAG_TOL:
+            raise NonHermitianInputError(f"coefficient imaginary residue {residue:.3e} > {COEFFICIENT_IMAG_TOL:.0e}")
+        coeff[0, 0, 0] = 1.0  # the identity slot is 1 by definition, whatever the input's trace
+        if seen:
+            _last_state = last[0], coeff.copy()
     return BlochDecomposition.__new__(BlochDecomposition)._adopt(coeff.real)  # as it is
 
 

@@ -37,3 +37,21 @@ def literal_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray
         v[bad] = rng.normal(size=(int(bad.sum()), dim))
         norms = np.linalg.norm(v, axis=1)
     return v / norms[:, None]
+
+
+def count_calls(monkeypatch, names, owners):
+    """Wrap each function in ``names`` on every object of ``owners`` that has it, for the test's duration;
+    returns the dict name -> number of calls so far, through any of the wrapped references."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for owner in owners:
+        for name in names:
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return counts

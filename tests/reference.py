@@ -62,6 +62,25 @@ def rotation_to_unitary(omega: np.ndarray) -> np.ndarray:
     return q[0] * identity2 - 1j * pauli_vector(q[1:])
 
 
+def so3_optimum(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """max of Tr(M Omega) over rotations Omega, and a rotation attaining it, by Davenport's q-method: no SVD.
+
+    For a unit quaternion q = (w, v), R(q) = (w^2 - |v|^2) I + 2 v v^T + 2 w [v]_x is a rotation, every
+    rotation is one, and Tr(M R(q)) = q^T K q with Wahba's symmetric K = [[Tr M, z^T], [z, M + M^T - Tr(M) I]],
+    z = (M_12 - M_21, M_20 - M_02, M_01 - M_10).  So the optimum is K's largest eigenvalue, attained at R of
+    its eigenvector (G. Wahba, SIAM Review 7, 1965; B. K. P. Horn, JOSA A 4, 1987).
+    """
+    m = np.asarray(m, dtype=float)
+    k = np.empty((4, 4))
+    k[0, 0] = np.trace(m)
+    k[0, 1:] = k[1:, 0] = m[1, 2] - m[2, 1], m[2, 0] - m[0, 2], m[0, 1] - m[1, 0]
+    k[1:, 1:] = m + m.T - np.trace(m) * np.eye(3)
+    values, vectors = np.linalg.eigh(k)
+    w, v = vectors[0, -1], vectors[1:, -1]
+    cross = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    return float(values[-1]), (w * w - v @ v) * np.eye(3) + 2.0 * np.outer(v, v) + 2.0 * w * cross
+
+
 @dataclass(frozen=True)
 class ProtocolOutcome:
     """One measurement branch: outcome pair, its probability, the

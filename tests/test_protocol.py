@@ -14,10 +14,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import literal_directions, random_density, random_pure, random_rotation
+from conftest import count_calls, literal_directions, random_density, random_pure, random_rotation
 from qrecon.fidelity import (
     ALL_SETTINGS,
     CANONICAL_SETTING,
@@ -521,6 +521,43 @@ class TestResearchBoundary:
         assert bounds.f_so3 == pytest.approx(bounds.f_trace_norm, abs=1e-12)
 
 
+def davenport_edges():
+    """Named states at the edges of the SO(3) rule: repeated singular values (ghz), zero branch matrices (mixed),
+    theta exactly 1 with singular branches (theta-one, as in TestResearchBoundary), and the W state."""
+    theta_one = np.zeros((8, 8))
+    theta_one[0, 0] = theta_one[5, 5] = 0.5  # (|000><000| + |101><101|) / 2
+    return {"ghz": preset_density("ghz"), "mixed": preset_density("mixed"), "theta-one": theta_one,
+            "w": preset_density("w")}
+
+
+DAVENPORT_EDGES = davenport_edges()
+
+
+class TestDavenport:
+    """A third derivation of the SO(3) optimum: Davenport's q-method (``reference.so3_optimum``), with no SVD."""
+
+    @seed(64)
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.sampled_from(sorted(DAVENPORT_EDGES)), st.integers(0, 2**32 - 1)),
+           st.sampled_from(ALL_SETTINGS))
+    @example("ghz", CANONICAL_SETTING)
+    @example("mixed", Setting.from_string("CAB"))
+    @example("theta-one", CANONICAL_SETTING)
+    def test_f_so3_is_the_top_eigenvalue_of_wahbas_k_property(self, source, setting):
+        if isinstance(source, str):
+            rho = DAVENPORT_EDGES[source]
+        else:
+            rng = np.random.default_rng(source)
+            rho = pure_to_density(random_pure(rng)) if source % 2 else random_density(rng)
+        d = decompose_state(rho)
+        optima = [reference.so3_optimum(m) for m in branch_matrices(d, setting)]
+        f_so3 = closed_form_bounds(d, setting).f_so3
+        assert abs(f_so3 - (0.5 + sum(value for value, _ in optima) / 48.0)) <= 1e-12
+        # the simulator at corrections that did not come from fidelity
+        rotations = np.stack([omega for _, omega in optima])
+        assert abs(expected_fidelity_exact(rho, setting, rotations) - f_so3) <= 1e-12
+
+
 class TestSettingsPermutation:
     def test_permuted_state_reproduces_theta(self):
         rng = np.random.default_rng(40)
@@ -588,18 +625,8 @@ class TestPerStatePreparation:
     def test_one_call_prepares_its_state_once(self, monkeypatch, entry):
         import qrecon
         rho = preset_density("w")
-        counts = dict.fromkeys(["validate_state", "decompose_state", "optimal_rotation"], 0)
-
-        def counting(name, fn):
-            def call(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return call
-
-        for module in (qrecon, *(m for m in vars(qrecon).values() if inspect.ismodule(m))):
-            for name in counts:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        counts = count_calls(monkeypatch, ["validate_state", "decompose_state", "optimal_rotation"],
+                             [qrecon, *(m for m in vars(qrecon).values() if inspect.ismodule(m))])
         entry(rho, Setting.from_string("BCA"))
         assert counts == {"validate_state": 1, "decompose_state": 0, "optimal_rotation": 1}
 

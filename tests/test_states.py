@@ -1,10 +1,16 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_density, random_pure
+from conftest import count_calls, random_density, random_pure
+from qrecon import states
+from qrecon.fidelity import ALL_SETTINGS, full_report
+from qrecon.protocol import expected_fidelity_exact, expected_fidelity_mc
 from qrecon.paulis import identity2, pauli_x, pauli_y, pauli_z, paulis, product_basis, sigma
 from qrecon.states import (
     DECOMPOSITION_BOUND,
@@ -380,3 +386,137 @@ def test_purity_extremes():
     rng = np.random.default_rng(15)
     assert purity(pure_to_density(random_pure(rng))) == pytest.approx(1.0, abs=1e-12)
     assert purity(np.eye(8) / 8) == pytest.approx(1 / 8, abs=1e-15)
+
+
+def memo_pool():
+    """Admitted states in several guises (the same values real, Fortran-ordered, read-only) and two rejected ones."""
+    rng = np.random.default_rng(61)
+    w, mixed, ghz = w_density(), random_density(rng), ghz_density()
+    frozen = w.copy()
+    frozen.setflags(write=False)
+    non_hermitian = np.eye(8, dtype=complex) / 8
+    non_hermitian[0, 1] = 1e-6j
+    return [w, frozen, mixed, np.asfortranarray(mixed), ghz, np.ascontiguousarray(ghz.real),
+            pure_to_density(random_pure(rng)), (np.eye(8) + 1.5 * kron3(pauli_x, pauli_x, pauli_x)) / 8,
+            non_hermitian]
+
+
+MEMO_POOL = memo_pool()
+
+MEMO_CALLS = {
+    "validate_state": lambda rho, setting: validate_state(rho),
+    "decompose_state": lambda rho, setting: decompose_state(rho),
+    "full_report": full_report,
+    "expected_fidelity_exact": expected_fidelity_exact,
+}
+
+
+def result_bits(result):
+    """Every bit of a result: an array's dtype, shape, strides, flags and bytes, a decomposition's fields and
+    tensor, a float's hex; a report by its repr, which prints each float to the bit."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.strides, result.flags.writeable, result.tobytes()
+    if isinstance(result, BlochDecomposition):
+        return tuple(result_bits(getattr(result, name)) for name in ("a", "b", "c", "Q", "R", "S", "tau")) + (
+            result_bits(result.coefficient_tensor()),)
+    if isinstance(result, float):
+        return result.hex()
+    return repr(result)
+
+
+def call_bits(name, rho, setting):
+    try:
+        return result_bits(MEMO_CALLS[name](rho, setting))
+    except ValueError as error:  # every rejection of an input
+        return type(error), str(error)
+
+
+class TestStateMemo:
+    """validate_state and decompose_state keep the last admitted state, one entry, and no result shows it."""
+
+    def test_six_reports_validate_and_decompose_once(self, monkeypatch):
+        rho = w_density()
+        monkeypatch.setattr(states, "_last_state", None)
+        counts = count_calls(monkeypatch, ["eigvalsh", "pauli_traces"], [np.linalg, states])
+        for setting in ALL_SETTINGS:
+            full_report(rho, setting)
+        assert counts == {"eigvalsh": 1, "pauli_traces": 1}
+
+    def test_the_exact_value_after_the_mc_validates_once(self, monkeypatch):
+        rho, setting = random_density(np.random.default_rng(62)), ALL_SETTINGS[3]
+        monkeypatch.setattr(states, "_last_state", None)
+        counts = count_calls(monkeypatch, ["eigvalsh"], [np.linalg])
+        expected_fidelity_mc(rho, setting, n_samples=100, seed=3)
+        expected_fidelity_exact(rho, setting)
+        assert counts == {"eigvalsh": 1}
+
+    def test_a_rejected_state_is_checked_on_every_call(self, monkeypatch):
+        rho, not_psd = w_density(), MEMO_POOL[-2]
+        monkeypatch.setattr(states, "_last_state", None)
+        counts = count_calls(monkeypatch, ["eigvalsh"], [np.linalg])
+        validate_state(rho)
+        for repeat in range(1, 4):
+            with pytest.raises(NotPSDError):
+                validate_state(not_psd)
+            with pytest.raises(NotPSDError):
+                full_report(not_psd)
+            assert counts["eigvalsh"] == 1 + 2 * repeat
+        full_report(rho)  # a rejection does not replace the admitted entry
+        assert counts["eigvalsh"] == 7
+        one_bit_off = rho.copy()
+        one_bit_off[0, 0] = np.nextafter(rho[0, 0].real, 1.0)
+        validate_state(one_bit_off)
+        assert counts["eigvalsh"] == 8
+
+    @seed(63)
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(MEMO_CALLS)), st.integers(0, len(MEMO_POOL) - 1),
+                              st.sampled_from(ALL_SETTINGS)), min_size=1, max_size=16))
+    def test_the_memo_is_invisible_property(self, calls):
+        states._last_state = None
+        for name, i, setting in calls:
+            kept = states._last_state
+            states._last_state = None
+            cold = call_bits(name, MEMO_POOL[i], setting)
+            states._last_state = kept
+            try:
+                result = MEMO_CALLS[name](MEMO_POOL[i], setting)
+            except ValueError as error:
+                assert (type(error), str(error)) == cold
+                continue
+            assert result_bits(result) == cold
+            # a caller that writes into what it got changes no later result
+            for array in ([result] if isinstance(result, np.ndarray) else
+                          [result.coefficient_tensor()] if isinstance(result, BlochDecomposition) else []):
+                array.setflags(write=True)
+                array[...] = 0.25
+
+    def test_threads_alternating_two_states_get_the_sequential_results(self):
+        # four threads on two cores, each alternating between the two states from its own start
+        pair, setting = (MEMO_POOL[0], MEMO_POOL[2]), ALL_SETTINGS[4]
+        names = sorted(MEMO_CALLS)
+        expected = []
+        for rho in pair:
+            states._last_state = None
+            expected.append([call_bits(name, rho, setting) for name in names])
+        seen = [[] for _ in range(4)]
+
+        def alternate(k):
+            for j in range(100):
+                i = (j + k) % 2
+                seen[k].append((i, [call_bits(name, pair[i], setting) for name in names]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between nearly every pair of calls
+        try:
+            threads = [threading.Thread(target=alternate, args=(k,)) for k in range(len(seen))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for runs in seen:
+            assert len(runs) == 100  # an exception in a thread leaves its list short
+            assert all(bits == expected[i] for i, bits in runs)
