@@ -157,9 +157,9 @@ def theta(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> float:
 
     P is the dealer-reconstructor pair matrix and T the assisted slice;
     values above 1 mean the optimally corrected protocol beats the
-    classical bound 2/3.
+    classical bound 2/3.  Read off the report's pass, :func:`_closed_form`.
     """
-    return float(theta_from_pair(pair_correlation_for_setting(d, setting), t_matrix_for_setting(d, setting)))
+    return _closed_form(d, setting)[0]
 
 
 def f_max_from_theta(th: float) -> float:
@@ -225,10 +225,10 @@ class ClosedFormBounds:
 
     ``f_so3`` is attainable (sums the SO(3)-restricted branch optima);
     ``f_trace_norm`` sums the trace norms and is the analytic ``f_max``
-    to the bit.  Both read the two singlet matrices M_{0,x} alone: branch
-    (l, x) has M_{l,x} = F_l M_{0,x}, with the singular values and the
-    determinant of M_{0,x}.  Each of the four branches of an x loses 2 s3
-    to the SO(3) restriction where det M_{0,x} < 0: ``so3_gap >= 0``.
+    to the bit.  Both are read off the report's pass, :func:`_closed_form`:
+    branch (l, x) has M_{l,x} = F_l M_{0,x}, with the singular values and
+    the determinant of M_{0,x}, so each of the four branches of an x loses
+    2 s3 to the SO(3) restriction where det M_{0,x} < 0: ``so3_gap >= 0``.
     """
 
     f_so3: float
@@ -236,13 +236,25 @@ class ClosedFormBounds:
     so3_gap: float
 
 
-def closed_form_bounds(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> ClosedFormBounds:
+def _closed_form(d: BlochDecomposition, setting: Setting) -> tuple:
+    """The one closed-form pass of a (state, setting): ``(theta, ||P||_1, ||Q||_1, loss, P, T)``, Q the dealer-assistant
+    pair, from one values-only SVD of [M_{0,+}, M_{0,-}, P, Q] (summed as :func:`trace_norms` sums) and one det of the
+    M_{0,x}.  ``loss`` is the SO(3) rule, 2 s3(M_{0,x}) for each x with det M_{0,x} < 0: f_so3 = f_max - loss / 12."""
     t = role_tensor(d, setting)
-    m0 = singlet_matrices(t[1:, 0, 1:], t[1:, 1, 1:])
-    s = np.linalg.svd(m0, compute_uv=False)
-    loss = np.where(np.linalg.det(m0) < 0, 2.0 * s[:, 2], 0.0)
-    f_tn = f_max_from_theta(_theta(*s.sum(axis=-1).tolist()))
-    f_so3 = f_tn - float(loss.sum()) / 12.0
+    P, T = t[1:, 0, 1:], t[1:, 1, 1:]
+    stack = np.empty((4, 3, 3))
+    stack[:2], stack[2], stack[3] = singlet_matrices(P, T), P, t[1:, 1:, 0]
+    s = np.linalg.svd(stack, compute_uv=False)
+    plus, minus, r_norm, q_norm = s.sum(axis=-1).tolist()
+    dets = np.linalg.det(stack[:2]).tolist()  # two Python floats: cheaper than np.where, with the same bits
+    loss = sum((2.0 * s3 for det, s3 in zip(dets, s[:2, 2].tolist()) if det < 0), 0.0)
+    return _theta(plus, minus), r_norm, q_norm, loss, P, T
+
+
+def closed_form_bounds(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING) -> ClosedFormBounds:
+    th, _, _, loss, _, _ = _closed_form(d, setting)
+    f_tn = f_max_from_theta(th)
+    f_so3 = f_tn - loss / 12.0
     return ClosedFormBounds(f_so3=f_so3, f_trace_norm=f_tn, so3_gap=f_tn - f_so3)
 
 
@@ -331,11 +343,7 @@ def full_report(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
 
 def report_from_decomposition(d: BlochDecomposition, setting: Setting = CANONICAL_SETTING,
                               eps: float = ZERO_MATRIX_EPS) -> FidelityReport:
-    t = role_tensor(d, setting)
-    P, T = t[1:, 0, 1:], t[1:, 1, 1:]
-    stack = np.concatenate((singlet_matrices(P, T), P[None], t[None, 1:, 1:, 0]))  # [M_{0,+}, M_{0,-}, P, Q]
-    plus, minus, r_norm, q_norm = trace_norms(stack).tolist()  # one values-only SVD
-    th = _theta(plus, minus)
+    th, r_norm, q_norm, _, P, T = _closed_form(d, setting)
     qss_ok = q_norm <= 1.0 + QSS_NORM_SLACK and r_norm <= 1.0 + QSS_NORM_SLACK and th > 1.0
     return FidelityReport(
         setting=setting,

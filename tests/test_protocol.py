@@ -31,6 +31,7 @@ from qrecon.fidelity import (
     optimal_rotation,
     optimal_rotations,
     pair_correlation_for_setting,
+    qss_check,
     report_from_decomposition,
     role_tensor,
     singlet_matrices,
@@ -403,13 +404,25 @@ class TestOneRoute:
 
     @seed(46)
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(ALL_SETTINGS))
-    def test_trace_norm_route_is_f_max_to_the_bit_property(self, draw, pure, setting):
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_trace_norm_route_is_f_max_to_the_bit_property(self, draw, pure):
+        # closed_form_bounds, theta, f_max and qss_check read the report's one pass: every bit is the report's
         rng = np.random.default_rng(draw)
         d = decompose_state(pure_to_density(random_pure(rng)) if pure else random_density(rng))
-        bounds = closed_form_bounds(d, setting)
-        assert bounds.f_trace_norm == report_from_decomposition(d, setting).f_max
-        assert bounds.so3_gap >= 0.0
+        for setting in ALL_SETTINGS:
+            report = report_from_decomposition(d, setting)
+            bounds = closed_form_bounds(d, setting)
+            assert bounds.f_trace_norm == report.f_max
+            assert bounds.so3_gap >= 0.0
+            assert repr((theta(d, setting), f_max(d, setting), qss_check(d, setting))) == repr(
+                (report.theta, report.f_max, report.qss))
+
+    @pytest.mark.parametrize("entry", [closed_form_bounds, report_from_decomposition, theta, f_max, qss_check],
+                             ids=lambda entry: entry.__name__)
+    def test_one_svd_and_one_det_per_call(self, monkeypatch, entry):
+        counts = count_calls(monkeypatch, ["svd", "det"], [np.linalg])
+        entry(decompose_state(preset_density("w")), Setting.from_string("ACB"))
+        assert counts == {"svd": 1, "det": 1}
 
     def test_frames_are_the_pauli_rotations(self):
         for l, f in enumerate(FRAMES):
@@ -448,6 +461,14 @@ class TestOneRoute:
                 lines.append(repr((bounds.f_so3, bounds.f_trace_norm, bounds.so3_gap)))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
             "b6e836ed1477fdeab76ae863f6599d58d2420b2709fb0bb84b3b9cf4accde556")
+
+
+def state_252():
+    """State 252 of default_rng(11)'s alternating random_density / random_pure draws: at ACB its trace-norm
+    f_max is past 2/3 and its SO(3) value is not, the first such pair of the 3000 states x 6 settings drawn."""
+    rng = np.random.default_rng(11)
+    states = [random_density(rng) if i % 2 == 0 else pure_to_density(random_pure(rng)) for i in range(253)]
+    return states[252]
 
 
 class TestResearchBoundary:
@@ -499,11 +520,8 @@ class TestResearchBoundary:
         assert bounds.f_so3 == pytest.approx(bounds.f_trace_norm, abs=1e-12)
 
     def test_a_trace_norm_advantage_the_protocol_cannot_attain(self):
-        # state 252 of default_rng(11)'s alternating random_density / random_pure draws, setting ACB:
         # f_trace_norm > 2/3 says advantage, while unitary corrections reach only f_so3 <= 2/3
-        rng = np.random.default_rng(11)
-        states = [random_density(rng) if i % 2 == 0 else pure_to_density(random_pure(rng)) for i in range(253)]
-        rho, setting = states[252], Setting.from_string("ACB")
+        rho, setting = state_252(), Setting.from_string("ACB")
         bounds = closed_form_bounds(decompose_state(rho), setting)
         assert (bounds.f_trace_norm, bounds.f_so3) == pytest.approx((0.66708, 0.64725), abs=5e-6)
         assert bounds.f_trace_norm > 2 / 3 >= bounds.f_so3
@@ -523,11 +541,12 @@ class TestResearchBoundary:
 
 def davenport_edges():
     """Named states at the edges of the SO(3) rule: repeated singular values (ghz), zero branch matrices (mixed),
-    theta exactly 1 with singular branches (theta-one, as in TestResearchBoundary), and the W state."""
+    theta exactly 1 with singular branches (theta-one, as in TestResearchBoundary), the W state and a W-family
+    member (wexample3), and state 252, whose SO(3) gap at ACB takes its trace-norm advantage away."""
     theta_one = np.zeros((8, 8))
     theta_one[0, 0] = theta_one[5, 5] = 0.5  # (|000><000| + |101><101|) / 2
     return {"ghz": preset_density("ghz"), "mixed": preset_density("mixed"), "theta-one": theta_one,
-            "w": preset_density("w")}
+            "w": preset_density("w"), "wexample3": preset_density("wexample3"), "state-252": state_252()}
 
 
 DAVENPORT_EDGES = davenport_edges()
@@ -543,6 +562,8 @@ class TestDavenport:
     @example("ghz", CANONICAL_SETTING)
     @example("mixed", Setting.from_string("CAB"))
     @example("theta-one", CANONICAL_SETTING)
+    @example("state-252", Setting.from_string("ACB"))
+    @example("wexample3", CANONICAL_SETTING)
     def test_f_so3_is_the_top_eigenvalue_of_wahbas_k_property(self, source, setting):
         if isinstance(source, str):
             rho = DAVENPORT_EDGES[source]

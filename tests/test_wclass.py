@@ -27,7 +27,7 @@ from qrecon.fidelity import (
     trace_norms,
 )
 from qrecon.presets import preset_density
-from qrecon.protocol import _sample_directions
+from qrecon.protocol import _sample_directions, expected_fidelity_exact
 from qrecon.states import decompose_state, pure_to_density
 from qrecon import wclass
 from qrecon.wclass import (
@@ -231,6 +231,13 @@ class TestNoSO3Gap:
         gaps = [closed_form_bounds(wclass_decomposition(WClassParams(*row))).so3_gap
                 for row in sample_wclass(2000, 42).tolist()]
         assert max(gaps) == 0.0 and min(gaps) == 0.0
+
+    def test_the_simulator_attains_f_recon_on_the_scatter_rows(self):
+        # the six-axis simulator at its default (optimal) corrections, against the scatter's 2x2 closed form
+        records = scatter_experiment(2000, 42)[::10]
+        deviations = [abs(expected_fidelity_exact(pure_to_density(wclass_state(rec.params))) - rec.f_recon)
+                      for rec in records]
+        assert len(deviations) == 200 and max(deviations) <= 1e-12
 
 
 class TestSampling:
