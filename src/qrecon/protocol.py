@@ -89,15 +89,6 @@ def _row_norms(v: np.ndarray, out: np.ndarray, square: np.ndarray) -> None:
     np.sqrt(out, out=out)
 
 
-def _redraw(rng: np.random.Generator, v: np.ndarray, norms: np.ndarray, square: np.ndarray) -> None:
-    """Redraw from ``rng`` every row of ``v`` whose norm in ``norms`` is below 1e-12, until none is; ``norms``
-    stays the rows' norms (:func:`_row_norms`, with ``square`` as scratch)."""
-    while norms.min() < 1e-12:
-        bad = norms < 1e-12
-        v[bad] = rng.normal(size=(int(bad.sum()), v.shape[1]))
-        _row_norms(v, norms, square)
-
-
 def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
     """Uniform points on the unit sphere in R^dim via normalized Gaussians: :func:`_blocks` over ``rng``,
     collected into one new (n, dim) array."""
@@ -111,72 +102,66 @@ def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.nda
 
 
 def _direction_blocks(n: int, seed: int, dim: int = 3) -> Iterator[np.ndarray]:
-    """The n directions of one ``default_rng(seed)`` draw, :data:`_BLOCK` rows at a time (:func:`_blocks`);
-    n is checked and ``default_rng(seed)`` opened here, at the call."""
+    """The n directions of one ``default_rng(seed)`` draw, :data:`_BLOCK` rows at a time (:func:`_blocks`:
+    block k is overwritten by block k + 2); n is checked and ``default_rng(seed)`` opened here, at the call."""
     if n < 1:
         raise ValueError(f"n_samples must be >= 1, got {n}")
     return _blocks(np.random.default_rng(seed), n, dim)
 
 
 def _blocks(rng: np.random.Generator, n: int, dim: int) -> Iterator[np.ndarray]:
-    """n normalized Gaussian rows drawn from ``rng``, :data:`_BLOCK` rows at a time.
+    """:func:`_literal_blocks` over ``rng``: past one block, the process's draw helper makes each next block
+    while the caller reads the current one (:func:`_helped`).  ``rng`` is advanced by one thread at a time,
+    in the literal order, so the bytes are those of a single-threaded run."""
+    blocks = _literal_blocks(rng, n, dim)
+    return blocks if n <= _BLOCK else _helped(blocks, n)
 
-    The bytes are those of ``rng.normal(size=(n, dim))``, block by block, divided by ``np.linalg.norm`` of
-    each row, with a block's rows of norm below 1e-12 redrawn from ``rng`` before the next block is drawn.
-    Every block is a view of one buffer that the next block overwrites: copy a block to keep it.
 
-    Past one block, the process's draw helper (:func:`_draw_jobs`) draws ahead.  Once block k's normals are
-    in the block buffer, ``rng``'s state is saved and block k + 1's draw is handed over; then block k's norms
-    are taken and checked for a redraw, and block k is divided and yielded.  A redraw first collects the
-    speculative draw, restores the saved state, redraws and hands block k + 1 over again, so ``rng`` serves
-    one thread at a time in the single-thread order.  Block k + 1's draw is collected, and copied into the
-    block buffer, when the next block is asked for.  A stream has at most one pending draw and collects it
-    exactly once on every exit: one that is closed, abandoned or ended by an exception leaves no queued work.
-    """
+def _literal_blocks(rng: np.random.Generator, n: int, dim: int) -> Iterator[np.ndarray]:
+    """The direction stream's rule: n rows from ``rng``, :data:`_BLOCK` at a time.  Each block is drawn
+    (``standard_normal(out=)`` plus 0.0, the bytes of ``rng.normal``), its rows of norm below 1e-12 are redrawn
+    from ``rng`` until none is, and each row is divided by its ``np.linalg.norm``.  Past one block, the blocks
+    alternate between two buffers: block k is overwritten by block k + 2, so copy a block to keep it."""
     m = min(n, _BLOCK)
-    v, work = np.empty((m, dim)), np.empty((2, m))
-    np.add(rng.standard_normal(out=v), 0.0, out=v)  # normal() returns 0 + 1 z, which turns a -0.0 into +0.0
-    if n > _BLOCK:
-        from queue import SimpleQueue
-
-        raw, done, jobs = np.empty_like(v), SimpleQueue(), _draw_jobs()
-    pending = False
-
-    def hand_over(rows: int) -> None:
-        nonlocal pending
-        jobs.put((rng, raw[:rows], done))
-        pending = True
-
-    def collect() -> None:
-        nonlocal pending
-        error = done.get()
-        pending = False
-        if error is not None:
-            raise error
-
-    try:
-        for start in range(0, n, _BLOCK):
-            b, ahead = min(n - start, _BLOCK), min(n - start - _BLOCK, _BLOCK)  # ahead <= 0: the last block
-            block, norms, square = v[:b], work[0, :b], work[1, :b]
-            if ahead > 0:
-                saved = rng.bit_generator.state
-                hand_over(ahead)
+    buffers, work = np.empty((2 if n > _BLOCK else 1, m, dim)), np.empty((2, m))
+    for k, start in enumerate(range(0, n, _BLOCK)):
+        b = min(n - start, _BLOCK)
+        block, norms, square = buffers[k % 2, :b], work[0, :b], work[1, :b]
+        np.add(rng.standard_normal(out=block), 0.0, out=block)  # normal() returns 0 + 1 z: a -0.0 becomes +0.0
+        _row_norms(block, norms, square)
+        while norms.min() < 1e-12:
+            bad = norms < 1e-12
+            block[bad] = rng.normal(size=(int(bad.sum()), dim))
             _row_norms(block, norms, square)
-            if norms.min() < 1e-12:
-                if ahead > 0:  # the speculative draw read rng past this block's redraw: rewind to before it
-                    collect()
-                    rng.bit_generator.state = saved
-                _redraw(rng, block, norms, square)
-                if ahead > 0:
-                    hand_over(ahead)
-            for k in range(dim):
-                block[:, k] /= norms
+        for i in range(dim):
+            block[:, i] /= norms
+        yield block
+
+
+def _helped(blocks: Iterator[np.ndarray], n: int) -> Iterator[np.ndarray]:
+    """``blocks``, a stream of n > :data:`_BLOCK` rows, with every block after block 0 made by the draw helper.
+
+    The caller makes block 0.  Before it yields block k, it hands the helper (:func:`_draw_jobs`) the step to
+    block k + 1, ``next(blocks)``, and it collects that step when the next block is asked for.  A stream has
+    at most one pending step and collects it exactly once on every exit: one that is closed, abandoned or
+    ended by an exception leaves no queued work.
+    """
+    from queue import SimpleQueue
+
+    block, done, pending = next(blocks), SimpleQueue(), False
+    jobs = _draw_jobs()
+    try:
+        for _ in range(_BLOCK, n, _BLOCK):  # one step for each block after block 0
+            jobs.put((blocks, done))
+            pending = True
             yield block
-            if ahead > 0:
-                collect()
-                np.add(raw[:ahead], 0.0, out=v[:ahead])
+            block = done.get()
+            pending = False
+            if isinstance(block, BaseException):
+                raise block
+        yield block
     finally:
-        if pending:  # the stream ends before its next block: wait, so no draw outlives it
+        if pending:  # the stream ends before its next block: wait, so no step outlives it
             done.get()
 
 
@@ -187,7 +172,7 @@ _helper_lock = threading.Lock()
 
 def _draw_jobs():
     """The helper's job queue, starting the helper if this process has none running (a forked child inherits
-    a dead one).  A job ``(rng, out, done)`` runs ``rng.standard_normal(out=out)`` and puts None, or the
+    a dead one).  A job ``(blocks, done)`` runs ``next(blocks)`` and puts the block it returns, or the
     exception it raised, on ``done``."""
     global _helper
     with _helper_lock:
@@ -203,13 +188,12 @@ def _draw_jobs():
 
 def _serve_draws(jobs) -> None:
     while True:
-        rng, out, done = jobs.get()
+        blocks, done = jobs.get()
         try:
-            rng.standard_normal(out=out)
-            done.put(None)
+            done.put(next(blocks))
         except BaseException as error:  # re-raised by the stream waiting on done
             done.put(error)
-        del rng, out, done  # the idle helper keeps no reference to the last job's rng or buffer
+        del blocks, done  # the idle helper keeps no reference to the last job's stream
 
 
 def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,

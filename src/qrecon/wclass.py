@@ -115,7 +115,7 @@ def wclass_rt_closed_form(params: WClassParams) -> tuple[np.ndarray, np.ndarray]
 def _param_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
     """:func:`sample_wclass`'s rows, one block of the shared direction stream at a time; n is checked here.
 
-    ``np.abs`` copies each block out of the stream's buffer, which the next block overwrites.
+    ``np.abs`` copies each block out of the stream's buffers, where block k + 2 overwrites block k.
     """
     return map(np.abs, _direction_blocks(n, seed, 4))
 

@@ -150,6 +150,32 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", "--state", str(path))
         assert code == 2 and out == "" and "non-finite" in err
 
+    @pytest.mark.parametrize("kind, message", [
+        ("pure", "|norm - 1| = inf > 1e-10"),
+        ("dense-off-diagonal", "max |rho - rho^dag| = inf > 1e-10"),
+        ("dense-diagonal", "|Tr rho - 1| = nan > 1e-10"),
+        ("bloch", "a has entry of magnitude 1.000000e+308 outside [-1, 1]"),
+    ], ids=["pure", "dense-off-diagonal", "dense-diagonal", "bloch"])
+    def test_huge_finite_state_file_prints_one_error_line(self, tmp_path, kind, message):
+        # every entry is finite, but a norm, a difference or the trace overflows: no numpy warning may leak
+        if kind == "pure":
+            obj = {"pure": [[1e308, 1e308]] + [[0, 0]] * 7}
+        elif kind == "bloch":
+            obj = bloch_to_json(decompose_state(np.eye(8) / 8))
+            obj["bloch"]["a"][0] = 1e308
+        else:
+            rho = np.zeros((8, 8))
+            if kind == "dense-diagonal":  # numpy's trace sums (1e308 + 1e308) + (-1e308 - 1e308): inf - inf
+                rho[range(4), range(4)] = [1e308, 1e308, -1e308, -1e308]
+            else:
+                rho[0, 0], rho[0, 1], rho[1, 0] = 1.0, 1e308, -1e308
+            obj = density_to_json(rho)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        proc = subprocess.run([sys.executable, "-m", "qrecon.cli", "analyze", "--state", str(path)],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("kind, bad", [("pure", {}), ("dense", {}), ("bloch", {}),
                                            ("pure", None), ("dense", True), ("bloch", "1"), ("pure", 10**400)],
                              ids=["pure", "dense", "bloch", "pure-null", "dense-true", "bloch-string", "pure-huge-int"])

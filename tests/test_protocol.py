@@ -662,16 +662,11 @@ class TestPerStatePreparation:
 
 class DegenerateDraw:
     """``default_rng(seed)``'s stream, except that the k-th draw's row 1 is zero and its row 5 has norm 1e-13
-    (k counts from 1; k = 0 leaves every draw as drawn).  ``draws`` records each draw's shape in order,
-    and ``bit_generator`` is the stream's own: restoring its state rewinds the stream but not ``draws``."""
+    (k counts from 1; k = 0 leaves every draw as drawn).  ``draws`` records each draw's shape in order."""
 
     def __init__(self, k, seed):
         self.rng = np.random.Generator(np.random.PCG64(seed))  # default_rng's stream, even while it is patched
         self.k, self.draws = k, []
-
-    @property
-    def bit_generator(self):
-        return self.rng.bit_generator
 
     def _degenerate(self, v):
         return len(self.draws) + 1 == self.k
@@ -699,11 +694,32 @@ class DegenerateFirstDraw(DegenerateDraw):
 
 class DegenerateBlocks(DegenerateDraw):
     """``default_rng(seed)``'s stream, except that every draw of 6 rows or more, a block's but not a redraw's,
-    has the two bad rows of :class:`DegenerateDraw` whatever k is: chosen by its size, so a draw made again
-    after a rewind is made bad again."""
+    has the two bad rows of :class:`DegenerateDraw` whatever k is."""
 
     def _degenerate(self, v):
         return len(v) >= 6
+
+
+class ExclusiveDraws(DegenerateBlocks):
+    """:class:`DegenerateBlocks`' stream, whose every draw fails if another draw on it is running."""
+
+    def __init__(self, k, seed):
+        super().__init__(k, seed)
+        self.busy = threading.Lock()
+
+    def _alone(self, draw, *args):
+        assert self.busy.acquire(blocking=False), "two threads drew from one generator at once"
+        try:
+            time.sleep(1e-4)  # hold the draw open: an overlapping draw finds it busy
+            return draw(*args)
+        finally:
+            self.busy.release()
+
+    def standard_normal(self, size=None, out=None):
+        return self._alone(super().standard_normal, size, out)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return self._alone(super().normal, loc, scale, size)
 
 
 def stream_bytes(n, seed, dim=3):
@@ -742,8 +758,8 @@ class TestDirections:
         reference = DegenerateFirstDraw(7)
         assert got.tobytes() == literal_directions(reference, n, dim).tobytes()
         assert rng.draws == reference.draws == [(n, dim), (2, dim)]  # one redraw, of the two bad rows
-        # across blocks: the bytes are those of one literal draw per block, whose redraw comes before the
-        # second block's draw; the stream drew the second block ahead, then rewound and drew it again
+        # across blocks: the bytes and the draws are those of one literal draw per block, whose redraw comes
+        # before the second block's draw
         n = 2 * 8192 + 3
         opened = open_degenerate_draws(monkeypatch, 1)
         got = np.concatenate([block.copy() for block in _direction_blocks(n, 7, dim)])
@@ -751,17 +767,21 @@ class TestDirections:
         expected = np.concatenate([literal_directions(reference, b, dim) for b in (8192, 8192, 3)])
         assert got.tobytes() == expected.tobytes()
         assert reference.draws == [(8192, dim), (2, dim), (8192, dim), (3, dim)]
-        assert opened[0].draws == [(8192, dim), (8192, dim), (2, dim), (8192, dim), (3, dim)]
+        assert opened[0].draws == reference.draws
 
     @pytest.mark.parametrize("dim", [3, 4])
-    def test_blocks_are_views_of_one_buffer(self, dim):
-        # a consumer that keeps a block must copy it; the copies are one draw of n rows
-        n, first, copies = 2 * 8192 + 7, None, []
+    def test_blocks_alternate_between_two_buffers(self, dim):
+        # block k is overwritten by block k + 2: a consumer that keeps a block must copy it; the copies are one
+        # draw of n rows
+        n, blocks, copies = 3 * 8192 + 7, [], []
         for block in _direction_blocks(n, 5, dim):
-            first = block if first is None else first
-            assert np.shares_memory(block, first)
+            blocks.append(block)
             copies.append(block.copy())
-        assert [len(c) for c in copies] == [8192, 8192, 7]
+        assert [len(c) for c in copies] == [8192, 8192, 8192, 7]
+        for k in range(len(blocks) - 1):
+            assert not np.shares_memory(blocks[k], blocks[k + 1])
+        for k in range(len(blocks) - 2):
+            assert np.shares_memory(blocks[k], blocks[k + 2])
         assert np.concatenate(copies).tobytes() == literal_directions(np.random.default_rng(5), n, dim).tobytes()
 
     @pytest.mark.parametrize("dim", [3, 4])
@@ -774,8 +794,7 @@ class TestDirections:
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("k", [2, 3])
     def test_a_redraw_in_a_block_the_helper_drew(self, monkeypatch, k, dim):
-        # the k-th draw is the helper's.  The next block's draw is handed over before the redraw check, so
-        # the redraw collects it, rewinds rng, redraws on the caller and hands the next block over again
+        # the k-th draw and its redraw are the helper's, one step of the literal rule
         n, opened = 3 * 8192 + 3, open_degenerate_draws(monkeypatch, k)
         blocks = [block.copy() for block in _direction_blocks(n, 7, dim)]
         reference = DegenerateDraw(k, 7)
@@ -783,23 +802,18 @@ class TestDirections:
             assert block.tobytes() == literal_directions(reference, b, dim).tobytes()
         draws = [(b, dim) for b in block_sizes(n)]
         draws.insert(k, (2, dim))  # one redraw, of the two bad rows, right after the k-th draw
-        assert reference.draws == draws
-        # draw k, the discarded draw of block k + 1, the redraw, block k + 1 drawn again
-        assert opened[0].draws == draws[:k] + [draws[k + 1]] + draws[k:]
+        assert opened[0].draws == reference.draws == draws
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_redraws_in_every_block_are_the_literal_rule(self, monkeypatch, dim):
-        # every block, the last (17 rows) too, has a redraw: each rewinds rng past a draw made ahead
+        # every block, the last (17 rows) too, has a redraw, made before the next block is drawn
         n, opened = 5 * 8192 + 17, open_degenerate_draws(monkeypatch, 0, DegenerateBlocks)
         got = np.concatenate([block.copy() for block in _direction_blocks(n, 7, dim)])
         reference = DegenerateBlocks(0, 7)
         expected = np.concatenate([literal_directions(reference, b, dim) for b in block_sizes(n)])
         assert got.tobytes() == expected.tobytes()
         sizes = [(b, dim) for b in block_sizes(n)]
-        assert reference.draws == [draw for size in sizes for draw in (size, (2, dim))]
-        # block k + 1 drawn ahead, block k's redraw, block k + 1 drawn again; the last block's redraw
-        ahead = [draw for size in sizes[1:] for draw in (size, (2, dim), size)]
-        assert opened[0].draws == sizes[:1] + ahead + [(2, dim)]
+        assert opened[0].draws == reference.draws == [draw for size in sizes for draw in (size, (2, dim))]
 
     def test_standard_normal_plus_zero_is_normal(self):
         # the sampler draws with standard_normal(out=) and adds 0.0, as normal() computes 0 + 1 z
@@ -814,8 +828,8 @@ class TestDirections:
 
 
 def handed_over(monkeypatch):
-    """Patch the draw helper's job queue to log each job; the list of the ``done`` queues of the jobs handed
-    over, one entry per job."""
+    """Patch the draw helper's job queue to log each ``(blocks, done)`` job; the list of the ``done`` queues of
+    the jobs handed over, one entry per job."""
     real, dones = protocol._draw_jobs, []
 
     class Logged:
@@ -823,7 +837,7 @@ def handed_over(monkeypatch):
             self.jobs = jobs
 
         def put(self, job):
-            dones.append(job[2])
+            dones.append(job[1])
             self.jobs.put(job)
 
     monkeypatch.setattr(protocol, "_draw_jobs", lambda: Logged(real()))
@@ -850,7 +864,7 @@ def within(seconds, call):
 
 
 class TestDrawHelper:
-    """The one helper thread that draws a stream's next block: what it leaves behind, and who shares it."""
+    """The one helper thread that makes a stream's next block: what it leaves behind, and who shares it."""
 
     def assert_idle(self, dones=()):
         """The helper is alive with nothing queued and serves a new job at once; each of ``dones`` (the job
@@ -858,8 +872,8 @@ class TestDrawHelper:
         thread, jobs = protocol._helper
         assert thread.is_alive() and jobs.empty()
         probe = queue.SimpleQueue()
-        jobs.put((np.random.Generator(np.random.PCG64(0)), np.empty((1, 3)), probe))
-        assert probe.get(timeout=30) is None  # served after every earlier job: no draw is left running
+        jobs.put((iter(["served"]), probe))
+        assert probe.get(timeout=30) == "served"  # served after every earlier job: no step is left running
         assert all(done.empty() for done in dones)
 
     def test_a_stream_that_ends_collects_every_draw(self, monkeypatch):
@@ -873,7 +887,7 @@ class TestDrawHelper:
         stream = _direction_blocks(5 * 8192, 3)
         next(stream), next(stream)
         within(30, stream.close)
-        # blocks 0 and 1, and block 2's draw, handed over with block 1, is done: nothing is queued
+        # blocks 0 and 1, and block 2's step, handed over with block 1, is done: nothing is queued
         assert opened[0].draws == [(8192, 3)] * 3
         self.assert_idle(dones)
         monkeypatch.undo()
@@ -917,53 +931,17 @@ class TestDrawHelper:
             within(30, lambda: next(stream))
         self.assert_idle(dones)
 
-    def test_a_failed_draw_that_a_redraw_discards_is_raised(self, monkeypatch):
-        # block 0 needs a redraw, so the draw of block 1 made ahead is collected, and its error raised
-        class FailingSecondDraw(DegenerateDraw):
-            def standard_normal(self, size=None, out=None):
-                if self.draws:
-                    raise MemoryError("second draw")
-                return super().standard_normal(size, out)
-
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingSecondDraw(1, seed))
-        dones = handed_over(monkeypatch)
-        with pytest.raises(MemoryError, match="second draw"):
-            within(30, lambda: next(_direction_blocks(3 * 8192, 3)))
-        assert len(dones) == 1
-        self.assert_idle(dones)
-
-    def test_a_failed_rewind_ends_the_stream(self, monkeypatch):
-        # the draw made ahead is collected before the rewind fails: the stream's exit must not wait again
-        class Unrestorable:
-            def __init__(self, bit_generator):
-                self.real = bit_generator
-
-            @property
-            def state(self):
-                return self.real.state
-
-            @state.setter
-            def state(self, value):
-                raise RuntimeError("state not restored")
-
-        class UnrewindableDraw(DegenerateDraw):
-            @property
-            def bit_generator(self):
-                return Unrestorable(self.rng.bit_generator)
-
-        opened = open_degenerate_draws(monkeypatch, 1, UnrewindableDraw)
-        dones = handed_over(monkeypatch)
-        with pytest.raises(RuntimeError, match="state not restored"):
-            within(30, lambda: next(_direction_blocks(3 * 8192, 3)))
-        assert opened[0].draws == [(8192, 3)] * 2 and len(dones) == 1
-        self.assert_idle(dones)
-
-    def test_a_stream_closed_after_a_redraw_waits_for_the_draw_handed_over_again(self, monkeypatch):
-        opened, dones = open_degenerate_draws(monkeypatch, 1), handed_over(monkeypatch)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_stream_closed_after_a_redraw_waits_for_its_one_pending_step(self, monkeypatch, k):
+        # k = 1: block 0's redraw, on the caller, comes before the step to block 1 is handed over;
+        # k = 2: the pending step to block 1 draws and redraws on the helper
+        opened, dones = open_degenerate_draws(monkeypatch, k), handed_over(monkeypatch)
         stream = _direction_blocks(3 * 8192, 3)
         next(stream)
         within(30, stream.close)
-        assert opened[0].draws == [(8192, 3), (8192, 3), (2, 3), (8192, 3)] and len(dones) == 2
+        draws = [(8192, 3)] * 2
+        draws.insert(k, (2, 3))
+        assert opened[0].draws == draws and len(dones) == 1
         self.assert_idle(dones)
 
     def test_one_helper_per_process(self):
@@ -1007,6 +985,35 @@ class TestDrawHelper:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == {seed: [expected[seed]] * 10 for seed in seeds}
+
+    def test_a_generator_is_never_drawn_from_by_two_threads_at_once(self, monkeypatch):
+        # four multi-block streams at once, a redraw in every block, switching threads as often as possible:
+        # each stream's generator fails any draw that starts while another draw on it is running
+        opened = open_degenerate_draws(monkeypatch, 0, ExclusiveDraws)
+        n, seeds, got, raised = 4 * 8192 + 17, (1, 2, 3, 4), {}, []
+
+        def stream(seed):
+            try:
+                got[seed] = stream_bytes(n, seed)
+            except BaseException as error:
+                raised.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=stream, args=(seed,), daemon=True) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            within(60, lambda: [thread.join() for thread in threads])
+        finally:
+            sys.setswitchinterval(interval)
+        if raised:
+            raise raised[0]
+        for seed in seeds:
+            reference = DegenerateBlocks(0, seed)
+            expected = np.concatenate([literal_directions(reference, b, 3) for b in block_sizes(n)])
+            assert got[seed] == expected.tobytes()
+        assert [fake.draws for fake in opened] == [reference.draws] * 4
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() in a process that has threads

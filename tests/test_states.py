@@ -135,6 +135,20 @@ class TestValidation:
             pure_to_density(psi)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_entries_are_rejected_without_a_warning(self):
+        psi = np.zeros(8, dtype=complex)
+        psi[0] = complex(1e308, 1e308)  # finite, but its norm overflows
+        with pytest.raises(NotNormalizedError, match="inf"):
+            pure_to_density(psi)
+        rho = np.eye(8, dtype=complex) / 8
+        rho[0, 1], rho[1, 0] = 1e308, -1e308
+        with pytest.raises(NotHermitianError, match="inf"):
+            validate_state(rho)
+        # the trace overflows to nan, which a plain `> TRACE_TOL` test lets through to the eigenvalue check
+        with pytest.raises(NotUnitTraceError, match="nan"):
+            validate_state(np.diag([1e308, 1e308, -1e308, -1e308, 0, 0, 0, 0]))
+
 class TestDecomposition:
     def test_ghz_coefficients(self):
         d = decompose_state(ghz_density())
