@@ -23,6 +23,7 @@ not part of the package.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -89,12 +90,20 @@ def _row_norms(v: np.ndarray, out: np.ndarray, square: np.ndarray) -> None:
     np.sqrt(out, out=out)
 
 
+def _checked_count(n) -> int:
+    """n as an int if it is a sample count: an integer (``operator.index``, so numpy's pass) of at least 1."""
+    try:
+        if (k := operator.index(n)) >= 1:
+            return k
+    except TypeError:
+        raise ValueError(f"n_samples must be an integer, got {n}") from None
+    raise ValueError(f"n_samples must be >= 1, got {n}")
+
+
 def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
     """Uniform points on the unit sphere in R^dim via normalized Gaussians: :func:`_blocks` over ``rng``,
     collected into one new (n, dim) array."""
-    if n < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n}")
-    out, start = np.empty((n, dim)), 0
+    out, start = np.empty((_checked_count(n), dim)), 0
     for block in _blocks(rng, n, dim):
         out[start:start + len(block)] = block
         start += len(block)
@@ -104,8 +113,7 @@ def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.nda
 def _direction_blocks(n: int, seed: int, dim: int = 3) -> Iterator[np.ndarray]:
     """The n directions of one ``default_rng(seed)`` draw, :data:`_BLOCK` rows at a time (:func:`_blocks`:
     block k is overwritten by block k + 2); n is checked and ``default_rng(seed)`` opened here, at the call."""
-    if n < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n}")
+    n = _checked_count(n)
     return _blocks(np.random.default_rng(seed), n, dim)
 
 
@@ -278,7 +286,7 @@ def _sphere_mean(ys: np.ndarray, n_samples: int, seed: int) -> tuple[float | lis
         mean += delta * (b / count)
         m2 += totals.sum(axis=1) + delta * delta * ((count - b) * b / count)
         moments += fb.T @ fb
-    std_error = np.sqrt(m2 / (n_samples - 1)) / np.sqrt(n_samples) if n_samples > 1 else np.zeros(len(ys))
+    std_error = np.sqrt(m2 / (count - 1)) / np.sqrt(count) if count > 1 else np.zeros(len(ys))
     return mean.reshape(shape).tolist(), std_error.reshape(shape).tolist(), moments
 
 
@@ -321,8 +329,7 @@ def expected_fidelity_mc(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
     Per-branch statistics report the mean branch probability and the
     conditional fidelity E[p f] / E[p], from the sample moments sum f f^T.
     """
-    if n_samples < 1:  # before branch_maps: a bad count costs no state work
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _checked_count(n_samples)  # before branch_maps: a bad count costs no state work
     p_map, q_map = branch_maps(rho, setting, rotations)
     mean, std_error, moments = _sphere_mean(q_map.sum(axis=1), n_samples, seed)
     p_sums = (moments[0] @ p_map).tolist()

@@ -16,7 +16,6 @@ the three-body correlation tensor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,8 +128,7 @@ def pure_to_density(amplitudes: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-#: Where each decomposition field sits in the (4, 4, 4) coefficient tensor
-#: (index 0 = identity slot).
+#: Each field's slice of the (4, 4, 4) coefficient tensor (index 0 = identity slot): the fields are these views.
 _SLOTS = {
     "a": np.s_[1:, 0, 0], "b": np.s_[0, 1:, 0], "c": np.s_[0, 0, 1:],
     "Q": np.s_[1:, 1:, 0], "R": np.s_[1:, 0, 1:], "S": np.s_[0, 1:, 1:],
@@ -139,7 +137,6 @@ _SLOTS = {
 _SHAPES = {name: np.empty((4, 4, 4))[slot].shape for name, slot in _SLOTS.items()}
 
 
-@dataclass(frozen=True, eq=False)
 class BlochDecomposition:
     """Real Pauli-basis coefficients of a three-qubit state.
 
@@ -150,21 +147,15 @@ class BlochDecomposition:
     :data:`DECOMPOSITION_BOUND`, the largest coefficient of any matrix
     that :func:`validate_state` admits.
     The fields are read-only views of one stored (4, 4, 4) tensor,
-    :meth:`coefficient_tensor`.  Instances compare and hash by identity;
-    compare values with ``np.array_equal`` on their tensors.
+    :meth:`coefficient_tensor`; nothing can be assigned, and a copy or a
+    pickle is rebuilt through the constructor.  Instances compare and hash
+    by identity; compare values with ``np.array_equal`` on their tensors.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    S: np.ndarray
-    tau: np.ndarray
-    _tensor: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("_tensor",)
 
-    def __post_init__(self):
-        fields = {name: np.asarray(getattr(self, name), dtype=float) for name in _SLOTS}
+    def __init__(self, a, b, c, Q, R, S, tau):
+        fields = {name: np.asarray(arr, dtype=float) for name, arr in zip(_SLOTS, (a, b, c, Q, R, S, tau))}
         t = None
         if all(arr.shape == _SHAPES[name] for name, arr in fields.items()):
             t = np.empty((4, 4, 4))
@@ -172,6 +163,8 @@ class BlochDecomposition:
             for name, arr in fields.items():
                 t[_SLOTS[name]] = arr
         self._adopt(t, fields)
+
+    a, b, c, Q, R, S, tau = (property(lambda self, slot=slot: self._tensor[slot]) for slot in _SLOTS.values())
 
     def _adopt(self, t: np.ndarray | None, fields: dict | None = None) -> "BlochDecomposition":
         """Store ``t`` (float, (4, 4, 4), ``t[0, 0, 0] = 1``) as it is and return self.  Pauli expectations lie in
@@ -191,13 +184,20 @@ class BlochDecomposition:
                     raise ValueError(f"{name} has entry of magnitude {magnitude} outside [-1, 1]")
         t.setflags(write=False)
         object.__setattr__(self, "_tensor", t)
-        for name, slot in _SLOTS.items():
-            object.__setattr__(self, name, t[slot])
         return self
 
     def coefficient_tensor(self) -> np.ndarray:
         """Full (4, 4, 4) coefficient tensor, index 0 = identity slot (read-only)."""
         return self._tensor
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in _SLOTS)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in _SLOTS)})"
 
 
 def pauli_traces(rho: np.ndarray, basis: np.ndarray = product_basis) -> np.ndarray:

@@ -45,6 +45,8 @@ from qrecon.presets import PRESETS, preset_density
 from qrecon.protocol import (
     BELL_DIAGONALS,
     BRANCHES,
+    MCResult,
+    SphereAverageCheck,
     _guess_fidelity_samples,
     _quadratic,
     _direction_blocks,
@@ -62,7 +64,7 @@ from qrecon.protocol import (
     sphere_average_identity_check,
 )
 from qrecon.states import NotPSDError, decompose_state, pure_to_density
-from qrecon.wclass import write_scatter_csv
+from qrecon.wclass import sample_wclass, scatter_csv_chunks, scatter_experiment, write_scatter_csv
 import reference
 from reference import kron3, rotation_to_unitary, simulate_branches
 
@@ -1292,3 +1294,48 @@ class TestClassicalBaselines:
                 guess(1.1, "negate", 10, 1)
             with pytest.raises(ValueError, match="strategy must be 'same' or 'negate', got 'flip'"):
                 guess(0.5, "flip", 10, 1)
+
+
+#: Every entry point that takes a sample count, called with count n.
+COUNTED = {
+    "expected_fidelity_mc": lambda n: expected_fidelity_mc(preset_density("w"), n_samples=n, seed=3),
+    "classical_fidelities": lambda n: classical_fidelities(0.25, "same", n, seed=3),
+    "classical_baseline": lambda n: classical_baseline(n, seed=3),
+    "dishonest_guess_fidelity": lambda n: dishonest_guess_fidelity(0.25, "negate", n, seed=3),
+    "sphere_average_identity_check": lambda n: sphere_average_identity_check(np.eye(3), n_samples=n, seed=3),
+    "_guess_fidelity_samples": lambda n: _guess_fidelity_samples(0.25, "same", n, seed=3),
+    "_direction_blocks": lambda n: _direction_blocks(n, 3),
+    "_sample_directions": lambda n: _sample_directions(np.random.default_rng(3), n),
+    "scatter_experiment": lambda n: scatter_experiment(n, seed=3),
+    "sample_wclass": lambda n: sample_wclass(n, seed=3),
+    "scatter_csv_chunks": lambda n: scatter_csv_chunks(n, seed=3),
+}
+
+
+class TestSampleCount:
+    """One count rule, checked at the call before any work: an integer (numpy's too) of at least 1."""
+
+    @pytest.mark.parametrize("bad, message", [
+        (1e4, "n_samples must be an integer, got 10000.0"), (2.5, "n_samples must be an integer, got 2.5"),
+        (0, "n_samples must be >= 1, got 0"), (np.int64(-3), "n_samples must be >= 1, got -3"),
+    ])
+    @pytest.mark.parametrize("entry", sorted(COUNTED))
+    def test_a_bad_count_is_rejected_before_any_work(self, entry, bad, message, monkeypatch):
+        calls = count_calls(monkeypatch, ["branch_maps", "_blocks"], [protocol])
+        with pytest.raises(ValueError) as excinfo:
+            COUNTED[entry](bad)
+        assert excinfo.type is ValueError and str(excinfo.value) == message
+        assert calls == {"branch_maps": 0, "_blocks": 0}
+
+    @pytest.mark.parametrize("entry", sorted(COUNTED))
+    def test_numpy_integers_give_the_bits_of_an_int(self, entry):
+        def bits(result):
+            if isinstance(result, SphereAverageCheck):  # it records the count as given
+                return result.lhs, result.rhs, result.std_error
+            if not isinstance(result, (np.ndarray, tuple, list, float, MCResult)):  # a stream
+                return [block.tobytes() if isinstance(block, np.ndarray) else block for block in result]
+            return result.tobytes() if isinstance(result, np.ndarray) else repr(result)
+
+        expected = bits(COUNTED[entry](300))
+        for n in (np.int64(300), np.int32(300), np.uint16(300)):
+            assert bits(COUNTED[entry](n)) == expected

@@ -1,3 +1,7 @@
+import ast
+import copy
+import hashlib
+import pickle
 import sys
 import threading
 
@@ -12,6 +16,7 @@ from qrecon import states
 from qrecon.fidelity import ALL_SETTINGS, full_report
 from qrecon.protocol import expected_fidelity_exact, expected_fidelity_mc
 from qrecon.paulis import identity2, pauli_x, pauli_y, pauli_z, paulis, product_basis, sigma
+from qrecon.presets import PRESETS, preset_density
 from qrecon.states import (
     DECOMPOSITION_BOUND,
     HERMITICITY_TOL,
@@ -358,6 +363,74 @@ class TestDecompositionErrors:
         with pytest.raises(ValueError) as excinfo:
             parse_state(block)
         assert excinfo.type is cls and str(excinfo.value) == message
+
+
+#: sha256 of repr(decompose_state(preset_density(name))), as the frozen dataclass printed it.
+DECOMPOSITION_REPRS = {
+    "beta-mix": "16e140b15a5954aa72926ff53df88f337a3ab1cf869019c35e2111451f93fef3",
+    "delta-mix": "731795bb0e15acc36c5b2812507de814b057a6c5c7fb717b3d7da3fc75969aa7",
+    "gamma-mix": "731795bb0e15acc36c5b2812507de814b057a6c5c7fb717b3d7da3fc75969aa7",
+    "ghz": "66cceb428b24fea7b6a6dbb012f93e4ecabb2bdb987516dfbb5779d73ac04b8a",
+    "mixed": "6cd0ff2fb2fdb9ebe482c3bed57d2df7969e8bdeca6b83f366430b9c36b51807",
+    "w": "b628cfb11b6b14afa04364763a96b18d997c19f1bb68fc9e57670a48ba75eb0c",
+    "wexample3": "256a49bcf4ba27cdbb96f23ef7043a3da9f0d4ed8850d1e5d50042cda6e2b95b",
+}
+
+
+def assert_one_read_only_tensor(d):
+    t = d.coefficient_tensor()
+    assert not t.flags.writeable
+    for name in ZERO_FIELDS:
+        field = getattr(d, name)
+        assert np.shares_memory(field, t) and not field.flags.writeable
+
+
+class TestOneStoredArray:
+    """A decomposition stores its coefficient tensor and nothing else; the seven fields are views of it."""
+
+    def test_the_tensor_is_the_only_attribute(self):
+        d = decompose_state(w_density())
+        assert BlochDecomposition.__slots__ == ("_tensor",) and not hasattr(d, "__dict__")
+        assert_one_read_only_tensor(d)
+
+    @pytest.mark.parametrize("name", ["R", "tau", "_tensor", "extra"])
+    def test_nothing_can_be_assigned(self, name):
+        d = decompose_state(w_density())
+        before = d.coefficient_tensor()
+        with pytest.raises(AttributeError):
+            setattr(d, name, np.zeros((4, 4, 4)))
+        assert d.coefficient_tensor() is before and not hasattr(d, "extra")
+
+    def test_positional_and_keyword_construction_agree(self):
+        d = decompose_state(random_density(np.random.default_rng(19)))
+        fields = [getattr(d, name) for name in ZERO_FIELDS]
+        by_position, by_keyword = BlochDecomposition(*fields), BlochDecomposition(**dict(zip(ZERO_FIELDS, fields)))
+        assert by_position.coefficient_tensor().tobytes() == d.coefficient_tensor().tobytes()
+        assert by_keyword.coefficient_tensor().tobytes() == d.coefficient_tensor().tobytes()
+        assert_one_read_only_tensor(by_position)
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_keep_one_read_only_tensor(self, duplicate):
+        d = decompose_state(preset_density("beta-mix"))
+        twin = duplicate(d)
+        assert type(twin) is BlochDecomposition and twin is not d
+        assert twin.coefficient_tensor().tobytes() == d.coefficient_tensor().tobytes()
+        assert not np.shares_memory(twin.coefficient_tensor(), d.coefficient_tensor())
+        assert_one_read_only_tensor(twin)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_repr_is_frozen(self, name):
+        text = repr(decompose_state(preset_density(name)))
+        assert text.startswith("BlochDecomposition(a=array([")
+        assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSITION_REPRS[name]
+
+    def test_states_imports_no_dataclasses(self):
+        tree = ast.parse(open(states.__file__).read())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported
 
 
 class TestPartialTrace:
