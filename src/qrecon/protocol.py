@@ -24,7 +24,6 @@ not part of the package.
 from __future__ import annotations
 
 import operator
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -82,14 +81,6 @@ def permute_to_canonical(rho: np.ndarray, setting: Setting) -> np.ndarray:
     return np.asarray(rho).reshape((2,) * 6).transpose(axes).reshape(8, 8)
 
 
-def _row_norms(v: np.ndarray, out: np.ndarray, square: np.ndarray) -> None:
-    # np.linalg.norm(v, axis=1) to the bit: it adds the squared columns left to right, (x0^2 + x1^2) + x2^2
-    np.multiply(v[:, 0], v[:, 0], out=out)
-    for k in range(1, v.shape[1]):
-        out += np.multiply(v[:, k], v[:, k], out=square)
-    np.sqrt(out, out=out)
-
-
 def _checked_count(n) -> int:
     """n as an int if it is a sample count: an integer (``operator.index``, so numpy's pass) of at least 1."""
     try:
@@ -101,107 +92,89 @@ def _checked_count(n) -> int:
 
 
 def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
-    """Uniform points on the unit sphere in R^dim via normalized Gaussians: :func:`_blocks` over ``rng``,
-    collected into one new (n, dim) array."""
-    out, start = np.empty((_checked_count(n), dim)), 0
-    for block in _blocks(rng, n, dim):
+    """Uniform points on the unit sphere S^2 (dim 3) or on the nonnegative octant of S^3 (dim 4):
+    :func:`_literal_blocks` over ``rng``, collected into one new (n, dim) array."""
+    n = _checked_count(n)
+    out, start = np.empty((n, dim)), 0
+    for block in _literal_blocks(rng, n, dim):
         out[start:start + len(block)] = block
         start += len(block)
     return out
 
 
 def _direction_blocks(n: int, seed: int, dim: int = 3) -> Iterator[np.ndarray]:
-    """The n directions of one ``default_rng(seed)`` draw, :data:`_BLOCK` rows at a time (:func:`_blocks`:
-    block k is overwritten by block k + 2); n is checked and ``default_rng(seed)`` opened here, at the call."""
+    """The n directions of one ``default_rng(seed)`` stream, :data:`_BLOCK` rows at a time
+    (:func:`_literal_blocks`: block k is overwritten by block k + 1); n is checked and ``default_rng(seed)``
+    opened here, at the call."""
     n = _checked_count(n)
-    return _blocks(np.random.default_rng(seed), n, dim)
+    return _literal_blocks(np.random.default_rng(seed), n, dim)
 
 
-def _blocks(rng: np.random.Generator, n: int, dim: int) -> Iterator[np.ndarray]:
-    """:func:`_literal_blocks` over ``rng``: past one block, the process's draw helper makes each next block
-    while the caller reads the current one (:func:`_helped`).  ``rng`` is advanced by one thread at a time,
-    in the literal order, so the bytes are those of a single-threaded run."""
-    blocks = _literal_blocks(rng, n, dim)
-    return blocks if n <= _BLOCK else _helped(blocks, n)
+def _draw_count(b: int) -> int:
+    """Pairs drawn for b wanted: about 4 b / pi are needed, so a full block almost never needs a top-up."""
+    return b * 21 // 16 + 16
+
+
+def _accepted_pairs(rng: np.random.Generator, out: tuple, signed: bool, work: tuple) -> None:
+    """The first len(s) pairs with 0 < s < 1, in draw order, written into the rows ``out`` = (u, v, s = u^2 + v^2).
+
+    Each draw is ``rng.random((2, k))``, rows (u, v), mapped to 2 r - 1 when ``signed`` (the square
+    [-1, 1)^2, else [0, 1)^2), with k = :func:`_draw_count` of the pairs still wanted; ``work`` is the
+    scratch (draw, square, keep) for the largest draw.
+    """
+    draw, square, keep = work
+    b, filled = len(out[2]), 0
+    while filled < b:
+        k = _draw_count(b - filled)
+        ru, rv = r = rng.random(out=draw[:2 * k].reshape(2, k))
+        if signed:
+            r *= 2.0
+            r -= 1.0
+        ss = np.multiply(ru, ru, out=square[0, :k])
+        ss += np.multiply(rv, rv, out=square[1, :k])
+        ok = np.less(ss, 1.0, out=keep[0, :k])
+        ok &= np.greater(ss, 0.0, out=keep[1, :k])
+        taken = np.flatnonzero(ok)[:b - filled]
+        end = filled + len(taken)
+        for row, dest in zip((ru, rv, ss), out):
+            np.take(row, taken, out=dest[filled:end])
+        filled = end
 
 
 def _literal_blocks(rng: np.random.Generator, n: int, dim: int) -> Iterator[np.ndarray]:
-    """The direction stream's rule: n rows from ``rng``, :data:`_BLOCK` at a time.  Each block is drawn
-    (``standard_normal(out=)`` plus 0.0, the bytes of ``rng.normal``), its rows of norm below 1e-12 are redrawn
-    from ``rng`` until none is, and each row is divided by its ``np.linalg.norm``.  Past one block, the blocks
-    alternate between two buffers: block k is overwritten by block k + 2, so copy a block to keep it."""
-    m = min(n, _BLOCK)
-    buffers, work = np.empty((2 if n > _BLOCK else 1, m, dim)), np.empty((2, m))
-    for k, start in enumerate(range(0, n, _BLOCK)):
-        b = min(n - start, _BLOCK)
-        block, norms, square = buffers[k % 2, :b], work[0, :b], work[1, :b]
-        np.add(rng.standard_normal(out=block), 0.0, out=block)  # normal() returns 0 + 1 z: a -0.0 becomes +0.0
-        _row_norms(block, norms, square)
-        while norms.min() < 1e-12:
-            bad = norms < 1e-12
-            block[bad] = rng.normal(size=(int(bad.sum()), dim))
-            _row_norms(block, norms, square)
-        for i in range(dim):
-            block[:, i] /= norms
-        yield block
+    """The direction stream's rule, Marsaglia's (Ann. Math. Stat. 43, 1972): n rows from ``rng``, :data:`_BLOCK`
+    at a time, each block from the pairs :func:`_accepted_pairs` accepts.
 
-
-def _helped(blocks: Iterator[np.ndarray], n: int) -> Iterator[np.ndarray]:
-    """``blocks``, a stream of n > :data:`_BLOCK` rows, with every block after block 0 made by the draw helper.
-
-    The caller makes block 0.  Before it yields block k, it hands the helper (:func:`_draw_jobs`) the step to
-    block k + 1, ``next(blocks)``, and it collects that step when the next block is asked for.  A stream has
-    at most one pending step and collects it exactly once on every exit: one that is closed, abandoned or
-    ended by an exception leaves no queued work.
+    dim 3, S^2: b pairs (u, v) from [-1, 1)^2 give the rows (2 u sqrt(1 - s), 2 v sqrt(1 - s), 1 - 2 s).
+    dim 4, the nonnegative octant of S^3: b pairs (u1, u2) with s1, then b pairs (u3, u4) with s2, all from
+    [0, 1)^2, give the rows (u1, u2, u3 c, u4 c), c = sqrt((1 - s1) / s2).
+    Every block is a (b, dim) view of one buffer: block k is overwritten by block k + 1, so copy a block to keep it.
     """
-    from queue import SimpleQueue
-
-    block, done, pending = next(blocks), SimpleQueue(), False
-    jobs = _draw_jobs()
-    try:
-        for _ in range(_BLOCK, n, _BLOCK):  # one step for each block after block 0
-            jobs.put((blocks, done))
-            pending = True
-            yield block
-            block = done.get()
-            pending = False
-            if isinstance(block, BaseException):
-                raise block
-        yield block
-    finally:
-        if pending:  # the stream ends before its next block: wait, so no step outlives it
-            done.get()
-
-
-#: The draw helper: (thread, job queue) once a stream of two or more blocks has started it in this process.
-_helper: Optional[tuple] = None
-_helper_lock = threading.Lock()
-
-
-def _draw_jobs():
-    """The helper's job queue, starting the helper if this process has none running (a forked child inherits
-    a dead one).  A job ``(blocks, done)`` runs ``next(blocks)`` and puts the block it returns, or the
-    exception it raised, on ``done``."""
-    global _helper
-    with _helper_lock:
-        if _helper is None or not _helper[0].is_alive():
-            from queue import SimpleQueue
-
-            jobs = SimpleQueue()
-            thread = threading.Thread(target=_serve_draws, args=(jobs,), name="qrecon-draws", daemon=True)
-            thread.start()
-            _helper = thread, jobs
-        return _helper[1]
-
-
-def _serve_draws(jobs) -> None:
-    while True:
-        blocks, done = jobs.get()
-        try:
-            done.put(next(blocks))
-        except BaseException as error:  # re-raised by the stream waiting on done
-            done.put(error)
-        del blocks, done  # the idle helper keeps no reference to the last job's stream
+    m = min(n, _BLOCK)
+    k = _draw_count(m)
+    buffer, scratch = np.empty((dim, m)), np.empty((2, m))
+    work = np.empty(2 * k), np.empty((2, k)), np.empty((2, k), dtype=bool)
+    for start in range(0, n, _BLOCK):
+        b = min(n - start, _BLOCK)
+        rows, (w, s2) = buffer[:, :b], scratch[:, :b]
+        if dim == 3:
+            x, y, z = rows
+            _accepted_pairs(rng, rows, True, work)
+            np.subtract(1.0, z, out=w)
+            np.sqrt(w, out=w)
+            w *= 2.0
+            x *= w
+            y *= w
+            z *= -2.0
+            z += 1.0
+        else:
+            _accepted_pairs(rng, (rows[0], rows[1], w), False, work)
+            _accepted_pairs(rng, (rows[2], rows[3], s2), False, work)
+            np.subtract(1.0, w, out=w)
+            w /= s2
+            np.sqrt(w, out=w)
+            rows[2:] *= w
+        yield rows.T
 
 
 def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
@@ -261,19 +234,18 @@ def _sphere_mean(ys: np.ndarray, n_samples: int, seed: int) -> tuple[float | lis
     two-pass mean and squared deviations merge into its running (count, mean, M2) (Chan et al.): one
     block gives the two-pass values, and a form's result does not depend on the forms beside it.
 
-    One workspace, allocated per call, serves every block: the rows f (column 0 stays 1), phi's
-    coordinates as contiguous rows for the quadratic form, and one row of values per form and scratch.
+    One workspace, allocated per call, serves every block: the rows f (column 0 stays 1), and one row of
+    values per form and scratch; the quadratic form reads phi's coordinates as the stream's rows.
     """
     blocks = _direction_blocks(n_samples, seed)
     shape, ys = ys.shape[:-2], ys.reshape(-1, 4, 4)
     m = min(n_samples, _BLOCK)
-    f, coords, values, work = np.ones((m, 4)), np.empty((3, m)), np.empty((len(ys), m)), np.empty((2, m))
+    f, values, work = np.ones((m, 4)), np.empty((len(ys), m)), np.empty((2, m))
     count, mean, m2 = 0, np.zeros(len(ys)), np.zeros(len(ys))
     moments = np.zeros((4, 4))
     for phis in blocks:
-        b = len(phis)
-        fb, p, totals = f[:b], coords[:, :b], values[:, :b]
-        np.copyto(p, phis.T)
+        b, p = len(phis), phis.T
+        fb, totals = f[:b], values[:, :b]
         for k in range(3):
             np.copyto(fb[:, 1 + k], p[k])
         for y, row in zip(ys, totals):
@@ -374,6 +346,7 @@ def sphere_average_identity_check(y: np.ndarray, n_samples: int = 100_000, seed:
     y = np.asarray(y, dtype=float)
     if y.shape != (3, 3) or not np.isfinite(y).all() or np.abs(y - y.T).max() > 1e-12:
         raise ValueError("y must be a finite symmetric 3x3 matrix")
+    n_samples = _checked_count(n_samples)  # recorded as the int it is checked to be
     lhs, se, _ = _sphere_mean(np.pad(y, ((1, 0), (1, 0))), n_samples, seed)
     return SphereAverageCheck(lhs=lhs, rhs=float(np.trace(y) / 3.0), std_error=se,
                               n_samples=n_samples, seed=seed)
@@ -393,28 +366,10 @@ def _check_guess(p: float, strategy: str) -> None:
         raise ValueError(f"strategy must be 'same' or 'negate', got {strategy!r}")
 
 
-def _guess_fidelity_samples(p: float, strategy: str, n_samples: int, seed: int) -> np.ndarray:
-    """Per-sample fidelity of a reconstructor guessing the dealer's bit.
-
-    The dealer's share s1 = s XOR s2 hides the measured bit s behind a
-    helper bit with P(s2 = 0) = p.  Strategy "same" guesses s1 itself,
-    "negate" guesses its complement; means are (1 + p)/3 and (2 - p)/3.
-    """
-    _check_guess(p, strategy)
-    rng = np.random.default_rng(seed)
-    phis = _sample_directions(rng, n_samples)
-    p_up = (1.0 + phis[:, 2]) / 2.0
-    s = rng.random(n_samples) >= p_up        # True: measured the -z outcome
-    s2 = rng.random(n_samples) >= p          # True with probability 1 - p
-    s1 = s ^ s2
-    guess = s1 if strategy == "same" else ~s1
-    # resending |guess> scores cos^2 or sin^2 of the half-angle
-    return np.where(guess, 1.0 - p_up, p_up)
-
-
 def _guess_form(p: float, strategy: str) -> np.ndarray:
     """The guess from the share alone as the form diag(1/2, 0, 0, c) in f = (1, phi): with the hidden bits
-    of :func:`_guess_fidelity_samples` averaged out, "same" scores 1/2 - (1 - 2p) z^2 / 2."""
+    of the per-sample rule (``_guess_fidelity_samples`` in ``tests/reference.py``) averaged out, "same" scores
+    1/2 - (1 - 2p) z^2 / 2."""
     _check_guess(p, strategy)
     c = (2.0 * p - 1.0) / 2.0 if strategy == "same" else (1.0 - 2.0 * p) / 2.0  # "negate": 1 - the "same" score
     return np.diag([0.5, 0.0, 0.0, c])

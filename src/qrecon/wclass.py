@@ -115,9 +115,9 @@ def wclass_rt_closed_form(params: WClassParams) -> tuple[np.ndarray, np.ndarray]
 def _param_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
     """:func:`sample_wclass`'s rows, one block of the shared direction stream at a time; n is checked here.
 
-    ``np.abs`` copies each block out of the stream's buffers, where block k + 2 overwrites block k.
+    Each block is a view of the stream's one buffer, which block k + 1 overwrites: use it before the next.
     """
-    return map(np.abs, _direction_blocks(n, seed, 4))
+    return _direction_blocks(n, seed, 4)
 
 
 def _valid_rows(lam: np.ndarray) -> np.ndarray:
@@ -134,11 +134,10 @@ def _valid_rows(lam: np.ndarray) -> np.ndarray:
 def sample_wclass(n: int, seed: int = 42) -> np.ndarray:
     """Rows of uniformly random parameter tuples (lambda0..lambda3).
 
-    Uniform on the nonnegative octant of the 3-sphere: absolute values
-    of normalized 4-dim Gaussians.
+    Uniform on the nonnegative octant of the 3-sphere: Marsaglia's rule
+    on two pairs from [0, 1)^2 (:func:`qrecon.protocol._literal_blocks`).
     """
-    lam = _sample_directions(np.random.default_rng(seed), n, 4)
-    return np.abs(lam, out=lam)
+    return _sample_directions(np.random.default_rng(seed), n, 4)
 
 
 #: :func:`region_for`'s two answers, indexed by f_tele <= 2/3; the scatter's region column shares these objects.

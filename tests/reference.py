@@ -7,8 +7,10 @@ written down: the Bell projector on (S, dealer), the x-basis projector
 on the assistant, the partial trace down to the reconstructor, and the
 correction as the SU(2) unitary of its rotation.  One input direction
 per call, no Pauli-unit tables and no shared kernel, so the comparison
-with ``branch_maps`` stays between two independent derivations.  Only
-tests import this module; it is not part of the ``qrecon`` package.
+with ``branch_maps`` stays between two independent derivations.  It also
+holds the per-sample guessing rule that :func:`qrecon.protocol._guess_form`
+averages in closed form.  Only tests import this module; it is not part
+of the ``qrecon`` package.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from qrecon.fidelity import _so3
-from qrecon.protocol import BRANCHES, ZERO_PROBABILITY, bell_projectors, hadamard_projectors
+from qrecon.protocol import (BRANCHES, ZERO_PROBABILITY, _check_guess, _sample_directions, bell_projectors,
+                             hadamard_projectors)
 from qrecon.paulis import identity2, pauli_x, pauli_y, pauli_z
 
 
@@ -128,3 +131,22 @@ def simulate_branches(rho: np.ndarray, phi: np.ndarray, rotations: np.ndarray) -
         fid = float(np.trace(charlie @ rho_s).real)
         outcomes.append(ProtocolOutcome(l=l, x=x, p_alpha=p, charlie_state=charlie, branch_fidelity=fid))
     return outcomes
+
+
+def _guess_fidelity_samples(p: float, strategy: str, n_samples: int, seed: int) -> np.ndarray:
+    """Per-sample fidelity of a reconstructor guessing the dealer's bit.
+
+    The dealer's share s1 = s XOR s2 hides the measured bit s behind a
+    helper bit with P(s2 = 0) = p.  Strategy "same" guesses s1 itself,
+    "negate" guesses its complement; means are (1 + p)/3 and (2 - p)/3.
+    """
+    _check_guess(p, strategy)
+    rng = np.random.default_rng(seed)
+    phis = _sample_directions(rng, n_samples)
+    p_up = (1.0 + phis[:, 2]) / 2.0
+    s = rng.random(n_samples) >= p_up        # True: measured the -z outcome
+    s2 = rng.random(n_samples) >= p          # True with probability 1 - p
+    s1 = s ^ s2
+    guess = s1 if strategy == "same" else ~s1
+    # resending |guess> scores cos^2 or sin^2 of the half-angle
+    return np.where(guess, 1.0 - p_up, p_up)

@@ -21,7 +21,6 @@ from qrecon.fidelity import (
 )
 from qrecon.presets import preset_density
 from qrecon.protocol import (
-    _guess_fidelity_samples,
     bell_projectors,
     classical_baseline,
     closed_form_bounds,
@@ -32,6 +31,7 @@ from qrecon.protocol import (
 from qrecon.states import compose_state, decompose_state, pure_to_density
 from qrecon.wclass import WClassParams, record_for, region_for, scatter_experiment
 from conftest import random_density
+from reference import _guess_fidelity_samples
 
 
 @contextmanager

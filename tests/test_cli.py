@@ -1,7 +1,9 @@
 import argparse
 import ast
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -328,14 +330,52 @@ class TestClassical:
         assert code == 2 and out == "" and "n_samples" in err
 
 
-#: Preset order of the frozen digests below.
+#: Preset order of the frozen digest and table below.
 FROZEN_PRESETS = ("ghz", "w", "wexample3", "gamma-mix", "delta-mix", "beta-mix", "mixed")
+
+#: Every float of `oracle --samples 2000 --seed 7`'s stdout per preset and setting, as float.hex strings.
+ORACLE_TABLE = Path(__file__).parent / "golden" / "oracle_stdout.json"
+
+
+def as_hex(payload):
+    """A parsed JSON payload with every float as its float.hex string: equal exactly when every bit is."""
+    if isinstance(payload, dict):
+        return {key: as_hex(value) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [as_hex(value) for value in payload]
+    return payload.hex() if isinstance(payload, float) else payload
+
+
+def from_hex(payload):
+    """:func:`as_hex` undone: every string back to its float (the pinned payloads hold no other strings)."""
+    if isinstance(payload, dict):
+        return {key: from_hex(value) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [from_hex(value) for value in payload]
+    return float.fromhex(payload) if isinstance(payload, str) else payload
+
+
+def oracle_stdouts():
+    """{"preset setting": stdout} of `oracle --samples 2000 --seed 7`, in FROZEN_PRESETS x ALL_SETTINGS order."""
+    stdouts = {}
+    for preset in FROZEN_PRESETS:
+        for setting in ALL_SETTINGS:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["oracle", "--preset", preset, "--setting", str(setting), "--samples", "2000",
+                             "--seed", "7"]) == 0
+            stdouts[f"{preset} {setting}"] = out.getvalue()
+    return stdouts
+
+
+def write_oracle_table():
+    """Rewrite :data:`ORACLE_TABLE` from the running code: PYTHONPATH=src:tests python -c
+    "import test_cli; test_cli.write_oracle_table()"."""
+    table = {key: as_hex(json.loads(text)) for key, text in oracle_stdouts().items()}
+    ORACLE_TABLE.write_text(json.dumps(table, indent=1) + "\n")
 
 
 @pytest.mark.parametrize("command, extra, digest", [
     ("analyze", (), "b05a90ef15b09fe4f5fe394e6459454ed6bd00689b67d4298f64fa1d2efe6c87"),
-    ("oracle", ("--samples", "2000", "--seed", "7"),
-     "8939e36c565260b82b038fb1913f03ef159378ae9cb500e9c673a4b6a4be79a5"),
 ])
 def test_json_stdout_is_frozen(capsys, command, extra, digest):
     # sha256 of the stdout of every preset x setting pair, concatenated in FROZEN_PRESETS x ALL_SETTINGS order
@@ -349,18 +389,56 @@ def test_json_stdout_is_frozen(capsys, command, extra, digest):
     assert h.hexdigest() == digest
 
 
+def test_oracle_stdout_is_frozen():
+    # every bit of every stdout: its floats are the table's, and its text is their indented JSON
+    table = json.loads(ORACLE_TABLE.read_text())
+    stdouts = oracle_stdouts()
+    assert list(stdouts) == list(table)
+    for key, text in stdouts.items():
+        assert (key, as_hex(json.loads(text))) == (key, table[key])
+        assert text == json.dumps(from_hex(table[key]), indent=2) + "\n"
+
+
+#: `classical --seed 42` as float.hex: the honest baseline per --samples, and the guess per (--samples, --p,
+#: --strategy); one row, one block plus one, and three blocks of the direction stream.
+CLASSICAL_BASELINES = {1: "0x1.032cf1fb3f657p-1", 8193: "0x1.54945db9d4733p-1", 16389: "0x1.547564367401ap-1"}
+CLASSICAL_GUESSES = {
+    (1, "0", "same"): "0x1.f9a61c0981352p-2",
+    (1, "0", "negate"): "0x1.032cf1fb3f657p-1",
+    (1, "0.25", "same"): "0x1.fcd30e04c09a9p-2",
+    (1, "0.25", "negate"): "0x1.019678fd9fb2cp-1",
+    (1, "0.5", "same"): "0x1.0000000000000p-1",
+    (1, "0.5", "negate"): "0x1.0000000000000p-1",
+    (1, "1", "same"): "0x1.032cf1fb3f657p-1",
+    (1, "1", "negate"): "0x1.f9a61c0981352p-2",
+    (8193, "0", "same"): "0x1.56d7448c57199p-2",
+    (8193, "0", "negate"): "0x1.54945db9d4733p-1",
+    (8193, "0.25", "same"): "0x1.ab6ba2462b8cdp-2",
+    (8193, "0.25", "negate"): "0x1.2a4a2edcea39ap-1",
+    (8193, "0.5", "same"): "0x1.0000000000000p-1",
+    (8193, "0.5", "negate"): "0x1.0000000000000p-1",
+    (8193, "1", "same"): "0x1.54945db9d4733p-1",
+    (8193, "1", "negate"): "0x1.56d7448c57199p-2",
+    (16389, "0", "same"): "0x1.5715379317fccp-2",
+    (16389, "0", "negate"): "0x1.547564367401ap-1",
+    (16389, "0.25", "same"): "0x1.ab8a9bc98bfe6p-2",
+    (16389, "0.25", "negate"): "0x1.2a3ab21b3a00ep-1",
+    (16389, "0.5", "same"): "0x1.0000000000000p-1",
+    (16389, "0.5", "negate"): "0x1.0000000000000p-1",
+    (16389, "1", "same"): "0x1.547564367401ap-1",
+    (16389, "1", "negate"): "0x1.5715379317fccp-2",
+}
+
+
 def test_classical_stdout_is_frozen(capsys):
-    # sha256 of the stdout of every (samples, p, strategy) run, concatenated in that nesting order:
-    # one row, one block plus one, and three blocks of the direction stream
-    h = hashlib.sha256()
-    for n in (1, 8193, 2 * 8192 + 5):
-        for p in ("0", "0.25", "0.5", "1"):
-            for strategy in ("same", "negate"):
-                code, out, _ = run_cli(capsys, "classical", "--p", p, "--strategy", strategy,
-                                       "--samples", str(n), "--seed", "42")
-                assert code == 0
-                h.update(out.encode())
-    assert h.hexdigest() == "08450c4c37bd33020794b5323cee88361f8c86b99d1a33b93f2f38e038922316"
+    for (n, p, strategy), guess in CLASSICAL_GUESSES.items():
+        code, out, _ = run_cli(capsys, "classical", "--p", p, "--strategy", strategy, "--samples", str(n),
+                               "--seed", "42")
+        assert code == 0
+        formula = (1.0 + float(p)) / 3.0 if strategy == "same" else (2.0 - float(p)) / 3.0
+        pinned = {"honest_baseline": CLASSICAL_BASELINES[n], "guess_fidelity": guess, "formula_value": formula.hex()}
+        assert ((n, p, strategy), as_hex(json.loads(out))) == ((n, p, strategy), pinned)
+        assert out == json.dumps(from_hex(pinned), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,13 +3,8 @@ import dataclasses
 import hashlib
 import inspect
 import itertools
-import os
-import queue
-import signal
-import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -47,7 +42,6 @@ from qrecon.protocol import (
     BRANCHES,
     MCResult,
     SphereAverageCheck,
-    _guess_fidelity_samples,
     _quadratic,
     _direction_blocks,
     _sample_directions,
@@ -66,7 +60,7 @@ from qrecon.protocol import (
 from qrecon.states import NotPSDError, decompose_state, pure_to_density
 from qrecon.wclass import sample_wclass, scatter_csv_chunks, scatter_experiment, write_scatter_csv
 import reference
-from reference import kron3, rotation_to_unitary, simulate_branches
+from reference import _guess_fidelity_samples, kron3, rotation_to_unitary, simulate_branches
 
 
 def branch_weights(rho, rots, phis):
@@ -662,311 +656,89 @@ class TestPerStatePreparation:
         assert expected_fidelity_exact(rho) == pytest.approx(closed_form_bounds(d).f_so3, abs=1e-12)
 
 
-class DegenerateDraw:
-    """``default_rng(seed)``'s stream, except that the k-th draw's row 1 is zero and its row 5 has norm 1e-13
-    (k counts from 1; k = 0 leaves every draw as drawn).  ``draws`` records each draw's shape in order."""
+class RejectedFirstDraw:
+    """``default_rng(seed)``'s stream, except that the first draw's columns up to ``columns`` (all by default)
+    are ``fill``, a value whose pairs fail 0 < s < 1.  ``draws`` records each draw's shape in order."""
 
-    def __init__(self, k, seed):
-        self.rng = np.random.Generator(np.random.PCG64(seed))  # default_rng's stream, even while it is patched
-        self.k, self.draws = k, []
+    def __init__(self, seed, fill, columns=None):
+        self.rng, self.fill, self.columns, self.draws = np.random.default_rng(seed), fill, columns, []
 
-    def _degenerate(self, v):
-        return len(self.draws) + 1 == self.k
-
-    def _drawn(self, v):
-        if self._degenerate(v):
-            v[1] = 0.0
-            v[5] *= 1e-13 / np.linalg.norm(v[5])
-        self.draws.append(v.shape)
-        return v
-
-    def standard_normal(self, size=None, out=None):
-        return self._drawn(self.rng.standard_normal(size=size, out=out))
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._drawn(self.rng.normal(loc, scale, size))
-
-
-class DegenerateFirstDraw(DegenerateDraw):
-    """``default_rng(seed)``'s stream, except that the first draw's row 1 is zero and its row 5 has norm 1e-13."""
-
-    def __init__(self, seed):
-        super().__init__(1, seed)
-
-
-class DegenerateBlocks(DegenerateDraw):
-    """``default_rng(seed)``'s stream, except that every draw of 6 rows or more, a block's but not a redraw's,
-    has the two bad rows of :class:`DegenerateDraw` whatever k is."""
-
-    def _degenerate(self, v):
-        return len(v) >= 6
-
-
-class ExclusiveDraws(DegenerateBlocks):
-    """:class:`DegenerateBlocks`' stream, whose every draw fails if another draw on it is running."""
-
-    def __init__(self, k, seed):
-        super().__init__(k, seed)
-        self.busy = threading.Lock()
-
-    def _alone(self, draw, *args):
-        assert self.busy.acquire(blocking=False), "two threads drew from one generator at once"
-        try:
-            time.sleep(1e-4)  # hold the draw open: an overlapping draw finds it busy
-            return draw(*args)
-        finally:
-            self.busy.release()
-
-    def standard_normal(self, size=None, out=None):
-        return self._alone(super().standard_normal, size, out)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._alone(super().normal, loc, scale, size)
+    def random(self, size=None, out=None):
+        r = self.rng.random(size, out=out)
+        if not self.draws:
+            r[:, :self.columns] = self.fill
+        self.draws.append(r.shape)
+        return r
 
 
 def stream_bytes(n, seed, dim=3):
     return np.concatenate([block.copy() for block in _direction_blocks(n, seed, dim)]).tobytes()
 
 
-def block_sizes(n):
-    return [min(8192, n - start) for start in range(0, n, 8192)]
-
-
-def open_degenerate_draws(monkeypatch, k, fake=DegenerateDraw):
-    """Patch ``default_rng`` to open ``fake(k, seed)``; the list of the fakes it opened, in order."""
-    opened = []
-
-    def open_fake(seed):
-        opened.append(fake(k, seed))
-        return opened[-1]
-
-    monkeypatch.setattr(np.random, "default_rng", open_fake)
-    return opened
-
-
 class TestDirections:
     @pytest.mark.parametrize("dim", [3, 4])
-    @pytest.mark.parametrize("n", [1, 1000, 8193])
-    def test_sampler_is_the_literal_rule(self, n, dim):
+    @pytest.mark.parametrize("n", [1, 1000, 8192, 8193, 2 * 8192 + 1, 5 * 8192 + 17])
+    def test_every_block_is_the_literal_rule(self, n, dim):
         for seed in (0, 42):
-            got = _sample_directions(np.random.default_rng(seed), n, dim)
-            assert got.tobytes() == literal_directions(np.random.default_rng(seed), n, dim).tobytes()
+            expected = literal_directions(np.random.default_rng(seed), n, dim).tobytes()
+            assert _sample_directions(np.random.default_rng(seed), n, dim).tobytes() == expected
+            assert stream_bytes(n, seed, dim) == expected
 
-    @pytest.mark.parametrize("dim", [3, 4])
-    def test_degenerate_rows_are_redrawn_from_the_same_stream(self, monkeypatch, dim):
-        n = 300
-        rng = DegenerateFirstDraw(7)
-        got = _sample_directions(rng, n, dim)
-        reference = DegenerateFirstDraw(7)
+    @pytest.mark.parametrize("dim, fill, columns", [(3, 0.5, None), (3, 0.0, None), (3, 0.0, 200), (4, 0.0, None),
+                                                    (4, 0.75, None)])
+    def test_rejected_pairs_are_topped_up_from_the_same_stream(self, dim, fill, columns):
+        # s = 0 (u = v = 0) and s >= 1 fail; the shortfall is drawn again, in draw order, before the next pairs
+        n, k = 300, 300 * 21 // 16 + 16
+        fake, reference = RejectedFirstDraw(7, fill, columns), RejectedFirstDraw(7, fill, columns)
+        got = _sample_directions(fake, n, dim)
         assert got.tobytes() == literal_directions(reference, n, dim).tobytes()
-        assert rng.draws == reference.draws == [(n, dim), (2, dim)]  # one redraw, of the two bad rows
-        # across blocks: the bytes and the draws are those of one literal draw per block, whose redraw comes
-        # before the second block's draw
-        n = 2 * 8192 + 3
-        opened = open_degenerate_draws(monkeypatch, 1)
-        got = np.concatenate([block.copy() for block in _direction_blocks(n, 7, dim)])
-        reference = DegenerateFirstDraw(7)
-        expected = np.concatenate([literal_directions(reference, b, dim) for b in (8192, 8192, 3)])
-        assert got.tobytes() == expected.tobytes()
-        assert reference.draws == [(8192, dim), (2, dim), (8192, dim), (3, dim)]
-        assert opened[0].draws == reference.draws
+        assert fake.draws == reference.draws and fake.draws[0] == (2, k)
+        if columns is None:  # nothing accepted: the top-up wants every pair again
+            assert fake.draws[1] == (2, k)
+        else:
+            assert 2 < fake.draws[1][1] < k
+        np.testing.assert_allclose((got * got).sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_moments_of_the_sphere_and_the_octant(self):
+        # 5 sigma bands: E[phi] = 0 (variance 1/3), E[phi phi^T] = I / 3 (variance 4/45 on the diagonal, 1/15 off)
+        n = 200_000
+        phis = _sample_directions(np.random.default_rng(1), n)
+        assert np.abs(phis.mean(axis=0)).max() <= 5 * np.sqrt(1 / 3 / n)
+        second = phis.T @ phis / n
+        assert np.abs(second.diagonal() - 1 / 3).max() <= 5 * np.sqrt(4 / 45 / n)
+        assert np.abs(second[~np.eye(3, dtype=bool)]).max() <= 5 * np.sqrt(1 / 15 / n)
+        # |x_i| on S^3: E[x_i^2] = 1/4 (variance 1/8 - 1/16) and E|x_i| = 4 / (3 pi)
+        lam = sample_wclass(n, seed=1)
+        assert lam.min() >= 0.0
+        assert np.abs((lam * lam).mean(axis=0) - 1 / 4).max() <= 5 * np.sqrt(1 / 16 / n)
+        mean_abs = 4 / (3 * np.pi)
+        assert np.abs(lam.mean(axis=0) - mean_abs).max() <= 5 * np.sqrt((1 / 4 - mean_abs ** 2) / n)
 
     @pytest.mark.parametrize("dim", [3, 4])
-    def test_blocks_alternate_between_two_buffers(self, dim):
-        # block k is overwritten by block k + 2: a consumer that keeps a block must copy it; the copies are one
-        # draw of n rows
+    def test_blocks_share_one_buffer(self, dim):
+        # block k is overwritten by block k + 1: a consumer that keeps a block must copy it; the copies are the
+        # literal rule
         n, blocks, copies = 3 * 8192 + 7, [], []
         for block in _direction_blocks(n, 5, dim):
             blocks.append(block)
             copies.append(block.copy())
         assert [len(c) for c in copies] == [8192, 8192, 8192, 7]
-        for k in range(len(blocks) - 1):
-            assert not np.shares_memory(blocks[k], blocks[k + 1])
-        for k in range(len(blocks) - 2):
-            assert np.shares_memory(blocks[k], blocks[k + 2])
+        assert all(np.shares_memory(blocks[0], block) for block in blocks[1:])
+        assert blocks[0][:7].tobytes() == copies[-1].tobytes()
         assert np.concatenate(copies).tobytes() == literal_directions(np.random.default_rng(5), n, dim).tobytes()
 
-    @pytest.mark.parametrize("dim", [3, 4])
-    @pytest.mark.parametrize("n", [8192, 8193, 2 * 8192, 2 * 8192 + 1, 5 * 8192 + 17])
-    def test_a_stream_is_one_draw_byte_for_byte(self, n, dim):
-        # past one block, the helper draws each next block: the bytes are still one draw of n rows
-        for seed in (0, 7, 42):
-            assert stream_bytes(n, seed, dim) == literal_directions(np.random.default_rng(seed), n, dim).tobytes()
+    def test_no_stream_starts_a_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a stream started a thread")
 
-    @pytest.mark.parametrize("dim", [3, 4])
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_a_redraw_in_a_block_the_helper_drew(self, monkeypatch, k, dim):
-        # the k-th draw and its redraw are the helper's, one step of the literal rule
-        n, opened = 3 * 8192 + 3, open_degenerate_draws(monkeypatch, k)
-        blocks = [block.copy() for block in _direction_blocks(n, 7, dim)]
-        reference = DegenerateDraw(k, 7)
-        for block, b in zip(blocks, block_sizes(n), strict=True):
-            assert block.tobytes() == literal_directions(reference, b, dim).tobytes()
-        draws = [(b, dim) for b in block_sizes(n)]
-        draws.insert(k, (2, dim))  # one redraw, of the two bad rows, right after the k-th draw
-        assert opened[0].draws == reference.draws == draws
-
-    @pytest.mark.parametrize("dim", [3, 4])
-    def test_redraws_in_every_block_are_the_literal_rule(self, monkeypatch, dim):
-        # every block, the last (17 rows) too, has a redraw, made before the next block is drawn
-        n, opened = 5 * 8192 + 17, open_degenerate_draws(monkeypatch, 0, DegenerateBlocks)
-        got = np.concatenate([block.copy() for block in _direction_blocks(n, 7, dim)])
-        reference = DegenerateBlocks(0, 7)
-        expected = np.concatenate([literal_directions(reference, b, dim) for b in block_sizes(n)])
-        assert got.tobytes() == expected.tobytes()
-        sizes = [(b, dim) for b in block_sizes(n)]
-        assert opened[0].draws == reference.draws == [draw for size in sizes for draw in (size, (2, dim))]
-
-    def test_standard_normal_plus_zero_is_normal(self):
-        # the sampler draws with standard_normal(out=) and adds 0.0, as normal() computes 0 + 1 z
-        for seed in range(100):
-            out = np.empty((257, 3))
-            np.random.default_rng(seed).standard_normal(out=out)
-            out += 0.0
-            assert out.tobytes() == np.random.default_rng(seed).normal(size=(257, 3)).tobytes()
-        z = np.array([-0.0])
-        z += 0.0
-        assert z.tobytes() == np.array([0.0]).tobytes()
-
-
-def handed_over(monkeypatch):
-    """Patch the draw helper's job queue to log each ``(blocks, done)`` job; the list of the ``done`` queues of
-    the jobs handed over, one entry per job."""
-    real, dones = protocol._draw_jobs, []
-
-    class Logged:
-        def __init__(self, jobs):
-            self.jobs = jobs
-
-        def put(self, job):
-            dones.append(job[1])
-            self.jobs.put(job)
-
-    monkeypatch.setattr(protocol, "_draw_jobs", lambda: Logged(real()))
-    return dones
-
-
-def within(seconds, call):
-    """``call()`` on another thread, failing the test if it does not return or raise within ``seconds``; what
-    it raised is raised here."""
-    raised = []
-
-    def target():
-        try:
-            call()
-        except BaseException as error:
-            raised.append(error)
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout=seconds)
-    assert not thread.is_alive(), f"no return within {seconds} s: a wait that can never end"
-    if raised:
-        raise raised[0]
-
-
-class TestDrawHelper:
-    """The one helper thread that makes a stream's next block: what it leaves behind, and who shares it."""
-
-    def assert_idle(self, dones=()):
-        """The helper is alive with nothing queued and serves a new job at once; each of ``dones`` (the job
-        log of :func:`handed_over`), collected as often as it was handed a job, is empty."""
-        thread, jobs = protocol._helper
-        assert thread.is_alive() and jobs.empty()
-        probe = queue.SimpleQueue()
-        jobs.put((iter(["served"]), probe))
-        assert probe.get(timeout=30) == "served"  # served after every earlier job: no step is left running
-        assert all(done.empty() for done in dones)
-
-    def test_a_stream_that_ends_collects_every_draw(self, monkeypatch):
-        opened, dones = open_degenerate_draws(monkeypatch, 0), handed_over(monkeypatch)
-        assert len(list(_direction_blocks(3 * 8192 + 1, 3))) == 4
-        assert opened[0].draws == [(8192, 3)] * 3 + [(1, 3)] and len(dones) == 3
-        self.assert_idle(dones)
-
-    def test_a_stream_closed_early_waits_for_its_draw(self, monkeypatch):
-        opened, dones = open_degenerate_draws(monkeypatch, 0), handed_over(monkeypatch)
-        stream = _direction_blocks(5 * 8192, 3)
-        next(stream), next(stream)
-        within(30, stream.close)
-        # blocks 0 and 1, and block 2's step, handed over with block 1, is done: nothing is queued
-        assert opened[0].draws == [(8192, 3)] * 3
-        self.assert_idle(dones)
-        monkeypatch.undo()
-        assert stream_bytes(3 * 8192, 11) == literal_directions(np.random.default_rng(11), 3 * 8192, 3).tobytes()
-        assert opened[0].draws == [(8192, 3)] * 3
-
-    def test_a_consumer_that_raises_leaves_no_queued_draw(self, monkeypatch):
-        calls, real = [], protocol._quadratic_form
-
-        def raising(*args):
-            calls.append(None)
-            if len(calls) == 2:  # while block 1 is scored, block 2 is being drawn
-                raise RuntimeError("consumer failed")
-            return real(*args)
-
-        opened, dones = open_degenerate_draws(monkeypatch, 0), handed_over(monkeypatch)
-        monkeypatch.setattr(protocol, "_quadratic_form", raising)
-        try:
-            expected_fidelity_mc(preset_density("w"), n_samples=5 * 8192, seed=3)
-        except RuntimeError:
-            pass  # the handled exception drops the last reference to the stream, which closes it
-        else:
-            pytest.fail("the consumer did not raise")
-        assert opened[0].draws == [(8192, 3)] * 3
-        self.assert_idle(dones)
-        monkeypatch.undo()
-        assert stream_bytes(3 * 8192, 11) == literal_directions(np.random.default_rng(11), 3 * 8192, 3).tobytes()
-
-    def test_a_failed_draw_is_raised_in_the_caller(self, monkeypatch):
-        class FailingSecondDraw(DegenerateDraw):
-            def standard_normal(self, size=None, out=None):
-                if self.draws:
-                    raise MemoryError("second draw")
-                return super().standard_normal(size, out)
-
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingSecondDraw(0, seed))
-        dones = handed_over(monkeypatch)
-        stream = _direction_blocks(3 * 8192, 3)
-        next(stream)
-        with pytest.raises(MemoryError, match="second draw"):
-            within(30, lambda: next(stream))
-        self.assert_idle(dones)
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_a_stream_closed_after_a_redraw_waits_for_its_one_pending_step(self, monkeypatch, k):
-        # k = 1: block 0's redraw, on the caller, comes before the step to block 1 is handed over;
-        # k = 2: the pending step to block 1 draws and redraws on the helper
-        opened, dones = open_degenerate_draws(monkeypatch, k), handed_over(monkeypatch)
-        stream = _direction_blocks(3 * 8192, 3)
-        next(stream)
-        within(30, stream.close)
-        draws = [(8192, 3)] * 2
-        draws.insert(k, (2, 3))
-        assert opened[0].draws == draws and len(dones) == 1
-        self.assert_idle(dones)
-
-    def test_one_helper_per_process(self):
-        stream_bytes(2 * 8192 + 1, 0)
         before = threading.active_count()
-        for seed in range(30):
-            expected_fidelity_mc(preset_density("w"), n_samples=2 * 8192 + 1, seed=seed)
-        assert threading.active_count() <= before + 1
-
-    def test_single_block_streams_start_no_thread(self):
-        script = ("import contextlib, io, threading, qrecon.cli\n"
-                  "from qrecon import protocol\n"
-                  "from qrecon.presets import preset_density\n"
-                  "protocol.expected_fidelity_mc(preset_density('w'), n_samples=8192)\n"
-                  "with contextlib.redirect_stdout(io.StringIO()):\n"
-                  "    code = qrecon.cli.main(['oracle', '--preset', 'w', '--samples', '2000'])\n"
-                  "print(code, threading.active_count(), protocol._helper)")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "1", "None"]
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        expected_fidelity_mc(preset_density("w"), n_samples=100_000, seed=3)
+        classical_fidelities(0.25, "same", 100_000, seed=3)
+        assert threading.active_count() == before
 
     def test_concurrent_callers_get_the_sequential_results(self):
-        # more callers than cores, switching often, all sharing the one helper
+        # more callers than cores, switching often: each call owns its generator and its buffers
         rho, n, seeds = preset_density("w"), 3 * 8192 + 5, (1, 2, 3, 4)
         expected = {seed: expected_fidelity_mc(rho, n_samples=n, seed=seed) for seed in seeds}
         got = {seed: [] for seed in seeds}
@@ -987,61 +759,6 @@ class TestDrawHelper:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == {seed: [expected[seed]] * 10 for seed in seeds}
-
-    def test_a_generator_is_never_drawn_from_by_two_threads_at_once(self, monkeypatch):
-        # four multi-block streams at once, a redraw in every block, switching threads as often as possible:
-        # each stream's generator fails any draw that starts while another draw on it is running
-        opened = open_degenerate_draws(monkeypatch, 0, ExclusiveDraws)
-        n, seeds, got, raised = 4 * 8192 + 17, (1, 2, 3, 4), {}, []
-
-        def stream(seed):
-            try:
-                got[seed] = stream_bytes(n, seed)
-            except BaseException as error:
-                raised.append(error)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=stream, args=(seed,), daemon=True) for seed in seeds]
-            for thread in threads:
-                thread.start()
-            within(60, lambda: [thread.join() for thread in threads])
-        finally:
-            sys.setswitchinterval(interval)
-        if raised:
-            raise raised[0]
-        for seed in seeds:
-            reference = DegenerateBlocks(0, seed)
-            expected = np.concatenate([literal_directions(reference, b, 3) for b in block_sizes(n)])
-            assert got[seed] == expected.tobytes()
-        assert [fake.draws for fake in opened] == [reference.draws] * 4
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() in a process that has threads
-    def test_a_forked_child_starts_its_own_helper(self):
-        # the child inherits the helper's thread object but not the thread: it must start one of its own
-        stream_bytes(2 * 8192 + 1, 0)
-        assert protocol._helper[0].is_alive()
-        n = 3 * 8192 + 7
-        expected = literal_directions(np.random.default_rng(13), n, 3).tobytes()
-        read, write = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            try:
-                os.write(write, b"1" if stream_bytes(n, 13) == expected else b"0")
-            finally:
-                os._exit(0)
-        os.close(write)
-        deadline = time.monotonic() + 30
-        while os.waitpid(pid, os.WNOHANG) == (0, 0):
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child did not finish its stream within 30 s")
-            time.sleep(0.01)
-        with os.fdopen(read, "rb") as pipe:
-            assert pipe.read() == b"1"
 
 
 class TestMonteCarlo:
@@ -1108,28 +825,36 @@ class TestMonteCarlo:
     def test_values_are_frozen(self):
         # a change to the estimator's rounding must re-pin these and declare the drift
         mc = expected_fidelity_mc(preset_density("beta-mix"), n_samples=3000, seed=7)
-        assert mc.mean == float.fromhex("0x1.8a0a2b453ae59p-1")
-        assert mc.std_error == float.fromhex("0x1.20d441d04505ap-11")
-        assert classical_baseline(20_000, seed=5) == float.fromhex("0x1.54d209e87f814p-1")
-        assert dishonest_guess_fidelity(0.25, "negate", 20_000, seed=5) == float.fromhex("0x1.2a6904f43fc0bp-1")
+        assert mc.mean == float.fromhex("0x1.8a256f1959555p-1")
+        assert mc.std_error == float.fromhex("0x1.1daddb2629295p-11")
+        assert classical_baseline(20_000, seed=5) == float.fromhex("0x1.55c8aa9b3d558p-1")
+        assert dishonest_guess_fidelity(0.25, "negate", 20_000, seed=5) == float.fromhex("0x1.2ae4554d9eaacp-1")
 
     def test_multi_block_values_are_frozen(self):
-        # three blocks of the direction stream, merged: every reported bit is pinned
-        def digest(mc):
-            values = [mc.mean, mc.std_error] + [b.probability for b in mc.per_branch] + [b.fidelity for b in mc.per_branch]
-            return hashlib.sha256(repr(tuple(values)).encode()).hexdigest()
+        # three blocks of the direction stream, merged: every reported bit is pinned, as float.hex
+        def bits(mc):
+            return {"mean": mc.mean.hex(), "std_error": mc.std_error.hex(),
+                    "probability": [b.probability.hex() for b in mc.per_branch],
+                    "fidelity": [b.fidelity.hex() for b in mc.per_branch]}
 
         rho, n = preset_density("beta-mix"), 2 * 8192 + 5
         rng = np.random.default_rng(46)
         rots = np.stack([random_rotation(rng) for _ in range(8)])
-        assert digest(expected_fidelity_mc(rho, n_samples=n, seed=7)) == (
-            "47942b1a2d213027999c7df1da1b27007e15147f26b63270461135aa269c0d45")
-        assert digest(expected_fidelity_mc(rho, n_samples=n, seed=7, rotations=rots)) == (
-            "4a631b08eac03a5847c9785f14f8d965522194bd7a0cd623cf6f480371106075")
+        probability = ["0x1.ff40249312c1cp-4"] * 4 + ["0x1.005fedb6769f3p-3"] * 4
+        assert bits(expected_fidelity_mc(rho, n_samples=n, seed=7)) == {
+            "mean": "0x1.8a09377320345p-1", "std_error": "0x1.eb391654952e2p-13", "probability": probability,
+            "fidelity": ["0x1.8a4b5bf65330bp-1", "0x1.8a4b5bf65330bp-1", "0x1.89d8bfaa66fe6p-1",
+                         "0x1.89d8bfaa66fe6p-1", "0x1.88fd756550ff0p-1", "0x1.88fd756550ff0p-1",
+                         "0x1.8b035a0086388p-1", "0x1.8b035a0086388p-1"]}
+        assert bits(expected_fidelity_mc(rho, n_samples=n, seed=7, rotations=rots)) == {
+            "mean": "0x1.0b5ddf14cf2acp-1", "std_error": "0x1.26dfff63d03d0p-12", "probability": probability,
+            "fidelity": ["0x1.28a98fb458e3fp-1", "0x1.c1f54d3041c5ap-2", "0x1.fb0dc915ba2b8p-2",
+                         "0x1.f8a4f8cf0ad36p-2", "0x1.08028f5dad451p-1", "0x1.a8dcb64d06a31p-2",
+                         "0x1.626b6cd843aa3p-1", "0x1.1875a063fb8d0p-1"]}
         y = np.array([[2.0, 0.5, -0.25], [0.5, -1.0, 0.75], [-0.25, 0.75, 0.5]])
         check = sphere_average_identity_check(y, n_samples=2 * 8192 + 7, seed=11)
-        assert check.lhs == float.fromhex("0x1.02119c7829593p-1")
-        assert check.std_error == float.fromhex("0x1.d1a8ee2781b6ep-8")
+        assert check.lhs == float.fromhex("0x1.fa137fa22935bp-2")
+        assert check.std_error == float.fromhex("0x1.d4fb1d9fa3e69p-8")
 
     def test_suboptimal_rotations_stay_below_f_max(self):
         rng = np.random.default_rng(43)
@@ -1173,6 +898,43 @@ class TestMonteCarlo:
         assert list(payload) == list(reference)
         assert type(payload["per_branch"]) is tuple
         assert [list(b) for b in payload["per_branch"]] == [list(b) for b in reference["per_branch"]]
+
+
+#: Presets whose every sample scores the same (sigma = 0 up to rounding), so z = deviation / sigma has no meaning.
+ZERO_VARIANCE = ("ghz", "mixed")
+
+
+def calibration_z():
+    """z = (mc_mean - expected_fidelity_exact) / mc_std_error of 300 runs: 3000 samples (one block) 2 times,
+    2 * 8192 + 5 (three blocks) 4 times and 4 * 8192 + 5 (five) 4 times, for each of the five presets with
+    variance in sorted order and each setting of ALL_SETTINGS; run j (from 0, in that nesting order) has seed
+    j + 1.  Most runs span several blocks, where a stale or repeated block would show."""
+    runs = [(n, preset, setting) for n, repeats in ((3000, 2), (2 * 8192 + 5, 4), (4 * 8192 + 5, 4))
+            for preset in sorted(set(PRESETS) - set(ZERO_VARIANCE)) for setting in ALL_SETTINGS
+            for _ in range(repeats)]
+    exact, z = {}, []
+    for j, (n, preset, setting) in enumerate(runs):
+        rho = preset_density(preset)
+        if (preset, setting) not in exact:
+            exact[preset, setting] = expected_fidelity_exact(rho, setting)
+        mc = expected_fidelity_mc(rho, setting, n_samples=n, seed=j + 1)
+        z.append((mc.mean - exact[preset, setting]) / mc.std_error)
+    return np.array(z)
+
+
+class TestCalibration:
+    """The reported sigma means what it says: over K independent runs, mean z^2 is 1 and mean z is 0.
+
+    A stale or repeated block, a biased direction or a misreported sigma moves mean z^2 (the standard
+    error of mean z^2 is sqrt(2 / K) for normal z) while every single run stays inside its k-sigma band.
+    """
+
+    def test_z_scores_are_standard_normal(self):
+        z = calibration_z()
+        k = len(z)
+        assert k == 300
+        assert abs(np.mean(z * z) - 1.0) <= 4.5 * np.sqrt(2.0 / k)  # chi-square(K) / K within 4.5 sigma
+        assert abs(np.mean(z)) <= 4.5 / np.sqrt(k)
 
 
 @pytest.mark.parametrize("average, sizes", [
@@ -1236,7 +998,7 @@ class TestClassicalBaselines:
         for n in (1, 1000, 8192, 8193, 2 * 8192 + 5, 5 * 8192 + 17):
             for p, strategy, seed in ((0.25, "same", 42), (0.5, "negate", 3), (1.0, "same", 42), (0.0, "negate", 7)):
                 digest.update(_guess_fidelity_samples(p, strategy, n, seed).tobytes())
-        assert digest.hexdigest() == "730eb8a845a9d6312ea9f8de8ee8b52b3169c03d91b7b15129b6b359a75b0c00"
+        assert digest.hexdigest() == "dcb005d6708fecb6245f8b404cd73e9be8cfe54c9495c9b6cde6a6de8231f3ba"
 
     def test_half_transparent_share_is_uninformative(self):
         # the z^2 coefficient (1 - 2p) / 2 vanishes: every sample scores 1/2 exactly
@@ -1321,18 +1083,16 @@ class TestSampleCount:
     ])
     @pytest.mark.parametrize("entry", sorted(COUNTED))
     def test_a_bad_count_is_rejected_before_any_work(self, entry, bad, message, monkeypatch):
-        calls = count_calls(monkeypatch, ["branch_maps", "_blocks"], [protocol])
+        calls = count_calls(monkeypatch, ["branch_maps", "_literal_blocks"], [protocol])
         with pytest.raises(ValueError) as excinfo:
             COUNTED[entry](bad)
         assert excinfo.type is ValueError and str(excinfo.value) == message
-        assert calls == {"branch_maps": 0, "_blocks": 0}
+        assert calls == {"branch_maps": 0, "_literal_blocks": 0}
 
     @pytest.mark.parametrize("entry", sorted(COUNTED))
     def test_numpy_integers_give_the_bits_of_an_int(self, entry):
         def bits(result):
-            if isinstance(result, SphereAverageCheck):  # it records the count as given
-                return result.lhs, result.rhs, result.std_error
-            if not isinstance(result, (np.ndarray, tuple, list, float, MCResult)):  # a stream
+            if not isinstance(result, (np.ndarray, tuple, list, float, MCResult, SphereAverageCheck)):  # a stream
                 return [block.tobytes() if isinstance(block, np.ndarray) else block for block in result]
             return result.tobytes() if isinstance(result, np.ndarray) else repr(result)
 

@@ -257,7 +257,7 @@ class TestSampling:
     @pytest.mark.parametrize("n, seed", [(1, 1), (8192, 3), (2 * 8192 + 1, 3), (100_000, 42)])
     def test_block_stream_is_one_draw(self, n, seed):
         # samples and records read the block stream; one draw of n rows is the reference
-        lam = np.abs(literal_directions(np.random.default_rng(seed), n, 4))
+        lam = literal_directions(np.random.default_rng(seed), n, 4)
         np.testing.assert_array_equal(sample_wclass(n, seed), lam)
         assert scatter_experiment(n, seed) == [
             ScatterRecord(params=WClassParams(*row), f_tele=ft, f_recon=fr, region=region)
@@ -278,20 +278,45 @@ class TestSampling:
         assert str(raised.value) == str(expected.value)
 
     def test_streams_are_frozen(self):
-        # digests of the W scatter CSV and of the sphere sampler's directions, fixed by seed
-        for (n, seed), digest in {
-            (2000, 42): "83f39996878223e87f72def68bc03ae11cde67948ed2c461ae37a4ed03e6acde",
-            (1, 1): "ebbc88da81a46ab245498a7855cfb8620f41788adcea4f43a9c197131efa7e32",
-            (5000, 7): "03e2bc46a7a8f4a24c988d5c83481b38e0c70e3d721fa62b29d7ac8028f9ca0a",
-            (2 * 8192 + 1, 3): "756e1b85389bb536bdf4e734497f158c4574c2e68d5a1617e012ab1a166c3b44",  # three blocks
+        # digests of the W scatter CSV and of the sphere sampler's directions, fixed by seed, each with its
+        # first and last row beside it (as float.hex for the arrays), so a re-pin shows what moved
+        for (n, seed), (digest, first, last) in {
+            (2000, 42): ("4260bc349243a753a13cf7eeee6eaa558b71ce0a18fe924fe25ec67df123bed4",
+                         "0.438878439752,0.574869042028,0.282078426907,0.630351537408,0.683702628471,"
+                         "0.749198759926,blue",
+                         "0.24982608781,0.0542910877479,0.540183177359,0.801773994676,0.638711662205,"
+                         "0.7566345666,orange"),
+            (1, 1): ("094da0d1797122866d2e32decdd72c335300e17652b1d380f0e58277006418a4",
+                     "0.5118216247,0.403112986447,0.466148388503,0.598535065425,0.729666614307,0.825723217037,blue",
+                     "0.5118216247,0.403112986447,0.466148388503,0.598535065425,0.729666614307,0.825723217037,blue"),
+            (5000, 7): ("ced2995a580a98f418196794192963ac6b6cad3665986fb0d2ca3fc9af9bd50c",
+                        "0.625095466605,0.286548881564,0.309952677553,0.65656281785,0.672283519315,0.7958333424,blue",
+                        "0.14725706499,0.39585721989,0.90591475763,0.030510165196,0.755329711172,0.75560156556,blue"),
+            (2 * 8192 + 1, 3): ("fef893178d5b3291dee8f38826da84ce7415d88399f622d27470b185343e1a72",  # three blocks
+                                "0.0856491671436,0.582169102321,0.807174959071,0.0470312865919,0.712238859176,"
+                                "0.712755908656,blue",
+                                "0.107957933859,0.42260916499,0.899467080296,0.0265621845433,0.731203099524,"
+                                "0.731403071709,blue"),
         }.items():
-            assert hashlib.sha256(scatter_csv_text(n, seed).encode()).hexdigest() == digest
+            text = scatter_csv_text(n, seed)
+            lines = text.splitlines()
+            assert (lines[1], lines[-1]) == (first, last)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+        def hex_rows(rows):
+            return [[v.hex() for v in row] for row in rows]
+
         phis = _sample_directions(np.random.default_rng(42), 1000)
+        assert hex_rows(phis[[0, -1]]) == [["0x1.8845407439091p-1", "-0x1.48d77301be553p-1", "-0x1.6e5249dd6a5c0p-6"],
+                                           ["-0x1.9b680117fda96p-1", "-0x1.30bcbe9a46e2ap-1", "-0x1.3a00f26c40380p-7"]]
         assert hashlib.sha256(phis.tobytes()).hexdigest() == (
-            "c9ee1a136b5e1385aba654199626253f4c06bab49c73895bbc5f90f61bdb4f5d")
+            "0af1778a6992e2e07a258a23e5b025fcf358f2a4b5fa5e5d6d9a25a47ccae35b")
         lam = sample_wclass(2 * 8192 + 1, seed=8)  # three blocks
+        assert hex_rows(lam[[0, -1]]) == [
+            ["0x1.4ed1d20ae0d18p-2", "0x1.bf626f2e7bb8fp-1", "0x1.a6b0c1edb9f93p-5", "0x1.6cc91f2649bc4p-2"],
+            ["0x1.66c4fd53b2630p-3", "0x1.c796d78348a80p-5", "0x1.e168593ba8df1p-1", "0x1.257f5f3d63f61p-2"]]
         assert hashlib.sha256(lam.tobytes()).hexdigest() == (
-            "a6e270c2b987a5cc1890a2b55cee73136db6a0829e162307c9c53b7843ec02a7")
+            "7cb67d92ebbf20256425990abb149b87e9166b440b16fb127584ca6bb04b09de")
 
 
 class TestScatter:
