@@ -39,7 +39,7 @@ def literal_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray
     for start in range(0, n, 8192):
         b = min(8192, n - start)
         if dim == 3:
-            u, v, s = marsaglia_pairs(rng, b, signed=True)
+            u, v, s = marsaglia_pairs(rng, b, True)
             rows.append(np.column_stack([2 * u * np.sqrt(1 - s), 2 * v * np.sqrt(1 - s), 1 - 2 * s]))
         else:
             (u1, u2, s1), (u3, u4, s2) = marsaglia_pairs(rng, b, False), marsaglia_pairs(rng, b, False)
@@ -56,7 +56,8 @@ def marsaglia_pairs(rng: np.random.Generator, b: int, signed: bool) -> tuple[np.
     while wanted:
         r = rng.random((2, wanted * 21 // 16 + 16))
         u, v = 2 * r - 1 if signed else r
-        keep = (u * u + v * v < 1) & (u * u + v * v > 0)
+        s = u * u + v * v
+        keep = (0 < s) & (s < 1)
         us.append(u[keep][:wanted])
         vs.append(v[keep][:wanted])
         wanted -= len(us[-1])
