@@ -678,11 +678,90 @@ def stream_bytes(n, seed, dim=3):
 class TestDirections:
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("n", [1, 1000, 8192, 8193, 2 * 8192 + 1, 5 * 8192 + 17])
-    def test_every_block_is_the_literal_rule(self, n, dim):
+    def test_sampler_is_the_literal_rule(self, n, dim):
+        # the rows, and the draws: the generator ends where the literal rule leaves it
         for seed in (0, 42):
-            expected = literal_directions(np.random.default_rng(seed), n, dim).tobytes()
-            assert _sample_directions(np.random.default_rng(seed), n, dim).tobytes() == expected
-            assert stream_bytes(n, seed, dim) == expected
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _sample_directions(rng, n, dim).tobytes() == literal_directions(reference, n, dim).tobytes()
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("n", [8192, 8193, 2 * 8192, 2 * 8192 + 1, 5 * 8192 + 17])
+    def test_a_stream_is_one_draw_byte_for_byte(self, n, dim):
+        # past one block, each block is drawn into the one buffer the last block left: the copies are still the
+        # literal rule's n rows
+        for seed in (0, 7, 42):
+            assert stream_bytes(n, seed, dim) == literal_directions(np.random.default_rng(seed), n, dim).tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("taken", [1, 2])
+    def test_a_stream_closed_early_draws_no_further_block(self, taken, dim):
+        # a block is drawn when it is asked for, not before: closing the stream after ``taken`` blocks leaves the
+        # generator where ``taken`` blocks of the literal rule leave it
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        stream = protocol._literal_blocks(rng, 5 * 8192, dim)
+        got = [next(stream).copy() for _ in range(taken)]
+        stream.close()
+        assert np.concatenate(got).tobytes() == literal_directions(reference, taken * 8192, dim).tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_a_consumer_that_raises_leaves_no_queued_draw(self, monkeypatch):
+        # the scoring of block 1 fails: blocks 0 and 1 were drawn, and nothing past them
+        rho, calls, opened = preset_density("w"), [], []
+        real_form, real_rng = protocol._quadratic_form, np.random.default_rng
+
+        def raising(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("consumer failed")
+            return real_form(*args)
+
+        def recording(seed):
+            opened.append(real_rng(seed))
+            return opened[-1]
+
+        monkeypatch.setattr(protocol, "_quadratic_form", raising)
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            expected_fidelity_mc(rho, n_samples=5 * 8192, seed=3)
+        monkeypatch.undo()
+        reference = np.random.default_rng(3)
+        literal_directions(reference, 2 * 8192, 3)
+        assert len(opened) == 1 and opened[0].bit_generator.state == reference.bit_generator.state
+        assert stream_bytes(3 * 8192, 11) == literal_directions(np.random.default_rng(11), 3 * 8192, 3).tobytes()
+
+    def test_every_draw_is_made_on_the_callers_thread(self):
+        # four multi-block streams at once, switching threads often: each generator is drawn from only by the
+        # thread that iterates its stream, and each stream is the literal rule
+        class Recording:
+            def __init__(self, seed):
+                self.rng, self.threads = np.random.default_rng(seed), set()
+
+            def random(self, size=None, out=None):
+                self.threads.add(threading.get_ident())
+                return self.rng.random(size, out=out)
+
+        n, seeds, got = 4 * 8192 + 17, (1, 2, 3, 4), {}
+
+        def caller(seed):
+            rng = Recording(seed)
+            got[seed] = threading.get_ident(), rng, _sample_directions(rng, n).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(seed,), daemon=True) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed in seeds:
+            ident, rng, rows = got[seed]
+            assert rng.threads == {ident}
+            assert rows == literal_directions(np.random.default_rng(seed), n, 3).tobytes()
 
     @pytest.mark.parametrize("dim, fill, columns", [(3, 0.5, None), (3, 0.0, None), (3, 0.0, 200), (4, 0.0, None),
                                                     (4, 0.75, None)])
