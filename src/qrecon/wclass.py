@@ -112,14 +112,6 @@ def wclass_rt_closed_form(params: WClassParams) -> tuple[np.ndarray, np.ndarray]
     return r[0], t[0]
 
 
-def _param_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
-    """:func:`sample_wclass`'s rows, one block of the shared direction stream at a time; n is checked here.
-
-    Each block is a view of the stream's one buffer, which block k + 1 overwrites: use it before the next.
-    """
-    return _direction_blocks(n, seed, 4)
-
-
 def _valid_rows(lam: np.ndarray) -> np.ndarray:
     """:class:`WClassParams`' rule on each row of an (n, 4) block at once: True where it accepts.
 
@@ -185,7 +177,7 @@ def scatter_experiment(n: int, seed: int = 42) -> list[ScatterRecord]:
     p0, p1, p2, p3 = (getattr(WClassParams, f).__set__ for f in ("lambda0", "lambda1", "lambda2", "lambda3"))
     r0, r1, r2, r3 = (getattr(ScatterRecord, f).__set__ for f in ("params", "f_tele", "f_recon", "region"))
     records = []
-    for lam in _param_blocks(n, seed):
+    for lam in _direction_blocks(n, seed, 4):
         if not (ok := _valid_rows(lam)).all():
             WClassParams(*lam[np.argmin(ok)].tolist())  # the same rule: raises for the first bad row
         for (l0, l1, l2, l3), ft, fr, region in zip(lam.tolist(), *_scatter_columns(lam)):
@@ -205,7 +197,7 @@ _CSV_ROW = ",".join(["%.12g"] * 6 + ["%s"]) + "\n"
 def scatter_csv_chunks(n: int, seed: int = 42) -> Iterator[str]:
     """The CSV in pieces: the header, then one piece per block of
     :func:`sample_wclass`'s stream.  n is checked at the call."""
-    lams = _param_blocks(n, seed)
+    lams = _direction_blocks(n, seed, 4)
     pieces = ("".join(_CSV_ROW % row for row in zip(*lam.T.tolist(), *_scatter_columns(lam))) for lam in lams)
     return itertools.chain([",".join(CSV_HEADER) + "\n"], pieces)
 

