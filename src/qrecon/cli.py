@@ -214,9 +214,10 @@ def main(argv=None) -> int:
 def run() -> int:
     """The ``qrecon`` process entry: :func:`main` on ``sys.argv`` with one BLAS thread unless the caller chose
     a count, and without the cyclic garbage collector."""
-    # qrecon's BLAS calls are small (3x3 SVDs, an (8192, 4) product per block): a second OpenBLAS thread
-    # would only spin on another core.  OpenBLAS reads its count from these variables, in this order,
-    # once numpy loads, which import qrecon.cli does not do
+    # qrecon's BLAS and LAPACK calls are small (3x3 SVDs and determinants, an 8x8 eigvalsh, products of at most
+    # 32 rows), and the Monte Carlo sample loop makes none: a second OpenBLAS thread would only spin on another
+    # core.  OpenBLAS reads its count from these variables, in this order, once numpy loads, which import
+    # qrecon.cli does not do
     if not any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     # one-shot run: the shutdown collection would walk every object numpy made, and no

@@ -82,7 +82,10 @@ def permute_to_canonical(rho: np.ndarray, setting: Setting) -> np.ndarray:
 
 
 def _checked_count(n) -> int:
-    """n as an int if it is a sample count: an integer (``operator.index``, so numpy's pass) of at least 1."""
+    """n as an int if it is a sample count: an integer (``operator.index``, so numpy's pass, but not a bool)
+    of at least 1."""
+    if isinstance(n, (bool, np.bool_)):
+        raise ValueError(f"n_samples must be an integer, got {n}")
     try:
         if (k := operator.index(n)) >= 1:
             return k
@@ -234,20 +237,21 @@ def _sphere_mean(ys: np.ndarray, n_samples: int, seed: int) -> tuple[float | lis
     two-pass mean and squared deviations merge into its running (count, mean, M2) (Chan et al.): one
     block gives the two-pass values, and a form's result does not depend on the forms beside it.
 
-    One workspace, allocated per call, serves every block: the rows f (column 0 stays 1), and one row of
-    values per form and scratch; the quadratic form reads phi's coordinates as the stream's rows.
+    One workspace, allocated per call, serves every block: one row of values per form and scratch.  The
+    quadratic form and the moments read phi's coordinates as the stream's (3, b) rows; each block adds their
+    sums and their products (``np.einsum`` without ``optimize``: numpy's own loops, so no BLAS kernel chosen
+    at load time sets the summation order).
     """
+    n_samples = _checked_count(n_samples)
     blocks = _direction_blocks(n_samples, seed)
     shape, ys = ys.shape[:-2], ys.reshape(-1, 4, 4)
     m = min(n_samples, _BLOCK)
-    f, values, work = np.ones((m, 4)), np.empty((len(ys), m)), np.empty((2, m))
+    values, work = np.empty((len(ys), m)), np.empty((2, m))
     count, mean, m2 = 0, np.zeros(len(ys)), np.zeros(len(ys))
     moments = np.zeros((4, 4))
     for phis in blocks:
         b, p = len(phis), phis.T
-        fb, totals = f[:b], values[:, :b]
-        for k in range(3):
-            np.copyto(fb[:, 1 + k], p[k])
+        totals = values[:, :b]
         for y, row in zip(ys, totals):
             _quadratic_form(y, p, row, work[:, :b])
         block_mean = totals.sum(axis=1) / b  # the bits of totals.mean(axis=1), without its overhead
@@ -257,7 +261,9 @@ def _sphere_mean(ys: np.ndarray, n_samples: int, seed: int) -> tuple[float | lis
         delta = block_mean - mean
         mean += delta * (b / count)
         m2 += totals.sum(axis=1) + delta * delta * ((count - b) * b / count)
-        moments += fb.T @ fb
+        moments[0, 1:] += p.sum(axis=1)
+        moments[1:, 1:] += np.einsum("ib,jb->ij", p, p)
+    moments[0, 0], moments[1:, 0] = count, moments[0, 1:]
     std_error = np.sqrt(m2 / (count - 1)) / np.sqrt(count) if count > 1 else np.zeros(len(ys))
     return mean.reshape(shape).tolist(), std_error.reshape(shape).tolist(), moments
 

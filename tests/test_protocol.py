@@ -2,6 +2,9 @@ import ast
 import dataclasses
 import inspect
 import itertools
+import os
+import platform
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import golden
 from conftest import count_calls, literal_directions, random_density, random_pure, random_rotation
 from qrecon.fidelity import (
     ALL_SETTINGS,
@@ -867,6 +871,36 @@ class TestMonteCarlo:
         assert means == [a[0] for a in alone] and std_errors == [a[1] for a in alone]
         assert all(type(v) is float for v in means + std_errors)
         assert all(a[2].tobytes() == moments.tobytes() for a in alone)
+        # the moments are sum f f^T over the stream's rows f = (1, phi), their count in the corner
+        f = np.hstack([np.ones((n, 1)), literal_directions(np.random.default_rng(7), n, 3)])
+        np.testing.assert_allclose(moments, f.T @ f, rtol=1e-12, atol=0)
+        assert moments[0, 0] == n and moments.tobytes() == np.ascontiguousarray(moments.T).tobytes()
+
+    def test_the_sums_do_not_depend_on_the_blas_kernel(self):
+        # the MC sums run in numpy's own loops: each OpenBLAS kernel a DYNAMIC_ARCH build can be forced to
+        # gives the bits this process gets, three blocks of the stream through one form
+        if platform.machine() != "x86_64" or "DYNAMIC_ARCH" not in golden.blas_kernel():
+            pytest.skip(f"needs numpy's DYNAMIC_ARCH OpenBLAS on x86_64, not {golden.blas_kernel()!r}")
+        try:
+            with open("/proc/cpuinfo") as cpuinfo:
+                flags = next((line.split(":", 1)[1].split() for line in cpuinfo if line.startswith("flags")), [])
+        except OSError:
+            flags = []
+        kernels = [kernel for kernel, flag in (("Nehalem", None), ("Sandybridge", "avx"), ("Haswell", "avx2"))
+                   if flag is None or flag in flags]
+        script = ("import numpy as np\n"
+                  "from qrecon.protocol import _sphere_mean\n"
+                  "y = np.add.outer(np.arange(4.0), np.arange(4.0)) / 7.0 - np.eye(4)\n"
+                  "mean, std_error, moments = _sphere_mean(y, 2 * 8192 + 5, 7)\n"
+                  "bits = np.array([mean, std_error, *moments.ravel()]).tobytes().hex()\n")
+        here = {}
+        exec(script, here)
+        src = str(golden.GOLDEN.parents[1] / "src")
+        for kernel in kernels:
+            proc = subprocess.run([sys.executable, "-c", script + "print(bits)"], capture_output=True, text=True,
+                                  timeout=60, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel})
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == here["bits"], kernel
 
     def test_per_branch_statistics_are_sample_means(self):
         # the moment sums must give the sample means of the per-branch tables over the same
@@ -1103,6 +1137,7 @@ class TestSampleCount:
     @pytest.mark.parametrize("bad, message", [
         (1e4, "n_samples must be an integer, got 10000.0"), (2.5, "n_samples must be an integer, got 2.5"),
         (0, "n_samples must be >= 1, got 0"), (np.int64(-3), "n_samples must be >= 1, got -3"),
+        (True, "n_samples must be an integer, got True"),
     ])
     @pytest.mark.parametrize("entry", sorted(COUNTED))
     def test_a_bad_count_is_rejected_before_any_work(self, entry, bad, message, monkeypatch):
