@@ -19,6 +19,9 @@ and rotates the reconstructor's Bloch vector, n -> Omega^T n, with no
 unitary.  Its test oracle, the literal 16-dimensional simulation of one
 ``phi`` with each Omega's SU(2) unitary, is ``tests/reference.py`` and is
 not part of the package.
+
+Every Monte Carlo direction comes from one opener, :func:`_direction_blocks`: it checks the sample count
+and the seed and makes the package's one ``default_rng`` call, so a result is a function of (input, n, seed).
 """
 
 from __future__ import annotations
@@ -81,35 +84,24 @@ def permute_to_canonical(rho: np.ndarray, setting: Setting) -> np.ndarray:
     return np.asarray(rho).reshape((2,) * 6).transpose(axes).reshape(8, 8)
 
 
-def _checked_count(n) -> int:
-    """n as an int if it is a sample count: an integer (``operator.index``, so numpy's pass, but not a bool)
-    of at least 1."""
-    if isinstance(n, (bool, np.bool_)):
-        raise ValueError(f"n_samples must be an integer, got {n}")
+def _checked_integer(value, name: str, least: int) -> int:
+    """``value`` as an int if it is an integer (``operator.index``, so numpy's pass, but not a bool) of at least
+    ``least``; else a ValueError naming it."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
-        if (k := operator.index(n)) >= 1:
+        if (k := operator.index(value)) >= least:
             return k
     except TypeError:
-        raise ValueError(f"n_samples must be an integer, got {n}") from None
-    raise ValueError(f"n_samples must be >= 1, got {n}")
-
-
-def _sample_directions(rng: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
-    """Uniform points on the unit sphere S^2 (dim 3) or on the nonnegative octant of S^3 (dim 4):
-    :func:`_literal_blocks` over ``rng``, collected into one new (n, dim) array."""
-    n = _checked_count(n)
-    out, start = np.empty((n, dim)), 0
-    for block in _literal_blocks(rng, n, dim):
-        out[start:start + len(block)] = block
-        start += len(block)
-    return out
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _direction_blocks(n: int, seed: int, dim: int = 3) -> Iterator[np.ndarray]:
-    """The n directions of one ``default_rng(seed)`` stream, :data:`_BLOCK` rows at a time
-    (:func:`_literal_blocks`: block k is overwritten by block k + 1); n is checked and ``default_rng(seed)``
-    opened here, at the call."""
-    n = _checked_count(n)
+    """The package's one way to open a direction stream: the n directions of ``default_rng(seed)``,
+    :data:`_BLOCK` rows at a time (:func:`_literal_blocks`: block k is overwritten by block k + 1).  n >= 1 and
+    the seed >= 0 are checked here, at the call, before any draw."""
+    n, seed = _checked_integer(n, "n_samples", 1), _checked_integer(seed, "seed", 0)
     return _literal_blocks(np.random.default_rng(seed), n, dim)
 
 
@@ -230,27 +222,26 @@ def _quadratic(y: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return _quadratic_form(y, np.ascontiguousarray(phis.T), np.empty(len(phis)), np.empty((2, len(phis))))
 
 
-def _sphere_mean(ys: np.ndarray, n_samples: int, seed: int) -> tuple[float | list, float | list, np.ndarray]:
+def _sphere_mean(ys: np.ndarray, blocks: Iterator[np.ndarray]) -> tuple[float | list, float | list, np.ndarray]:
     """Monte Carlo sphere averages of f^T y f, f = (1, phi), for ``ys`` one (4, 4) form y or a (k, 4, 4)
-    stack, all on one pass of the direction stream: (mean, std_error, moments = sum f f^T), where
-    mean and std_error are a float for one form and a list of k floats for a stack.  Each form's block
-    two-pass mean and squared deviations merge into its running (count, mean, M2) (Chan et al.): one
-    block gives the two-pass values, and a form's result does not depend on the forms beside it.
+    stack, all on one pass of ``blocks``, the stream its caller opened with :func:`_direction_blocks`:
+    (mean, std_error, moments = sum f f^T), where mean and std_error are a float for one form and a list of
+    k floats for a stack.  Each form's block two-pass mean and squared deviations merge into its running
+    (count, mean, M2) (Chan et al.): one block gives the two-pass values, and a form's result does not
+    depend on the forms beside it.
 
-    One workspace, allocated per call, serves every block: one row of values per form and scratch.  The
-    quadratic form and the moments read phi's coordinates as the stream's (3, b) rows; each block adds their
-    sums and their products (``np.einsum`` without ``optimize``: numpy's own loops, so no BLAS kernel chosen
-    at load time sets the summation order).
+    One workspace, sized by the first block (the longest), serves every block: one row of values per form
+    and scratch.  The quadratic form and the moments read phi's coordinates as the stream's (3, b) rows;
+    each block adds their sums and their products (``np.einsum`` without ``optimize``: numpy's own loops,
+    so no BLAS kernel chosen at load time sets the summation order).
     """
-    n_samples = _checked_count(n_samples)
-    blocks = _direction_blocks(n_samples, seed)
     shape, ys = ys.shape[:-2], ys.reshape(-1, 4, 4)
-    m = min(n_samples, _BLOCK)
-    values, work = np.empty((len(ys), m)), np.empty((2, m))
     count, mean, m2 = 0, np.zeros(len(ys)), np.zeros(len(ys))
     moments = np.zeros((4, 4))
     for phis in blocks:
         b, p = len(phis), phis.T
+        if not count:
+            values, work = np.empty((len(ys), b)), np.empty((2, b))
         totals = values[:, :b]
         for y, row in zip(ys, totals):
             _quadratic_form(y, p, row, work[:, :b])
@@ -279,7 +270,8 @@ class BranchStats:
 @dataclass(frozen=True)
 class MCResult:
     """Monte Carlo estimate of the sphere-averaged fidelity, a function of
-    the input, ``n_samples`` and ``seed`` alone."""
+    the input, ``n_samples`` and ``seed`` alone; both are checked at the call
+    (an integer >= 1 and an integer >= 0) and recorded as ints."""
 
     mean: float
     std_error: float
@@ -307,9 +299,10 @@ def expected_fidelity_mc(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
     Per-branch statistics report the mean branch probability and the
     conditional fidelity E[p f] / E[p], from the sample moments sum f f^T.
     """
-    n_samples = _checked_count(n_samples)  # before branch_maps: a bad count costs no state work
+    blocks = _direction_blocks(n_samples, seed)  # before branch_maps: a bad count or seed costs no state work
+    n_samples, seed = operator.index(n_samples), operator.index(seed)  # recorded as the ints the opener checked
     p_map, q_map = branch_maps(rho, setting, rotations)
-    mean, std_error, moments = _sphere_mean(q_map.sum(axis=1), n_samples, seed)
+    mean, std_error, moments = _sphere_mean(q_map.sum(axis=1), blocks)
     p_sums = (moments[0] @ p_map).tolist()
     w_sums = np.einsum("mbn,mn->b", q_map, moments).tolist()
     per_branch = tuple(
@@ -352,17 +345,16 @@ def sphere_average_identity_check(y: np.ndarray, n_samples: int = 100_000, seed:
     y = np.asarray(y, dtype=float)
     if y.shape != (3, 3) or not np.isfinite(y).all() or np.abs(y - y.T).max() > 1e-12:
         raise ValueError("y must be a finite symmetric 3x3 matrix")
-    n_samples = _checked_count(n_samples)  # recorded as the int it is checked to be
-    lhs, se, _ = _sphere_mean(np.pad(y, ((1, 0), (1, 0))), n_samples, seed)
+    lhs, se, _ = _sphere_mean(np.pad(y, ((1, 0), (1, 0))), _direction_blocks(n_samples, seed))
     return SphereAverageCheck(lhs=lhs, rhs=float(np.trace(y) / 3.0), std_error=se,
-                              n_samples=n_samples, seed=seed)
+                              n_samples=operator.index(n_samples), seed=operator.index(seed))
 
 
 def classical_baseline(n_samples: int = 1_000_000, seed: int = 42) -> float:
     """Monte Carlo mean fidelity of the best classical strategy
     (measure along z, resend the outcome state: fidelity (1 + z^2) / 2);
     averages to 2/3 over uniform inputs.  It is the guess of a share whose helper bit is always 0."""
-    return _sphere_mean(_guess_form(1.0, "same"), n_samples, seed)[0]
+    return _sphere_mean(_guess_form(1.0, "same"), _direction_blocks(n_samples, seed))[0]
 
 
 def _check_guess(p: float, strategy: str) -> None:
@@ -383,11 +375,12 @@ def _guess_form(p: float, strategy: str) -> np.ndarray:
 
 def dishonest_guess_fidelity(p: float, strategy: str, n_samples: int = 1_000_000, seed: int = 42) -> float:
     """Mean fidelity when the reconstructor guesses from its share alone (:func:`_guess_form`)."""
-    return _sphere_mean(_guess_form(p, strategy), n_samples, seed)[0]
+    return _sphere_mean(_guess_form(p, strategy), _direction_blocks(n_samples, seed))[0]
 
 
 def classical_fidelities(p: float, strategy: str, n_samples: int = 1_000_000,
                          seed: int = 42) -> tuple[float, float]:
     """(:func:`classical_baseline`, :func:`dishonest_guess_fidelity`) to the bit, from one pass of
     the direction stream; p and strategy are checked before any draw."""
-    return tuple(_sphere_mean(np.stack([_guess_form(1.0, "same"), _guess_form(p, strategy)]), n_samples, seed)[0])
+    forms = np.stack([_guess_form(1.0, "same"), _guess_form(p, strategy)])
+    return tuple(_sphere_mean(forms, _direction_blocks(n_samples, seed))[0])

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .fidelity import CLASSICAL_FIDELITY, f_max_from_theta, theta_from_pair, trace_norms
-from .protocol import _direction_blocks, _sample_directions
+from .protocol import _direction_blocks
 from .stateio import write_text
 
 NORMALIZATION_TOL = 1e-12
@@ -127,9 +127,15 @@ def sample_wclass(n: int, seed: int = 42) -> np.ndarray:
     """Rows of uniformly random parameter tuples (lambda0..lambda3).
 
     Uniform on the nonnegative octant of the 3-sphere: Marsaglia's rule
-    on two pairs from [0, 1)^2 (:func:`qrecon.protocol._literal_blocks`).
+    on two pairs from [0, 1)^2 (:func:`qrecon.protocol._literal_blocks`),
+    collected into one new (n, 4) array.  n and the seed are checked at the call.
     """
-    return _sample_directions(np.random.default_rng(seed), n, 4)
+    blocks, start = _direction_blocks(n, seed, 4), 0
+    out = np.empty((n, 4))
+    for lam in blocks:
+        out[start:start + len(lam)] = lam
+        start += len(lam)
+    return out
 
 
 #: :func:`region_for`'s two answers, indexed by f_tele <= 2/3; the scatter's region column shares these objects.
@@ -196,7 +202,7 @@ _CSV_ROW = ",".join(["%.12g"] * 6 + ["%s"]) + "\n"
 
 def scatter_csv_chunks(n: int, seed: int = 42) -> Iterator[str]:
     """The CSV in pieces: the header, then one piece per block of
-    :func:`sample_wclass`'s stream.  n is checked at the call."""
+    :func:`sample_wclass`'s stream.  n and the seed are checked at the call."""
     lams = _direction_blocks(n, seed, 4)
     pieces = ("".join(_CSV_ROW % row for row in zip(*lam.T.tolist(), *_scatter_columns(lam))) for lam in lams)
     return itertools.chain([",".join(CSV_HEADER) + "\n"], pieces)
@@ -208,5 +214,5 @@ def scatter_csv_text(n: int, seed: int = 42) -> str:
 
 
 def write_scatter_csv(path, n: int, seed: int = 42) -> None:
-    """Write the CSV to ``path`` through :func:`qrecon.stateio.write_text`; n is checked first."""
+    """Write the CSV to ``path`` through :func:`qrecon.stateio.write_text`; n and the seed are checked first."""
     write_text(path, scatter_csv_chunks(n, seed))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 
@@ -14,12 +16,15 @@ def random_pure(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish SO(3) element via QR with sign fixing."""
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, [0, 1]] = q[:, [1, 0]]
-    return q
+    """A Haar-random SO(3) element: the rotation of a uniform unit quaternion, 4 normals over their norm
+    (K. Shoemake, Graphics Gems III, 1992).  Plain float arithmetic, with no BLAS or LAPACK call, so every
+    kernel gives the same bits."""
+    w, x, y, z = rng.normal(size=4).tolist()
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / norm, x / norm, y / norm, z / norm
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
 
 
 def random_orthogonal(rng: np.random.Generator) -> np.ndarray:

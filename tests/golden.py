@@ -29,7 +29,7 @@ from reference import _guess_fidelity_samples
 from qrecon import fidelity
 from qrecon.cli import main
 from qrecon.presets import PRESETS, preset_density
-from qrecon.protocol import (_sample_directions, classical_baseline, dishonest_guess_fidelity,
+from qrecon.protocol import (_direction_blocks, classical_baseline, dishonest_guess_fidelity,
                              expected_fidelity_mc, sphere_average_identity_check)
 from qrecon.states import decompose_state, pure_to_density
 from qrecon.wclass import sample_wclass, scatter_csv_text
@@ -162,8 +162,8 @@ def stream_digests():
         text = scatter_csv_text(n, seed)
         lines = text.splitlines()
         table[f"scatter_csv_text({n}, seed={seed})"] = digest(text.encode(), lines[1], lines[-1])
-    phis = _sample_directions(np.random.default_rng(42), 1000)
-    table["_sample_directions(default_rng(42), 1000)"] = digest(phis.tobytes(), *phis[[0, -1]].tolist())
+    phis = np.concatenate([block.copy() for block in _direction_blocks(1000, 42)])
+    table["_direction_blocks(1000, seed=42)"] = digest(phis.tobytes(), *phis[[0, -1]].tolist())
     lam = sample_wclass(2 * 8192 + 1, seed=8)
     table[f"sample_wclass({2 * 8192 + 1}, seed=8)"] = digest(lam.tobytes(), *lam[[0, -1]].tolist())
     return table

@@ -20,8 +20,9 @@ from typing import Optional
 
 import numpy as np
 
+from conftest import literal_directions
 from qrecon.fidelity import _so3
-from qrecon.protocol import (BRANCHES, ZERO_PROBABILITY, _check_guess, _sample_directions, bell_projectors,
+from qrecon.protocol import (BRANCHES, ZERO_PROBABILITY, _check_guess, _checked_integer, bell_projectors,
                              hadamard_projectors)
 from qrecon.paulis import identity2, pauli_x, pauli_y, pauli_z
 
@@ -141,8 +142,9 @@ def _guess_fidelity_samples(p: float, strategy: str, n_samples: int, seed: int) 
     "negate" guesses its complement; means are (1 + p)/3 and (2 - p)/3.
     """
     _check_guess(p, strategy)
+    n_samples, seed = _checked_integer(n_samples, "n_samples", 1), _checked_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    phis = _sample_directions(rng, n_samples)
+    phis = literal_directions(rng, n_samples, 3)
     p_up = (1.0 + phis[:, 2]) / 2.0
     s = rng.random(n_samples) >= p_up        # True: measured the -z outcome
     s2 = rng.random(n_samples) >= p          # True with probability 1 - p

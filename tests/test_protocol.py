@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +48,6 @@ from qrecon.protocol import (
     SphereAverageCheck,
     _quadratic,
     _direction_blocks,
-    _sample_directions,
     _sphere_mean,
     bell_projectors,
     branch_maps,
@@ -61,7 +61,7 @@ from qrecon.protocol import (
     sphere_average_identity_check,
 )
 from qrecon.states import NotPSDError, decompose_state, pure_to_density
-from qrecon.wclass import sample_wclass, scatter_csv_chunks, scatter_experiment, write_scatter_csv
+from qrecon.wclass import sample_wclass, scatter_csv_chunks, scatter_csv_text, scatter_experiment, write_scatter_csv
 import reference
 from reference import _guess_fidelity_samples, kron3, rotation_to_unitary, simulate_branches
 
@@ -313,7 +313,8 @@ def test_the_reference_shares_no_fast_route_machinery():
     read = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert "_so3" in read and read.isdisjoint({"branch_maps", "_KERNEL", "_quadratic"})
+    assert "_so3" in read and read.isdisjoint({"branch_maps", "_KERNEL", "_quadratic", "_direction_blocks",
+                                                "_literal_blocks", "_sample_directions"})
 
 
 class TestClosedFormAgreement:
@@ -661,18 +662,41 @@ class RejectedFirstDraw:
         return r
 
 
+def collected(blocks):
+    """The rows of a direction stream, each block copied before the next overwrites it."""
+    return np.concatenate([block.copy() for block in blocks])
+
+
 def stream_bytes(n, seed, dim=3):
-    return np.concatenate([block.copy() for block in _direction_blocks(n, seed, dim)]).tobytes()
+    return collected(_direction_blocks(n, seed, dim)).tobytes()
 
 
 class TestDirections:
+    def test_one_opener_makes_the_packages_only_generator(self):
+        # every stream starts in _direction_blocks, which checks n and the seed: no module reaches numpy's
+        # generator any other way
+        found = []
+
+        def walk(node, path, scope):
+            for child in ast.iter_child_nodes(node):
+                if "default_rng" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                    found.append((path.name, scope, isinstance(node, ast.Call) and node.func is child))
+                if isinstance(child, ast.alias) and child.name.endswith("default_rng"):
+                    found.append((path.name, scope, False))
+                walk(child, path, child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope)
+
+        for path in sorted(Path(protocol.__file__).parent.glob("*.py")):
+            walk(ast.parse(path.read_text(), str(path)), path, None)
+        assert found == [("protocol.py", "_direction_blocks", True)]
+
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("n", [1, 1000, 8192, 8193, 2 * 8192 + 1, 5 * 8192 + 17])
     def test_sampler_is_the_literal_rule(self, n, dim):
         # the rows, and the draws: the generator ends where the literal rule leaves it
         for seed in (0, 42):
             rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _sample_directions(rng, n, dim).tobytes() == literal_directions(reference, n, dim).tobytes()
+            got = collected(protocol._literal_blocks(rng, n, dim))
+            assert got.tobytes() == literal_directions(reference, n, dim).tobytes()
             assert rng.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("dim", [3, 4])
@@ -735,7 +759,7 @@ class TestDirections:
 
         def caller(seed):
             rng = Recording(seed)
-            got[seed] = threading.get_ident(), rng, _sample_directions(rng, n).tobytes()
+            got[seed] = threading.get_ident(), rng, collected(protocol._literal_blocks(rng, n, 3)).tobytes()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -759,7 +783,7 @@ class TestDirections:
         # s = 0 (u = v = 0) and s >= 1 fail; the shortfall is drawn again, in draw order, before the next pairs
         n, k = 300, 300 * 21 // 16 + 16
         fake, reference = RejectedFirstDraw(7, fill, columns), RejectedFirstDraw(7, fill, columns)
-        got = _sample_directions(fake, n, dim)
+        got = collected(protocol._literal_blocks(fake, n, dim))
         assert got.tobytes() == literal_directions(reference, n, dim).tobytes()
         assert fake.draws == reference.draws and fake.draws[0] == (2, k)
         if columns is None:  # nothing accepted: the top-up wants every pair again
@@ -771,7 +795,7 @@ class TestDirections:
     def test_moments_of_the_sphere_and_the_octant(self):
         # 5 sigma bands: E[phi] = 0 (variance 1/3), E[phi phi^T] = I / 3 (variance 4/45 on the diagonal, 1/15 off)
         n = 200_000
-        phis = _sample_directions(np.random.default_rng(1), n)
+        phis = collected(_direction_blocks(n, 1))
         assert np.abs(phis.mean(axis=0)).max() <= 5 * np.sqrt(1 / 3 / n)
         second = phis.T @ phis / n
         assert np.abs(second.diagonal() - 1 / 3).max() <= 5 * np.sqrt(4 / 45 / n)
@@ -852,8 +876,8 @@ class TestMonteCarlo:
             totals = _quadratic(y, literal_directions(np.random.default_rng(7), n, 3))
             mean = float(totals.mean())
             std_error = float(np.sqrt(((totals - mean) ** 2).sum() / (n - 1)) / np.sqrt(n))
-            got = _sphere_mean(y, n, 7)
-            assert got[:2] == _sphere_mean(y, n, 7)[:2]
+            got = _sphere_mean(y, _direction_blocks(n, 7))
+            assert got[:2] == _sphere_mean(y, _direction_blocks(n, 7))[:2]
             if n == 8192:  # one block
                 assert got[:2] == (mean, std_error)
             else:  # blocks merged by Chan et al.'s update
@@ -866,8 +890,8 @@ class TestMonteCarlo:
         # one-form call, whatever forms sit beside it, and the one moments sum is the same
         ys = np.random.default_rng(47).normal(size=(3, 4, 4))
         ys += ys.swapaxes(-1, -2)
-        means, std_errors, moments = _sphere_mean(ys, n, 7)
-        alone = [_sphere_mean(y, n, 7) for y in ys]
+        means, std_errors, moments = _sphere_mean(ys, _direction_blocks(n, 7))
+        alone = [_sphere_mean(y, _direction_blocks(n, 7)) for y in ys]
         assert means == [a[0] for a in alone] and std_errors == [a[1] for a in alone]
         assert all(type(v) is float for v in means + std_errors)
         assert all(a[2].tobytes() == moments.tobytes() for a in alone)
@@ -877,8 +901,9 @@ class TestMonteCarlo:
         assert moments[0, 0] == n and moments.tobytes() == np.ascontiguousarray(moments.T).tobytes()
 
     def test_the_sums_do_not_depend_on_the_blas_kernel(self):
-        # the MC sums run in numpy's own loops: each OpenBLAS kernel a DYNAMIC_ARCH build can be forced to
-        # gives the bits this process gets, three blocks of the stream through one form
+        # the MC sums run in numpy's own loops, and the test rotations in float arithmetic: each OpenBLAS kernel
+        # a DYNAMIC_ARCH build can be forced to gives the bits this process gets, three blocks of the stream
+        # through one form and the rotated mc_values run's default_rng(46) stack
         if platform.machine() != "x86_64" or "DYNAMIC_ARCH" not in golden.blas_kernel():
             pytest.skip(f"needs numpy's DYNAMIC_ARCH OpenBLAS on x86_64, not {golden.blas_kernel()!r}")
         try:
@@ -889,16 +914,19 @@ class TestMonteCarlo:
         kernels = [kernel for kernel, flag in (("Nehalem", None), ("Sandybridge", "avx"), ("Haswell", "avx2"))
                    if flag is None or flag in flags]
         script = ("import numpy as np\n"
-                  "from qrecon.protocol import _sphere_mean\n"
+                  "from conftest import random_rotation\n"
+                  "from qrecon.protocol import _direction_blocks, _sphere_mean\n"
                   "y = np.add.outer(np.arange(4.0), np.arange(4.0)) / 7.0 - np.eye(4)\n"
-                  "mean, std_error, moments = _sphere_mean(y, 2 * 8192 + 5, 7)\n"
-                  "bits = np.array([mean, std_error, *moments.ravel()]).tobytes().hex()\n")
+                  "mean, std_error, moments = _sphere_mean(y, _direction_blocks(2 * 8192 + 5, 7))\n"
+                  "rng = np.random.default_rng(46)\n"
+                  "rotations = np.stack([random_rotation(rng) for _ in range(8)])\n"
+                  "bits = (np.array([mean, std_error, *moments.ravel()]).tobytes() + rotations.tobytes()).hex()\n")
         here = {}
         exec(script, here)
-        src = str(golden.GOLDEN.parents[1] / "src")
+        path = os.pathsep.join(str(golden.GOLDEN.parents[1] / folder) for folder in ("src", "tests"))
         for kernel in kernels:
             proc = subprocess.run([sys.executable, "-c", script + "print(bits)"], capture_output=True, text=True,
-                                  timeout=60, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel})
+                                  timeout=60, env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": kernel})
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == here["bits"], kernel
 
@@ -910,7 +938,7 @@ class TestMonteCarlo:
         rots = np.stack([random_rotation(rng) for _ in range(8)])
         n = 20_000
         mc = expected_fidelity_mc(rho, n_samples=n, seed=9, rotations=rots)
-        p, w = branch_weights(rho, rots, _sample_directions(np.random.default_rng(9), n))
+        p, w = branch_weights(rho, rots, collected(_direction_blocks(n, 9)))
         np.testing.assert_allclose([b.probability for b in mc.per_branch], p.mean(axis=1), rtol=0, atol=1e-14)
         np.testing.assert_allclose([b.fidelity for b in mc.per_branch], w.sum(axis=1) / p.sum(axis=1), rtol=0, atol=1e-13)
         assert mc.mean == pytest.approx(w.sum(axis=0).mean(), rel=0, abs=1e-14)
@@ -1086,7 +1114,7 @@ class TestClassicalBaselines:
 
     def test_guess_rule_averages_to_a_quadratic_form(self):
         # both hidden bits of the reference's rule enumerated exactly: P(s) = 1 - p_up, P(s2) = 1 - p
-        phis = _sample_directions(np.random.default_rng(12), 1000)
+        phis = collected(_direction_blocks(1000, 12))
         p_up = (1.0 + phis[:, 2]) / 2.0
         for p in (0.0, 0.25, 0.5, 1.0):
             for strategy, sign in (("same", -1.0), ("negate", 1.0)):
@@ -1115,45 +1143,55 @@ class TestClassicalBaselines:
                 guess(0.5, "flip", 10, 1)
 
 
-#: Every entry point that takes a sample count, called with count n.
+#: Every entry point that takes a sample count and a seed, called with count n and seed s.
 COUNTED = {
-    "expected_fidelity_mc": lambda n: expected_fidelity_mc(preset_density("w"), n_samples=n, seed=3),
-    "classical_fidelities": lambda n: classical_fidelities(0.25, "same", n, seed=3),
-    "classical_baseline": lambda n: classical_baseline(n, seed=3),
-    "dishonest_guess_fidelity": lambda n: dishonest_guess_fidelity(0.25, "negate", n, seed=3),
-    "sphere_average_identity_check": lambda n: sphere_average_identity_check(np.eye(3), n_samples=n, seed=3),
-    "_guess_fidelity_samples": lambda n: _guess_fidelity_samples(0.25, "same", n, seed=3),
-    "_direction_blocks": lambda n: _direction_blocks(n, 3),
-    "_sample_directions": lambda n: _sample_directions(np.random.default_rng(3), n),
-    "scatter_experiment": lambda n: scatter_experiment(n, seed=3),
-    "sample_wclass": lambda n: sample_wclass(n, seed=3),
-    "scatter_csv_chunks": lambda n: scatter_csv_chunks(n, seed=3),
+    "expected_fidelity_mc": lambda n, s: expected_fidelity_mc(preset_density("w"), n_samples=n, seed=s),
+    "classical_fidelities": lambda n, s: classical_fidelities(0.25, "same", n, seed=s),
+    "classical_baseline": lambda n, s: classical_baseline(n, seed=s),
+    "dishonest_guess_fidelity": lambda n, s: dishonest_guess_fidelity(0.25, "negate", n, seed=s),
+    "sphere_average_identity_check": lambda n, s: sphere_average_identity_check(np.eye(3), n_samples=n, seed=s),
+    "_guess_fidelity_samples": lambda n, s: _guess_fidelity_samples(0.25, "same", n, seed=s),
+    "_direction_blocks": lambda n, s: _direction_blocks(n, s),
+    "scatter_experiment": lambda n, s: scatter_experiment(n, seed=s),
+    "sample_wclass": lambda n, s: sample_wclass(n, seed=s),
+    "scatter_csv_chunks": lambda n, s: scatter_csv_chunks(n, seed=s),
+    "scatter_csv_text": lambda n, s: scatter_csv_text(n, seed=s),
+    "write_scatter_csv": lambda n, s: write_scatter_csv(os.devnull, n, seed=s),
 }
 
 
 class TestSampleCount:
-    """One count rule, checked at the call before any work: an integer (numpy's too) of at least 1."""
+    """One integer rule for the sample count (at least 1) and the seed (at least 0), checked at the call before
+    any work: numpy's integers pass, bools do not."""
 
-    @pytest.mark.parametrize("bad, message", [
-        (1e4, "n_samples must be an integer, got 10000.0"), (2.5, "n_samples must be an integer, got 2.5"),
-        (0, "n_samples must be >= 1, got 0"), (np.int64(-3), "n_samples must be >= 1, got -3"),
-        (True, "n_samples must be an integer, got True"),
+    @pytest.mark.parametrize("n, seed, message", [
+        (1e4, 3, "n_samples must be an integer, got 10000.0"), (2.5, 3, "n_samples must be an integer, got 2.5"),
+        (0, 3, "n_samples must be >= 1, got 0"), (np.int64(-3), 3, "n_samples must be >= 1, got -3"),
+        (True, 3, "n_samples must be an integer, got True"),
+        (300, None, "seed must be an integer, got None"), (300, True, "seed must be an integer, got True"),
+        (300, np.True_, "seed must be an integer, got np.True_"), (300, 1.5, "seed must be an integer, got 1.5"),
+        (300, np.float64(2.0), "seed must be an integer, got np.float64(2.0)"),
+        (300, "3", "seed must be an integer, got '3'"), (300, -1, "seed must be >= 0, got -1"),
     ])
     @pytest.mark.parametrize("entry", sorted(COUNTED))
-    def test_a_bad_count_is_rejected_before_any_work(self, entry, bad, message, monkeypatch):
+    def test_a_bad_count_or_seed_is_rejected_before_any_work(self, entry, n, seed, message, monkeypatch):
         calls = count_calls(monkeypatch, ["branch_maps", "_literal_blocks"], [protocol])
         with pytest.raises(ValueError) as excinfo:
-            COUNTED[entry](bad)
+            COUNTED[entry](n, seed)
         assert excinfo.type is ValueError and str(excinfo.value) == message
         assert calls == {"branch_maps": 0, "_literal_blocks": 0}
 
     @pytest.mark.parametrize("entry", sorted(COUNTED))
-    def test_numpy_integers_give_the_bits_of_an_int(self, entry):
+    def test_numpy_integers_give_the_bits_of_an_int(self, entry, monkeypatch):
+        # and each call runs the integer rule twice: once for the count, once for the seed
         def bits(result):
-            if not isinstance(result, (np.ndarray, tuple, list, float, MCResult, SphereAverageCheck)):  # a stream
+            if not isinstance(result, (np.ndarray, tuple, list, float, str, type(None), MCResult,
+                                       SphereAverageCheck)):  # a stream
                 return [block.tobytes() if isinstance(block, np.ndarray) else block for block in result]
             return result.tobytes() if isinstance(result, np.ndarray) else repr(result)
 
-        expected = bits(COUNTED[entry](300))
-        for n in (np.int64(300), np.int32(300), np.uint16(300)):
-            assert bits(COUNTED[entry](n)) == expected
+        expected = bits(COUNTED[entry](300, 3))
+        calls = count_calls(monkeypatch, ["_checked_integer"], [protocol, reference])
+        for n, seed in ((np.int64(300), np.int64(3)), (np.int32(300), np.uint16(3)), (np.uint16(300), 3)):
+            calls["_checked_integer"] = 0
+            assert bits(COUNTED[entry](n, seed)) == expected and calls == {"_checked_integer": 2}
