@@ -11,6 +11,7 @@ those are trace norms of real 2x2 blocks, which need no SVD.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -156,20 +157,21 @@ class ScatterRecord:
     region: str
 
 
-def _scatter_columns(lam: np.ndarray) -> tuple[list[float], list[float], list[str]]:
-    """(f_tele, f_recon, region) columns for rows of parameter tuples."""
+def _scatter_columns(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f_tele, f_recon, region) columns for rows of parameter tuples: two float arrays and an object
+    array of :data:`_REGIONS`' strings."""
     # R, T and R +- T are an (x, z) block plus the lone entry |R_yy| = |R_xx|
     rb, tb = _xz_blocks(lam)
     y = np.abs(rb[:, 0, 0])
     # teleportation fidelity is the same map applied to the pair's trace norm
     f_tele = f_max_from_theta(y + trace_norms(rb))
     f_recon = f_max_from_theta(y + theta_from_pair(rb, tb))
-    return f_tele.tolist(), f_recon.tolist(), _REGIONS.take(f_tele <= CLASSICAL_FIDELITY).tolist()
+    return f_tele, f_recon, _REGIONS.take(f_tele <= CLASSICAL_FIDELITY)
 
 
 def record_for(params: WClassParams) -> ScatterRecord:
     """Closed-form scatter record for one parameter tuple."""
-    (f_tele,), (f_recon,), (region,) = _scatter_columns(params.as_array()[None, :])
+    (f_tele,), (f_recon,), (region,) = (c.tolist() for c in _scatter_columns(params.as_array()[None, :]))
     return ScatterRecord(params=params, f_tele=f_tele, f_recon=f_recon, region=region)
 
 
@@ -186,7 +188,7 @@ def scatter_experiment(n: int, seed: int = 42) -> list[ScatterRecord]:
     for lam in _direction_blocks(n, seed, 4):
         if not (ok := _valid_rows(lam)).all():
             WClassParams(*lam[np.argmin(ok)].tolist())  # the same rule: raises for the first bad row
-        for (l0, l1, l2, l3), ft, fr, region in zip(lam.tolist(), *_scatter_columns(lam)):
+        for l0, l1, l2, l3, ft, fr, region in zip(*lam.T.tolist(), *(c.tolist() for c in _scatter_columns(lam))):
             params, record = new(WClassParams), new(ScatterRecord)
             p0(params, l0), p1(params, l1), p2(params, l2), p3(params, l3)
             r0(record, params), r1(record, ft), r2(record, fr), r3(record, region)
@@ -196,15 +198,99 @@ def scatter_experiment(n: int, seed: int = 42) -> list[ScatterRecord]:
 
 CSV_HEADER = ("lambda0", "lambda1", "lambda2", "lambda3", "f_tele", "f_recon", "region")
 
-# 12 significant digits, enough to reproduce doubles across runs
-_CSV_ROW = ",".join(["%.12g"] * 6 + ["%s"]) + "\n"
+# Each CSV piece holds at most _PIECE_ROWS rows, written into one buffer of _ROW_WORDS uint32 words a row: six
+# 20-byte slots, one per cell, then 8 bytes for the region and the newline.  A slot holds the cell's "%.12g"
+# text (12 significant digits, enough to reproduce doubles across runs) and a comma; every other byte is NUL,
+# and one boolean mask drops them all.
+_PIECE_ROWS = 2048
+_SLOT = 20  # bytes: the longest "%.12g" text of a double, "-2.22507385851e-308", and its comma
+_ROW_WORDS = 32
+_TAILS = np.frombuffer(b"blue\n\0\0\0orange\n\0", np.uint32).reshape(2, 2)  # indexed as _REGIONS is
+_HEAD = np.frombuffer(b"\0\0" b"0.", np.uint32)[0]  # the first word of a fast-path slot
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 words of 0..9999 as four digits, plain, then (index + 10^4) with trailing zeros as NUL; and
+    of 0..999 as three digits, with NULs, and a comma.  Built at the first CSV call, in small integer types: a
+    process that imports this module pays nothing, and int64 temporaries raised peak RSS by 1.4 MB."""
+    digits = (np.arange(10 ** 4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10).astype(
+        np.uint8) + ord("0")
+    trimmed = np.where(np.cumsum(digits[:, ::-1] != ord("0"), axis=1, dtype=np.uint8)[:, ::-1] > 0, digits, 0)
+    last = np.concatenate([trimmed[:1000, 1:], np.full((1000, 1), ord(","), np.uint8)], axis=1)
+    return np.concatenate([digits, trimmed]).view(np.uint32).ravel(), last.view(np.uint32).ravel()
+
+
+def _fast_words(cells: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the fast path's five words of each cell of an (m, 6) block into ``out`` (m, 6, 5): NUL NUL "0.",
+    the 15 digits after the point as four, four, four and three digits, then the comma, with trailing zero
+    digits as NUL.  Return the mask of the cells it writes exactly.
+
+    For x in [1e-4, 1), ``"%.12g" % x`` is "0." and the 15 digits of D 10^(3 - j), stripped of trailing
+    zeros, where x in [10^-(j+1), 10^-j) and D = rint(y), y = x 10^(12 + j), holds its 12 significant digits.
+    The doubles 0.1, 0.01 and 0.001 each lie above their power of ten, so comparing x with them finds j
+    exactly.  The scale is an exact double and y < 2^40, so y is within 2^-14 of the exact product, and rint(y)
+    is the correctly rounded D unless y's fraction lies within 1e-3 of 1/2.  Those cells, the ones whose D
+    leaves [10^11, 10^12) (x rounds up a decade) and every cell outside [1e-4, 1) are left out of the mask.
+    """
+    k = (cells >= 0.001).astype(np.intp) + (cells >= 0.01) + (cells >= 0.1)  # 3 - j
+    fast = (cells >= 1e-4) & (cells < 1.0)
+    y = np.where(fast, cells, 0.5) * np.array([1e15, 1e14, 1e13, 1e12])[k]
+    d = np.rint(y)
+    fast &= (np.abs(y - np.floor(y) - 0.5) > 1e-3) & (d >= 1e11) & (d < 1e12)
+    v = np.where(fast, d, 1e11).astype(np.int64) * np.array([1, 10, 100, 1000])[k]  # the 15 digits, < 10^15
+    a = v // 10 ** 11
+    v -= a * 10 ** 11
+    b = v // 10 ** 7
+    v = (v - b * 10 ** 7).astype(np.uint32)
+    c = v // 1000
+    e = v - c * 1000
+    # the words of a, b and c drop their trailing zeros only when every later digit is zero
+    words, last_words = _digit_words()
+    zero = e == 0
+    out[..., 0] = _HEAD
+    out[..., 4] = last_words[e]
+    out[..., 3] = words[c + 10 ** 4 * zero]
+    zero &= c == 0
+    out[..., 2] = words[b + 10 ** 4 * zero]
+    zero &= b == 0
+    out[..., 1] = words[a + 10 ** 4 * zero]
+    return fast
+
+
+def _csv_rows(cells: np.ndarray, orange: np.ndarray) -> str:
+    """The CSV rows of an (m, 6) block of cells, m <= 2048, and their regions (True for "orange"), as one string.
+
+    Each cell's text equals ``"%.12g" % x``: :func:`_fast_words` writes nearly every cell, and ``"%.12g"``
+    itself the rest.
+    """
+    m = len(cells)
+    buf = np.empty((m, _ROW_WORDS), np.uint32)
+    fast = _fast_words(cells, buf[:, :30].reshape(m, 6, 5))
+    buf[:, 30:] = _TAILS[orange.view(np.uint8)]
+    buf = buf.view(np.uint8)
+    if not fast.all():
+        rows, cols = np.nonzero(~fast)
+        view = memoryview(buf.reshape(-1))
+        for start, x in zip((4 * _ROW_WORDS * rows + _SLOT * cols).tolist(), cells[rows, cols].tolist()):
+            view[start:start + _SLOT] = (b"%.12g" % x).ljust(_SLOT - 1, b"\0") + b","
+    return str(buf[buf != 0].data, "ascii")
+
+
+def _block_rows(lam: np.ndarray) -> Iterator[str]:
+    """The rows of one block of the stream, 2048 at a time; the block's columns are computed once."""
+    f_tele, f_recon, _ = _scatter_columns(lam)
+    orange = f_tele <= CLASSICAL_FIDELITY  # the region column's rule, as a flag
+    for start in range(0, len(lam), _PIECE_ROWS):
+        piece = slice(start, start + _PIECE_ROWS)
+        yield _csv_rows(np.column_stack([lam[piece], f_tele[piece], f_recon[piece]]), orange[piece])
 
 
 def scatter_csv_chunks(n: int, seed: int = 42) -> Iterator[str]:
-    """The CSV in pieces: the header, then one piece per block of
+    """The CSV in pieces: the header, then one piece per 2048 rows (the last may be shorter) of
     :func:`sample_wclass`'s stream.  n and the seed are checked at the call."""
-    lams = _direction_blocks(n, seed, 4)
-    pieces = ("".join(_CSV_ROW % row for row in zip(*lam.T.tolist(), *_scatter_columns(lam))) for lam in lams)
+    # a block's columns are freed before the next block's are computed
+    pieces = itertools.chain.from_iterable(map(_block_rows, _direction_blocks(n, seed, 4)))
     return itertools.chain([",".join(CSV_HEADER) + "\n"], pieces)
 
 
@@ -214,5 +300,6 @@ def scatter_csv_text(n: int, seed: int = 42) -> str:
 
 
 def write_scatter_csv(path, n: int, seed: int = 42) -> None:
-    """Write the CSV to ``path`` through :func:`qrecon.stateio.write_text`; n and the seed are checked first."""
+    """Write the CSV to ``path`` through :func:`qrecon.stateio.write_text`, a piece of 2048 rows at a time;
+    n and the seed are checked first."""
     write_text(path, scatter_csv_chunks(n, seed))

@@ -9,8 +9,10 @@ correction as the SU(2) unitary of its rotation.  One input direction
 per call, no Pauli-unit tables and no shared kernel, so the comparison
 with ``branch_maps`` stays between two independent derivations.  It also
 holds the per-sample guessing rule that :func:`qrecon.protocol._guess_form`
-averages in closed form.  Only tests import this module; it is not part
-of the ``qrecon`` package.
+averages in closed form, and the W scatter's CSV written one row at a
+time with ``%`` formatting, the reference for the package's block
+formatter.  Only tests import this module; it is not part of the
+``qrecon`` package.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from qrecon.fidelity import _so3
 from qrecon.protocol import (BRANCHES, ZERO_PROBABILITY, _check_guess, _checked_integer, bell_projectors,
                              hadamard_projectors)
 from qrecon.paulis import identity2, pauli_x, pauli_y, pauli_z
+from qrecon.wclass import CSV_HEADER, _scatter_columns
 
 
 def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -152,3 +155,13 @@ def _guess_fidelity_samples(p: float, strategy: str, n_samples: int, seed: int) 
     guess = s1 if strategy == "same" else ~s1
     # resending |guess> scores cos^2 or sin^2 of the half-angle
     return np.where(guess, 1.0 - p_up, p_up)
+
+
+_CSV_ROW = ",".join(["%.12g"] * 6 + ["%s"]) + "\n"
+
+
+def literal_scatter_csv(n: int, seed: int) -> str:
+    """The scatter CSV for (n, seed), one ``_CSV_ROW % row`` per row of one draw of n parameter tuples."""
+    lam = literal_directions(np.random.default_rng(seed), n, 4)
+    columns = [c.tolist() for c in _scatter_columns(lam)]
+    return ",".join(CSV_HEADER) + "\n" + "".join(_CSV_ROW % row for row in zip(*lam.T.tolist(), *columns))

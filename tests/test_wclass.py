@@ -13,6 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import literal_directions
+from reference import literal_scatter_csv
 from qrecon.cli import main
 from qrecon.fidelity import (
     CANONICAL_SETTING,
@@ -38,6 +39,7 @@ from qrecon.wclass import (
     record_for,
     region_for,
     sample_wclass,
+    scatter_csv_chunks,
     scatter_csv_text,
     scatter_experiment,
     wclass_rt_closed_form,
@@ -328,7 +330,7 @@ class TestScatter:
         # the f map divides a norm's error by 6: 2e-15 on the norms, plus the last bit of f
         np.testing.assert_allclose(f_tele, reference, rtol=0, atol=4.5e-16)
         np.testing.assert_allclose(f_recon, f_max_from_theta(theta_from_pair(r, t)), rtol=0, atol=4.5e-16)
-        assert region == [region_for(f) for f in reference]
+        assert region.tolist() == [region_for(f) for f in reference]
 
     def test_scatter_takes_no_svd(self, monkeypatch):
         def svd(*args, **kwargs):
@@ -451,3 +453,79 @@ class TestCSV:
             assert link.is_symlink()
             assert target.read_bytes() == expected
             assert sorted(tmp_path.iterdir()) == sorted([link, target])
+
+
+def _fields(values) -> list[str]:
+    """Each value's CSV field as the block formatter writes it: six cells to a row, 2048 rows to a call."""
+    cells = np.concatenate([values, np.zeros(-len(values) % 6)]).reshape(-1, 6)
+    fields = []
+    for start in range(0, len(cells), 2048):
+        block = cells[start:start + 2048]
+        text = wclass._csv_rows(block, np.zeros(len(block), dtype=bool))
+        fields += [field for line in text.splitlines() for field in line.split(",")[:6]]
+    return fields[:len(values)]
+
+
+def _neighbours(x: float, k: int) -> list[float]:
+    """x and the k doubles on each side of it."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(float(np.nextafter(below[-1], -np.inf)))
+        above.append(float(np.nextafter(above[-1], np.inf)))
+    return below[::-1] + above[1:]
+
+
+class TestCSVFormatter:
+    POWERS = (1.0, 0.1, 0.01, 0.001, 1e-4)
+
+    def values(self):
+        rng = np.random.default_rng(71)
+        values = [x for p in self.POWERS for x in _neighbours(p, 40)]
+        for p in self.POWERS:
+            # just below p: within 5e-13 relative they round up a decade, within 1e-11 most do not
+            values += (p * (1.0 - rng.random(2000) * 5e-13)).tolist() + (p * (1.0 - rng.random(2000) * 1e-11)).tolist()
+        for e in range(1, 60):
+            # exact binary ties m / 2^e; for e = 13 + j and odd m, x 10^(12 + j) ends in exactly one half
+            values += (rng.integers(1, 2 ** min(e, 52), 300) / 2.0 ** e).tolist()
+        for scale in (1e12, 1e13, 1e14, 1e15):
+            # the doubles nearest (N + 1/2) 10^-(12 + j) and their neighbours: x 10^(12 + j) rounds to a half
+            halves = (rng.integers(10 ** 11, 10 ** 12, 2000) + 0.5) / scale
+            values += [x for h in halves.tolist() for x in _neighbours(h, 1)]
+        values += [0.0, 5e-324, 2.2250738585072014e-308, *_neighbours(2 / 3, 40)]
+        for low in (1e-5, 1e-4, 1e-3, 1e-2, 0.1):
+            values += rng.uniform(low, 10 * low, 50_000).tolist()  # each decade, and the one below the fast path
+        return values
+
+    def test_fields_equal_percent_formatting(self):
+        values = self.values()
+        assert len(values) > 250_000
+        assert _fields(np.array(values)) == ["%.12g" % x for x in values]
+
+    @pytest.mark.parametrize("x", [1.5, 1e300, np.inf, np.nan, -0.0, -2.2250738585072014e-308, -0.5])
+    def test_a_cell_outside_zero_to_one_takes_its_percent_text(self, x):
+        # the columns never hold one; every double's text still fits its slot
+        assert _fields(np.array([x, 0.25])) == ["%.12g" % x, "0.25"]
+
+    @seed(72)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_fields_equal_percent_formatting_property(self, values):
+        assert _fields(np.array(values)) == ["%.12g" % x for x in values]
+
+    def test_region_and_newline_end_each_row(self):
+        cells = np.full((3, 6), 0.5)
+        assert wclass._csv_rows(cells, np.array([True, False, True])) == "".join(
+            "0.5,0.5,0.5,0.5,0.5,0.5,%s\n" % region for region in ("orange", "blue", "orange"))
+
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 8192, 2 * 8192 + 1])
+    def test_every_writer_gives_the_literal_rows(self, tmp_path, n):
+        expected = literal_scatter_csv(n, seed=73)
+        pieces = list(scatter_csv_chunks(n, seed=73))
+        assert "".join(pieces) == scatter_csv_text(n, seed=73) == expected
+        write_scatter_csv(tmp_path / "scatter.csv", n, seed=73)
+        assert (tmp_path / "scatter.csv").read_bytes() == expected.encode()
+        # the header, then a piece per 2048 rows of each 8192-row block
+        blocks = [min(8192, n - start) for start in range(0, n, 8192)]
+        assert [piece.count("\n") for piece in pieces] == [1] + [
+            min(2048, b - start) for b in blocks for start in range(0, b, 2048)]
+
