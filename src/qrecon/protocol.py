@@ -132,7 +132,8 @@ def _accepted_pairs(rng: np.random.Generator, out: tuple, signed: bool, work: tu
         taken = np.flatnonzero(ok)[:b - filled]
         end = filled + len(taken)
         for row, dest in zip((ru, rv, ss), out):
-            np.take(row, taken, out=dest[filled:end])
+            # the indices are in range: "wrap" changes no value, but spares the buffered copy "raise" makes of out
+            np.take(row, taken, out=dest[filled:end], mode="wrap")
         filled = end
 
 
@@ -172,6 +173,15 @@ def _literal_blocks(rng: np.random.Generator, n: int, dim: int) -> Iterator[np.n
         yield rows.T
 
 
+#: The last (state, setting, rotations) :func:`branch_maps` simulated: (the validated state's bytes,
+#: ``setting.order``, the checked rotation stack's bytes or None for the default optimum) and the (8, 4, 4)
+#: complex Pauli components whose real part ``p_map`` and ``q_map`` are read from.  One entry, replaced whole,
+#: never handed out, as ``states._last_state``: a hit copies it, so every call gets fresh arrays with the
+#: strides of a cold call's.  The rotation product reads the components' strided real part in numpy's own
+#: loop, so the stack's layout does not choose its bits.
+_last_maps: tuple[tuple[bytes, tuple, Optional[bytes]], np.ndarray] | None = None
+
+
 def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
                 rotations: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """The simulated protocol on the Pauli units E = {1, sigma}/2 of rho_S.
@@ -183,14 +193,31 @@ def branch_maps(rho: np.ndarray, setting: Setting = CANONICAL_SETTING,
     ``f . q_map[:, b, :] . f``.  A correction acts on the Pauli components
     (Tr N, Tr[N sigma]) of the reconstructor's state N as
     U N U^dag <-> (Tr N, Omega^T Tr[N sigma]) for the SU(2) element U of Omega.
+
+    The last (state, setting, rotations) is remembered, one entry by the
+    validated state's bytes, the setting and the checked stack's bytes: a
+    repeat (the six-axis value after the Monte Carlo of one state) runs no
+    kernel and no SVD and returns fresh arrays with a cold call's bits.  The
+    state is checked first, then the stack, on every call; a rejected one
+    leaves the entry as it was.
     """
-    rho = permute_to_canonical(validate_state(rho), setting)
-    # the default reads P = Tr[(sigma_i 1 sigma_k) rho] and T = Tr[(sigma_i sigma_x sigma_k) rho] alone
-    omegas = _rotations(*pauli_traces(rho, _PAIR_BASIS).real.swapaxes(0, 1)) if rotations is None else _so3(rotations)
-    # N[b, mu] = Tr_pair[k[b, mu] rho]: rho's rows (q, c) and columns (Q, d) regrouped as (Q, q) x (c, d)
-    n = (_KERNEL @ rho.reshape(4, 2, 4, 2).transpose(2, 0, 1, 3).reshape(16, 4)).reshape(8, 4, 2, 2)
-    comps = np.einsum("zmcd,ndc->zmn", n, _PAULIS4).real  # Tr[N sigma_nu]
-    comps[..., 1:] = comps[..., 1:] @ omegas  # (Omega^T v)_i = sum_j v_j Omega_ji
+    global _last_maps
+    rho = validate_state(rho)
+    omegas = None if rotations is None else _so3(rotations)
+    key = rho.tobytes(), setting.order, None if omegas is None else omegas.tobytes()
+    last = _last_maps
+    if last is not None and last[0] == key:
+        comps = last[1].copy().real
+    else:
+        rho = permute_to_canonical(rho, setting)
+        if omegas is None:  # the optimum reads P = Tr[(sigma_i 1 sigma_k) rho], T = Tr[(sigma_i sigma_x sigma_k) rho]
+            omegas = _rotations(*pauli_traces(rho, _PAIR_BASIS).real.swapaxes(0, 1))
+        # N[b, mu] = Tr_pair[k[b, mu] rho]: rho's rows (q, c) and columns (Q, d) regrouped as (Q, q) x (c, d)
+        n = (_KERNEL @ rho.reshape(4, 2, 4, 2).transpose(2, 0, 1, 3).reshape(16, 4)).reshape(8, 4, 2, 2)
+        full = np.einsum("zmcd,ndc->zmn", n, _PAULIS4)
+        comps = full.real  # Tr[N sigma_nu]
+        comps[..., 1:] = comps[..., 1:] @ omegas  # (Omega^T v)_i = sum_j v_j Omega_ji
+        _last_maps = key, full.copy()
     # p = Tr N; Tr[(U N U^dag) E_nu] = comps_nu / 2
     return comps[..., 0].T, comps.transpose(1, 0, 2) / 2.0
 
@@ -321,7 +348,9 @@ def expected_fidelity_exact(rho: np.ndarray, setting: Setting = CANONICAL_SETTIN
     E[phi_i phi_j] = delta_ij / 3 reads the sphere average off y's
     diagonal, y_00 + (y_11 + y_22 + y_33) / 3: the six-axis mean, whose
     +-e_i cross terms cancel in pairs.  Deterministic; used to
-    cross-check both the Monte Carlo and the closed forms.
+    cross-check both the Monte Carlo and the closed forms.  After
+    :func:`expected_fidelity_mc` of the same state, setting and rotations it
+    reads :func:`branch_maps`' memo, with no kernel or SVD.
     """
     y = branch_maps(rho, setting, rotations)[1].sum(axis=1).diagonal().tolist()
     return y[0] + (y[1] + y[2] + y[3]) / 3.0

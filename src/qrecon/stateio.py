@@ -50,8 +50,9 @@ def _real_array(data, shape, what) -> np.ndarray:
 
 
 def _complex_array(data, shape) -> np.ndarray:
-    arr = _real_array(data, shape + (2,), "nested [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # a view of the C-ordered (..., 2) pairs, with no arithmetic: an infinite part sets no floating-point flag,
+    # and a real part of -0.0 stays -0.0
+    return _real_array(data, shape + (2,), "nested [re, im] pairs").view(complex)[..., 0]
 
 
 def parse_state(obj: dict) -> np.ndarray:

@@ -175,6 +175,23 @@ class TestAnalyze:
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("kind, message", [
+        ("pure", "amplitude vector has a non-finite entry"),
+        ("dense", "density matrix has a non-finite entry"),
+    ])
+    def test_infinite_imaginary_part_prints_one_error_line(self, tmp_path, kind, message):
+        # a [0.0, Infinity] pair: building it as re + 1j * im would evaluate 0 * inf and leak numpy's warning
+        obj = pure_to_json(np.eye(8)[0]) if kind == "pure" else density_to_json(np.eye(8) / 8)
+        if kind == "pure":
+            obj["pure"][1] = [0.0, float("inf")]
+        else:
+            obj["dense"][0][1] = [0.0, float("inf")]
+        path = tmp_path / "infinite.json"
+        path.write_text(json.dumps(obj))  # written as a bare Infinity, which json.load accepts
+        proc = subprocess.run([sys.executable, "-m", "qrecon.cli", "analyze", "--state", str(path)],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("kind, bad", [("pure", {}), ("dense", {}), ("bloch", {}),
                                            ("pure", None), ("dense", True), ("bloch", "1"), ("pure", 10**400)],
                              ids=["pure", "dense", "bloch", "pure-null", "dense-true", "bloch-string", "pure-huge-int"])

@@ -39,7 +39,7 @@ from qrecon.fidelity import (
     trace_norm,
 )
 from qrecon.paulis import identity2, pauli_x, pauli_z
-from qrecon import protocol
+from qrecon import fidelity as fidelity_module, protocol
 from qrecon.presets import PRESETS, preset_density
 from qrecon.protocol import (
     BELL_DIAGONALS,
@@ -633,10 +633,13 @@ class TestPerStatePreparation:
     def test_one_call_prepares_its_state_once(self, monkeypatch, entry):
         import qrecon
         rho = preset_density("w")
+        monkeypatch.setattr(protocol, "_last_maps", None)  # cold, whatever ran before
         counts = count_calls(monkeypatch, ["validate_state", "decompose_state", "optimal_rotation"],
                              [qrecon, *(m for m in vars(qrecon).values() if inspect.ismodule(m))])
         entry(rho, Setting.from_string("BCA"))
         assert counts == {"validate_state": 1, "decompose_state": 0, "optimal_rotation": 1}
+        entry(rho, Setting.from_string("BCA"))  # a repeat reads the branch maps' memo
+        assert counts == {"validate_state": 2, "decompose_state": 0, "optimal_rotation": 1}
 
     def test_a_state_at_the_psd_floor_is_simulated(self):
         # admitted by validation with a_z = 1 + 1.8e-9, past 1 but within DECOMPOSITION_BOUND: both routes take it
@@ -645,6 +648,97 @@ class TestPerStatePreparation:
         d = decompose_state(rho)
         assert d.a[2] > 1.0 + 1e-9
         assert expected_fidelity_exact(rho) == pytest.approx(closed_form_bounds(d).f_so3, abs=1e-12)
+
+
+def array_bits(a):
+    """Every bit of an array: dtype, shape, strides, writeability and bytes."""
+    return a.dtype.str, a.shape, a.strides, a.flags.writeable, a.tobytes()
+
+
+def maps_bits(rho, setting, rotations=None):
+    """The bits of branch_maps' two arrays, or the (type, message) of its rejection."""
+    try:
+        return tuple(array_bits(a) for a in branch_maps(rho, setting, rotations))
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def cold(call, *args, **kwargs):
+    """``call`` with the branch maps' memo emptied first, then put back as it was."""
+    kept, protocol._last_maps = protocol._last_maps, None
+    try:
+        return call(*args, **kwargs)
+    finally:
+        protocol._last_maps = kept
+
+
+def stack(seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([random_rotation(rng) for _ in range(8)])
+
+
+#: Rotation stacks for the memo's tests: the default, two random ones, the first again Fortran-ordered and
+#: read-only (the same bytes, so the same key), and one that is not a rotation.
+MEMO_STACKS = [None, stack(70), stack(71), np.asfortranarray(stack(70)), stack(71), -stack(72)]
+MEMO_STACKS[4].setflags(write=False)
+#: States for the memo's tests: two presets, a mixed one, the first again real-valued, and a rejected one.
+MEMO_STATES = [preset_density("w"), preset_density("beta-mix"), random_density(np.random.default_rng(73)),
+               np.ascontiguousarray(preset_density("w").real), np.diag([1.0 + 2e-9] + [0.0] * 6 + [-2e-9])]
+
+
+class TestMapsMemo:
+    """branch_maps keeps the last (state, setting, rotations), one entry, and no result shows it."""
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+    @pytest.mark.parametrize("setting", ALL_SETTINGS, ids=str)
+    def test_a_hit_is_a_cold_call_to_the_bit(self, monkeypatch, setting, explicit):
+        monkeypatch.setattr(protocol, "_last_maps", None)
+        for k, name in enumerate(sorted(PRESETS)):
+            rho = preset_density(name)
+            rotations = stack(80 + k) if explicit else None
+            calls = [lambda: expected_fidelity_mc(rho, setting, n_samples=3000, seed=k, rotations=rotations),
+                     lambda: expected_fidelity_mc(rho, setting, n_samples=8193, seed=k, rotations=rotations),
+                     lambda: expected_fidelity_exact(rho, setting, rotations)]
+            expected = [repr(cold(call)) for call in calls]
+            assert [repr(call()) for call in calls] == expected  # the first call fills the memo, the rest hit it
+            assert maps_bits(rho, setting, rotations) == cold(maps_bits, rho, setting, rotations)
+
+    @seed(74)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(MEMO_STATES) - 1), st.sampled_from(ALL_SETTINGS),
+                              st.integers(0, len(MEMO_STACKS) - 1)), min_size=1, max_size=12))
+    def test_the_memo_is_invisible_property(self, calls):
+        # states, settings and stacks in any order: each call, and its repeat (a hit), gives the cold bits
+        protocol._last_maps = None
+        for i, setting, j in calls:
+            expected = cold(maps_bits, MEMO_STATES[i], setting, MEMO_STACKS[j])
+            for _ in range(2):
+                assert maps_bits(MEMO_STATES[i], setting, MEMO_STACKS[j]) == expected
+
+    def test_writing_into_handed_out_maps_changes_no_later_hit(self):
+        rho, setting = MEMO_STATES[1], ALL_SETTINGS[2]
+        expected = cold(maps_bits, rho, setting)
+        for _ in range(3):
+            p_map, q_map = branch_maps(rho, setting)
+            assert (array_bits(p_map), array_bits(q_map)) == expected
+            p_map[...] = 0.25
+            q_map[...] = 0.25
+        assert maps_bits(rho, setting) == expected
+
+    def test_a_rejected_input_leaves_the_entry(self, monkeypatch):
+        rho, setting, bad = MEMO_STATES[0], ALL_SETTINGS[1], MEMO_STACKS[-1]
+        branch_maps(rho, setting)
+        kept = protocol._last_maps
+        counts = count_calls(monkeypatch, ["optimal_rotation", "_so3"], [protocol, fidelity_module])
+        with pytest.raises(NotPSDError):  # the state is checked before the stack
+            branch_maps(MEMO_STATES[-1], setting, bad)
+        with pytest.raises(ValueError, match="not special orthogonal"):
+            branch_maps(rho, setting, bad)
+        assert protocol._last_maps is kept
+        assert counts == {"optimal_rotation": 0, "_so3": 1}
+        branch_maps(rho, setting, MEMO_STACKS[1])
+        branch_maps(rho, setting, MEMO_STACKS[1])
+        assert counts == {"optimal_rotation": 0, "_so3": 3}  # once per call with a stack, hit or miss
 
 
 class RejectedFirstDraw:

@@ -43,6 +43,14 @@ class TestParse:
         rho = parse_state(pure_to_json(psi))
         np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), atol=1e-12)
 
+    def test_dense_entries_keep_their_bits(self):
+        # each [re, im] pair becomes one complex entry as it is: a real part of -0.0 keeps its sign
+        original = preset_density("beta-mix").copy()
+        original[0, 5] = complex(-0.0, 0.0)
+        original[5, 0] = complex(-0.0, -0.0)
+        rho = parse_state(density_to_json(original))
+        assert rho.tobytes() == original.tobytes()
+
     @pytest.mark.parametrize("obj", [
         {},
         {"pure": [[1, 0]] * 8, "dense": [[[0, 0]] * 8] * 8},
