@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import count_calls, random_density, random_pure
-from qrecon import states
+from qrecon import protocol, states
 from qrecon.fidelity import ALL_SETTINGS, full_report
 from qrecon.protocol import expected_fidelity_exact, expected_fidelity_mc
 from qrecon.paulis import identity2, pauli_x, pauli_y, pauli_z, paulis, product_basis, sigma
@@ -541,12 +541,13 @@ class TestStateMemo:
     @given(st.lists(st.tuples(st.sampled_from(sorted(MEMO_CALLS)), st.integers(0, len(MEMO_POOL) - 1),
                               st.sampled_from(ALL_SETTINGS)), min_size=1, max_size=16))
     def test_the_memo_is_invisible_property(self, calls):
-        states._last_state = None
+        states._last_state = protocol._last_maps = None
         for name, i, setting in calls:
-            kept = states._last_state
-            states._last_state = None
+            # cold: neither the state's memo nor the branch maps' one, which expected_fidelity_exact reads
+            kept = states._last_state, protocol._last_maps
+            states._last_state = protocol._last_maps = None
             cold = call_bits(name, MEMO_POOL[i], setting)
-            states._last_state = kept
+            states._last_state, protocol._last_maps = kept
             try:
                 result = MEMO_CALLS[name](MEMO_POOL[i], setting)
             except ValueError as error:
@@ -558,6 +559,7 @@ class TestStateMemo:
                           [result.coefficient_tensor()] if isinstance(result, BlochDecomposition) else []):
                 array.setflags(write=True)
                 array[...] = 0.25
+            assert call_bits(name, MEMO_POOL[i], setting) == cold  # the repeat hits the memos the call reads
 
     def test_threads_alternating_two_states_get_the_sequential_results(self):
         # four threads on two cores, each alternating between the two states from its own start
@@ -565,7 +567,7 @@ class TestStateMemo:
         names = sorted(MEMO_CALLS)
         expected = []
         for rho in pair:
-            states._last_state = None
+            states._last_state = protocol._last_maps = None
             expected.append([call_bits(name, rho, setting) for name in names])
         seen = [[] for _ in range(4)]
 
